@@ -68,9 +68,7 @@ from .tokenizer import (
     save_model,
 )
 from .trainer import (
-    PairCount,
     TrainConfig,
-    count_pairs,
     retrain_like,
     train_bpe,
     train_bpe_oracle,

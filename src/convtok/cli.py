@@ -21,7 +21,7 @@ from .corpus import (
     load_conversations,
     load_documents,
 )
-from .errors import ConvtokError
+from .errors import ConvtokError, InvalidEncoding
 from .experiments import (
     ExperimentSpec,
     Workspace,
@@ -117,7 +117,10 @@ def _cmd_encode(args) -> None:
     if args.text is not None:
         text = args.text
     elif args.input:
-        text = Path(args.input).read_text(encoding="utf-8")
+        try:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidEncoding(f"{args.input}: {exc}") from exc
     else:
         text = sys.stdin.read()
     ids = encode(model, text)

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import EmptyCorpus, InvalidEncoding, MalformedRecord
+from .errors import ConfigError, EmptyCorpus, InvalidEncoding, MalformedRecord
 
 logger = logging.getLogger(__name__)
 
@@ -78,9 +78,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ConfigError("seed must fit in 64 unsigned bits")
 
 
 # ---------------------------------------------------------------------------

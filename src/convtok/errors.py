@@ -27,8 +27,9 @@ class EmptyCorpus(ConvtokError):
     """An operation that needs at least one record or document got none."""
 
 
-class ConfigError(ConvtokError):
-    """A training configuration is internally inconsistent or infeasible."""
+class ConfigError(ConvtokError, ValueError):
+    """A training, split or experiment configuration is out of range,
+    internally inconsistent or infeasible."""
 
 
 class CorpusTooLarge(ConvtokError):

@@ -36,7 +36,7 @@ from .corpus import (
     split,
     train_id_set,
 )
-from .errors import ConvtokError
+from .errors import ConfigError, ConvtokError
 from .metrics import fertility, language_groups, reduction
 from .tokenizer import (
     PretokenScheme,
@@ -76,7 +76,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not self.role_filters:
-            raise ValueError("at least one role filter is required")
+            raise ConfigError("at least one role filter is required")
 
 
 @dataclass(frozen=True)

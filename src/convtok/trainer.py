@@ -14,6 +14,14 @@ lists on any corpus:
 
 Selection depends only on (frequency, pair), so the result is independent of
 iteration order and identical across runs and platforms.
+
+The optimized trainer keeps live pair counts and a lazy max-heap of
+(count, pair) entries. A merge rewrites only the pieces that hold the merged
+pair, and each such piece applies only its net per-pair change, so a pair
+whose count in the piece is unchanged costs nothing. A heap entry is pushed
+only when a count rises; a popped entry that records more than the live
+count is re-filed at the live count. Since counts only fall between pushes,
+the selection stays exact (see :func:`train_bpe`).
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, CorpusTooLarge
 from .tokenizer import (
@@ -55,28 +63,6 @@ class TrainConfig:
             )
         if self.min_pair_frequency < 1:
             raise ConfigError("min_pair_frequency must be at least 1")
-
-
-@dataclass(frozen=True)
-class PairCount:
-    pair: Pair
-    frequency: int
-
-
-def count_pairs(pieces: Mapping[Sequence[str], int]) -> list[PairCount]:
-    """Adjacent-pair frequencies over a multiset of symbol sequences.
-
-    Every adjacent index pair counts, weighted by the sequence multiplicity.
-    Returned sorted by descending frequency, then ascending pair.
-    """
-    counts: Counter[Pair] = Counter()
-    for seq, mult in pieces.items():
-        for a, b in zip(seq, seq[1:]):
-            counts[(a, b)] += mult
-    return [
-        PairCount(pair=pair, frequency=freq)
-        for pair, freq in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +123,16 @@ def train_bpe(corpus: Sequence[str], config: TrainConfig) -> TokenizerModel:
     Pair counts are maintained incrementally and the best pair is tracked in
     a lazy max-heap, so cost scales with the number of affected pieces per
     merge instead of the corpus size.
+
+    For each affected piece only the nonzero net deltas between its old and
+    new pair multisets touch ``pair_counts``, and ``where`` changes only for
+    pairs that enter or leave the piece. Heap invariant: every live pair has
+    at least one entry whose recorded count is at or above its live count.
+    The initial heap and every rise push such an entry, counts only fall
+    between pushes, and a popped entry whose recorded count is not the live
+    count is re-filed at the live count. Hence the first popped entry that
+    matches its live count is the true (max frequency, min pair), and the
+    selection equals the oracle's.
     """
     vocab, sequences = _initial_state(corpus, config)
     vocab_set = set(vocab)
@@ -157,9 +153,11 @@ def train_bpe(corpus: Sequence[str], config: TrainConfig) -> TokenizerModel:
     while len(vocab) < config.vocab_size and heap:
         neg_freq, pair = heapq.heappop(heap)
         freq = pair_counts.get(pair)
-        if freq is None or freq != -neg_freq:
-            continue  # stale heap entry
-        if pair in banned:
+        if freq is None or pair in banned:
+            continue
+        if freq != -neg_freq:
+            # the count fell since this entry was pushed: re-file it
+            heapq.heappush(heap, (-freq, pair))
             continue
         if freq < config.min_pair_frequency:
             break
@@ -173,29 +171,34 @@ def train_bpe(corpus: Sequence[str], config: TrainConfig) -> TokenizerModel:
         vocab.append(product)
         vocab_set.add(product)
 
-        for idx in sorted(where.get(pair, ())):
+        # The merged pair leaves every piece that held it.
+        for idx in where.pop(pair):
             old_seq, mult = sequences[idx]
             new_seq = merge_adjacent(old_seq, left, right, product)
-            for a, b in zip(old_seq, old_seq[1:]):
-                p = (a, b)
-                remaining = pair_counts[p] - mult
-                if remaining <= 0:
-                    del pair_counts[p]
-                else:
+            sequences[idx] = (new_seq, mult)
+            old_pairs = Counter(zip(old_seq, old_seq[1:]))
+            new_pairs = Counter(zip(new_seq, new_seq[1:]))
+            for p, n in new_pairs.items():
+                delta = n - old_pairs.get(p, 0)
+                if delta > 0:
+                    updated = pair_counts.get(p, 0) + delta * mult
+                    pair_counts[p] = updated
+                    heapq.heappush(heap, (-updated, p))
+                elif delta < 0:
+                    pair_counts[p] += delta * mult
+            for p in old_pairs.keys() - new_pairs.keys():
+                remaining = pair_counts[p] - old_pairs[p] * mult
+                if remaining:
                     pair_counts[p] = remaining
-                    heapq.heappush(heap, (-remaining, p))
+                else:
+                    del pair_counts[p]
                 owners = where.get(p)
                 if owners is not None:
                     owners.discard(idx)
                     if not owners:
                         del where[p]
-            for a, b in zip(new_seq, new_seq[1:]):
-                p = (a, b)
-                updated = pair_counts.get(p, 0) + mult
-                pair_counts[p] = updated
-                heapq.heappush(heap, (-updated, p))
+            for p in new_pairs.keys() - old_pairs.keys():
                 where.setdefault(p, set()).add(idx)
-            sequences[idx] = (new_seq, mult)
 
     return TokenizerModel(
         mode=config.mode,

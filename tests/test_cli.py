@@ -189,3 +189,33 @@ def test_malformed_corpus_fails_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", "--conversations", str(bad))
     assert code == 1
     assert json.loads(err)["error"] == "MalformedRecord"
+
+
+def one_json_error(err):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+def test_non_utf8_encode_input_fails_cleanly(data, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    run(capsys, "train", "--corpus", data["docs"], "--vocab-size", "256",
+        "--out", str(model_path))
+    text_file = tmp_path / "latin1.txt"
+    text_file.write_bytes("caf\xe9".encode("latin-1"))
+    code, out, err = run(capsys, "encode", "--model", str(model_path),
+                         "--input", str(text_file))
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == "InvalidEncoding"
+
+
+def test_out_of_range_train_fraction_fails_cleanly(data, tmp_path, capsys):
+    code, out, err = run(capsys, "exp1", "--conversations", data["convs"],
+                         "--documents", data["docs"], "--train-fraction", "1.5",
+                         "--out", str(tmp_path / "runs"))
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert payload["error"] == "ConfigError"
+    assert "train_fraction" in payload["message"]

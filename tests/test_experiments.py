@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from convtok.corpus import RoleFilter, SplitSpec, extract_text
+from convtok.errors import ConfigError
 from convtok.experiments import (
     ExperimentSpec,
     Workspace,
@@ -165,6 +166,18 @@ class TestDeterminism:
             model = load_model(out / "models" / f"{name}.json")
             assert len(model.vocab) <= 330
             assert len(model.vocab) > 300  # really retrained, not run A's files
+
+
+class TestSpecValidation:
+    def test_bad_values_raise_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            SplitSpec(train_fraction=1.5)
+        with pytest.raises(ConfigError):
+            SplitSpec(seed=-1)
+        with pytest.raises(ConfigError):
+            ExperimentSpec(conversations_path=tmp_path / "c.jsonl",
+                           documents_path=tmp_path / "d.txt",
+                           output_dir=tmp_path / "out", role_filters=())
 
 
 class TestReportFiles:

@@ -13,9 +13,7 @@ from convtok.tokenizer import (
     pretokenize,
 )
 from convtok.trainer import (
-    PairCount,
     TrainConfig,
-    count_pairs,
     retrain_like,
     train_bpe,
     train_bpe_oracle,
@@ -34,27 +32,47 @@ def random_corpus(rng, n_texts=6, n_words=80):
     ]
 
 
+def pair_counts(sequences):
+    """Adjacent-pair frequencies over (symbols -> multiplicity)."""
+    counts = Counter()
+    for seq, mult in sequences.items():
+        for pair in zip(seq, seq[1:]):
+            counts[pair] += mult
+    return counts
+
+
 # ---------------------------------------------------------------------------
-# count_pairs
+# Pair counting, observed through the trainers' first merges
 # ---------------------------------------------------------------------------
 
-class TestCountPairs:
-    def test_weighted_sequence(self):
-        assert count_pairs({("a", "b"): 3}) == [PairCount(pair=("a", "b"), frequency=3)]
+@pytest.mark.parametrize("trainer", [train_bpe, train_bpe_oracle], ids=["fast", "oracle"])
+class TestPairCounting:
+    def test_piece_multiplicity_weights_the_count(self, trainer):
+        # one distinct piece "ab" seen three times counts (a, b) three times
+        config = TrainConfig(vocab_size=300, min_pair_frequency=3)
+        assert trainer(["ab"] * 3, config).merges == (("a", "b"),)
+        assert trainer(["ab"] * 2, config).merges == ()
 
-    def test_empty(self):
-        assert count_pairs({}) == []
-
-    def test_overlapping_adjacencies(self):
+    def test_overlapping_adjacencies(self, trainer):
         # every adjacent index pair counts: "aaa" has two (a, a) positions
-        assert count_pairs({("a", "a", "a"): 1}) == [PairCount(pair=("a", "a"), frequency=2)]
+        config = TrainConfig(vocab_size=300, min_pair_frequency=2)
+        assert trainer(["aaa"], config).merges[0] == ("a", "a")
+        assert trainer(["aa"], config).merges == ()
 
-    def test_sorted_by_frequency_then_pair(self):
-        result = count_pairs({("a", "b", "a", "b"): 2, ("b", "a"): 5})
-        assert [(pc.pair, pc.frequency) for pc in result] == [
-            (("b", "a"), 7),
-            (("a", "b"), 4),
-        ]
+    def test_no_pairs_no_merges(self, trainer):
+        # whitespace split leaves "a b c" as five one-symbol pieces
+        config = TrainConfig(vocab_size=300, min_pair_frequency=1,
+                             scheme=PretokenScheme.WHITESPACE_SPLIT)
+        assert trainer([], config).merges == ()
+        assert trainer(["a b c"], config).merges == ()
+
+    def test_order_is_frequency_then_pair(self, trainer):
+        # pieces "abab" x2 and "ba" x5: (b, a) 2 + 5 = 7 beats (a, b) 2 * 2 = 4
+        corpus = ["abab"] * 2 + ["ba"] * 5
+        config = TrainConfig(vocab_size=257, min_pair_frequency=1)
+        assert trainer(corpus, config).merges == (("b", "a"),)
+        # equal frequencies: the lexicographically smaller pair wins
+        assert trainer(["cd", "ab"], config).merges == (("a", "b"),)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +135,7 @@ class TestTrainBpe:
         from convtok.tokenizer import _base_symbols  # replay needs base symbols
         sequences = {tuple(_base_symbols(model, p)): m for p, m in pieces.items()}
         for left, right in model.merges:
-            counts = count_pairs(sequences)
-            by_pair = {pc.pair: pc.frequency for pc in counts}
-            assert by_pair[(left, right)] >= config.min_pair_frequency
+            assert pair_counts(sequences)[(left, right)] >= config.min_pair_frequency
             sequences = Counter(
                 {tuple(merge_adjacent(list(seq), left, right, left + right)): m
                  for seq, m in sequences.items()}
@@ -165,8 +181,9 @@ class TestOracle:
         )
         assert model.merges[0] == ("a", "a")
         # the winning pair had frequency 4 at selection time
-        pieces = {tuple("aaabdaaabac"): 1}
-        assert count_pairs(pieces)[0] == PairCount(pair=("a", "a"), frequency=4)
+        counts = pair_counts({tuple("aaabdaaabac"): 1})
+        assert counts[("a", "a")] == 4
+        assert max(counts.values()) == 4
 
     def test_base_only_config_trains_nothing(self):
         config = TrainConfig(vocab_size=256)
@@ -188,6 +205,42 @@ class TestOracle:
             slow = train_bpe_oracle(corpus, config)
             assert fast.merges == slow.merges
             assert fast.vocab == slow.vocab
+
+
+class TestOracleStress:
+    """Byte-for-byte agreement with the oracle where the fast trainer's pair
+    deltas and lazy heap re-filing do the most work."""
+
+    def test_falling_count_is_re_filed_and_merged_later(self):
+        # (a, b) = 5 and (b, c) = 5 tie; (a, b) wins on the pair order. Merging
+        # it drops (b, c) to 2 ("bc" x2) without removing it, so the heap entry
+        # recorded at 5 must be re-filed at 2 for the third merge to happen.
+        corpus = ["abc"] * 3 + ["ab"] * 2 + ["bc"] * 2
+        config = TrainConfig(vocab_size=300, min_pair_frequency=2)
+        expected = (("a", "b"), ("ab", "c"), ("b", "c"))
+        assert train_bpe(corpus, config).merges == expected
+        assert train_bpe_oracle(corpus, config).merges == expected
+
+    def test_random_corpora_match_oracle(self):
+        rng = random.Random(20250601)
+        words = ["the", "cat", "tat", "abab", "ba", "你好", "ok!", "12", "x",
+                 "<0x41>", "<0x4", "0x41>", "<<>>"]
+        for case in range(120):
+            run = rng.choice("ab")
+            vocab = words + [run * rng.randint(3, 40) for _ in range(3)]
+            corpus = [
+                " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 25)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            config = TrainConfig(
+                vocab_size=rng.randint(300, 380),
+                mode=(BYTE, CHAR)[case % 2],
+                scheme=tuple(PretokenScheme)[case // 2 % 2],
+                min_pair_frequency=1 + case // 4 % 3,
+            )
+            fast = train_bpe(corpus, config)
+            slow = train_bpe_oracle(corpus, config)
+            assert model_to_bytes(fast) == model_to_bytes(slow), (case, corpus, config)
 
 
 # ---------------------------------------------------------------------------
