@@ -47,20 +47,19 @@ from .experiments import (
 )
 from .metrics import (
     FertilityResult,
-    LanguageRow,
     ReductionResult,
-    count_words,
     fertility,
-    per_language_reduction,
     reduction,
     token_count,
 )
 from .samples import generate_corpora, write_sample_corpora
 from .tokenizer import (
+    PieceTable,
     PretokenScheme,
     TokenizerMode,
     TokenizerModel,
     byte_symbol_map,
+    count_words,
     decode,
     encode,
     load_model,

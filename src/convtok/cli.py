@@ -24,7 +24,6 @@ from .corpus import (
 from .errors import ConvtokError, InvalidEncoding
 from .experiments import (
     ExperimentSpec,
-    Workspace,
     emit_plot_data,
     load_report,
     run_experiment1,
@@ -115,14 +114,22 @@ def _cmd_train(args) -> None:
 def _cmd_encode(args) -> None:
     model = load_model(args.model)
     if args.text is not None:
+        # non-UTF-8 argv bytes arrive as lone surrogates
         text = args.text
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidEncoding(f"--text: {exc}") from exc
     elif args.input:
         try:
             text = Path(args.input).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidEncoding(f"{args.input}: {exc}") from exc
     else:
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.buffer.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidEncoding(f"stdin: {exc}") from exc
     ids = encode(model, text)
     if args.count_only:
         _emit({"n_tokens": len(ids)})

@@ -149,16 +149,12 @@ def _parse_record(obj: dict, line_number: int, lmsys: bool) -> ConversationRecor
     )
 
 
-def load_conversations(
-    path: str | Path, format: str = "jsonl", lmsys: bool = False
-) -> ConversationSet:
+def load_conversations(path: str | Path, lmsys: bool = False) -> ConversationSet:
     """Parse a conversation corpus, aborting on the first malformed line.
 
     Language tags are lowercased but otherwise taken verbatim from the file
     (no language detection). Blank lines are ignored.
     """
-    if format != "jsonl":
-        raise ValueError(f"unsupported conversation format: {format!r}")
     records: list[ConversationRecord] = []
     seen_ids: set[str] = set()
     for line_number, line in enumerate(_read_utf8_lines(path), start=1):

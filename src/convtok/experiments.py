@@ -21,13 +21,12 @@ import hashlib
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__ as _tool_version
 from .corpus import (
-    ConversationSet,
-    DocumentSet,
     RoleFilter,
     SplitSpec,
     extract_text,
@@ -36,15 +35,15 @@ from .corpus import (
     split,
     train_id_set,
 )
-from .errors import ConfigError, ConvtokError
+from .errors import ConfigError, ConvtokError, IntegrityError, InvalidEncoding
 from .metrics import fertility, language_groups, reduction
 from .tokenizer import (
+    PieceTable,
     PretokenScheme,
     TokenizerMode,
     TokenizerModel,
     load_model,
     model_to_bytes,
-    save_model,
 )
 from .trainer import TrainConfig, retrain_like, train_bpe
 
@@ -53,6 +52,7 @@ logger = logging.getLogger(__name__)
 ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
 DEFAULT_VOCAB_SIZE = 8192
+EXPERIMENT_IDS = ("exp1", "exp2", "exp3")
 
 _CSV_COLUMNS = ["scope", "tokens_base", "tokens_opt", "reduction_pct",
                 "n_words", "fertility_base", "fertility_opt"]
@@ -167,7 +167,19 @@ class ExperimentReport:
 
 
 def load_report(path: str | Path) -> ExperimentReport:
-    return ExperimentReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Parse a report.json. Raises InvalidEncoding for bytes that are not
+    UTF-8 and IntegrityError for anything that is not a report."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding(f"report file is not UTF-8: {path}") from exc
+    try:
+        report = ExperimentReport.from_dict(json.loads(text))
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"not a report file: {path}: {exc!r}") from exc
+    if report.experiment not in EXPERIMENT_IDS:
+        raise IntegrityError(f"unknown experiment id in {path}: {report.experiment!r}")
+    return report
 
 
 def _round_fert(value: float) -> float:
@@ -181,6 +193,18 @@ def _round_pct(value: float) -> float:
 
 def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write through a temp file in the same directory, then rename it over
+    ``path``: an interrupted write leaves the old file or none, never a
+    truncated one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +224,9 @@ def sample_documents(documents: list[str], max_bytes: int) -> list[str]:
 
 
 class Workspace:
-    """Loads corpora, derives splits, and trains or loads the models a spec
-    needs. Models are cached under ``<output_dir>/models`` keyed by a config
-    hash, so consecutive experiments on one spec reuse them."""
+    """Loads corpora, derives splits, pretokenizes each text scope once and
+    trains or loads the models a spec needs. Models are cached under
+    ``<output_dir>/models`` keyed by a config hash, so experiments reuse them."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -214,6 +238,7 @@ class Workspace:
         self.docs_train = [d for i, d in enumerate(self.documents.documents) if str(i) in train_ids]
         self.docs_test = [d for i, d in enumerate(self.documents.documents) if str(i) not in train_ids]
         self._models: dict[str, TokenizerModel] = {}
+        self._tables: dict[str, PieceTable] = {}
         self.provenance = Provenance(
             tool_version=_tool_version,
             config_hash=self._config_hash(),
@@ -266,12 +291,9 @@ class Workspace:
             # manifest update, or later lookups would load them as current
             for stale in self.models_dir.glob("*.json"):
                 stale.unlink()
-        save_model(model, self._model_path(name))
-        manifest = self.models_dir / "manifest.json"
-        manifest.write_text(
-            json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":")),
-            encoding="utf-8",
-        )
+        _write_atomic(self._model_path(name), model_to_bytes(model))
+        manifest = json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":"))
+        _write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
 
     def _get(self, name: str, build) -> TokenizerModel:
         model = self._models.get(name)
@@ -308,18 +330,39 @@ class Workspace:
         base = self.base_model()
 
         def build() -> TokenizerModel:
-            corpus = extract_text(self.conv_train, role_filter)
+            corpus = self.table(f"train:{role_filter.value}")
             return retrain_like(base, corpus, min_pair_frequency=self.spec.min_pair_frequency)
 
         return self._get(f"retrained_{role_filter.value}", build)
+
+    def table(self, scope: str) -> PieceTable:
+        """Piece table of a scope in the base model's scheme: ``train:<role>``,
+        or on the test side ``documents``, ``all``, ``<role>``, ``language:<tag>``."""
+        if scope not in self._tables:
+            self._tables[scope] = self._build_table(scope)
+        return self._tables[scope]
+
+    def _build_table(self, scope: str) -> PieceTable:
+        if scope in ("all", "train:both"):
+            prefix = scope.removesuffix("all").removesuffix("both")
+            return self.table(f"{prefix}user") + self.table(f"{prefix}assistant")
+        if scope == "documents":
+            texts = self.docs_test
+        elif scope.startswith("language:"):
+            subset = dict(language_groups(self.conv_test, 0))[scope.removeprefix("language:")]
+            texts = extract_text(subset, RoleFilter.BOTH)
+        else:
+            side, _, role = scope.rpartition(":")
+            texts = extract_text(self.conv_train if side == "train" else self.conv_test, RoleFilter(role))
+        return PieceTable.of(texts, self.base_model().scheme)
 
 
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _fertility_row(model: TokenizerModel, scope: str, texts: list[str]) -> ScopeRow:
-    result = fertility(model, texts)
+def _fertility_row(model: TokenizerModel, scope: str, table: PieceTable) -> ScopeRow:
+    result = fertility(model, table)
     return ScopeRow(
         scope=scope,
         filter=None,
@@ -334,12 +377,12 @@ def _comparison_row(
     opt: TokenizerModel,
     scope: str,
     filter_name: str,
-    texts: list[str],
+    table: PieceTable,
     conversation_count: int | None = None,
 ) -> ScopeRow:
-    red = reduction(base, opt, texts)
-    fert_base = fertility(base, texts)
-    fert_opt = fertility(opt, texts)
+    red = reduction(base, opt, table)
+    fert_base = fertility(base, table)
+    fert_opt = fertility(opt, table)
     return ScopeRow(
         scope=scope,
         filter=filter_name,
@@ -357,11 +400,9 @@ def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) ->
     """Baseline fertility on documents versus conversation scopes."""
     ws = workspace or Workspace(spec)
     base = ws.base_model()
-    rows = (
-        _fertility_row(base, "documents", ws.docs_test),
-        _fertility_row(base, "all", extract_text(ws.conv_test, RoleFilter.BOTH)),
-        _fertility_row(base, "user", extract_text(ws.conv_test, RoleFilter.USER_ONLY)),
-        _fertility_row(base, "assistant", extract_text(ws.conv_test, RoleFilter.ASSISTANT_ONLY)),
+    rows = tuple(
+        _fertility_row(base, scope, ws.table(scope))
+        for scope in ("documents", "all", "user", "assistant")
     )
     return ExperimentReport(experiment="exp1", rows=rows, provenance=ws.provenance)
 
@@ -375,24 +416,16 @@ def run_experiment2(spec: ExperimentSpec, workspace: Workspace | None = None) ->
         raise ConvtokError("train/test split integrity violated")
 
     base = ws.base_model()
-    test_texts = extract_text(ws.conv_test, RoleFilter.BOTH)
-    groups = language_groups(ws.conv_test, spec.language_threshold)
-    rows: list[ScopeRow] = []
-    for role_filter in spec.role_filters:
-        opt = ws.retrained(role_filter)
-        rows.append(_comparison_row(base, opt, "all", role_filter.value, test_texts))
-        for language, subset in groups:
-            rows.append(
-                _comparison_row(
-                    base,
-                    opt,
-                    f"language:{language}",
-                    role_filter.value,
-                    extract_text(subset, RoleFilter.BOTH),
-                    conversation_count=len(subset),
-                )
-            )
-    return ExperimentReport(experiment="exp2", rows=tuple(rows), provenance=ws.provenance)
+    scopes = [("all", None)] + [
+        (f"language:{language}", len(subset))
+        for language, subset in language_groups(ws.conv_test, spec.language_threshold)
+    ]
+    rows = tuple(
+        _comparison_row(base, ws.retrained(f), scope, f.value, ws.table(scope), count)
+        for f in spec.role_filters
+        for scope, count in scopes
+    )
+    return ExperimentReport(experiment="exp2", rows=rows, provenance=ws.provenance)
 
 
 def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
@@ -400,7 +433,7 @@ def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) ->
     ws = workspace or Workspace(spec)
     base = ws.base_model()
     rows = tuple(
-        _comparison_row(base, ws.retrained(f), "documents", f.value, ws.docs_test)
+        _comparison_row(base, ws.retrained(f), "documents", f.value, ws.table("documents"))
         for f in spec.role_filters
     )
     return ExperimentReport(experiment="exp3", rows=rows, provenance=ws.provenance)

@@ -1,4 +1,4 @@
-"""Fertility, token counts, reductions, and per-language breakdowns.
+"""Fertility, token counts, reductions, and per-language groups.
 
 All counting is exact integer arithmetic; ratios are formed only at the
 reporting boundary. A word is a maximal run of non-whitespace characters
@@ -7,30 +7,22 @@ reporting boundary. A word is a maximal run of non-whitespace characters
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import ConversationSet, RoleFilter, extract_text
+from .corpus import ConversationSet
 from .errors import EmptyText, NoWords
-from .tokenizer import TokenizerModel, encode_piece, pretokenize
+from .tokenizer import PieceTable, TokenizerModel, count_words, encode_piece  # noqa: F401
 
 
-def count_words(text: str) -> int:
-    """Number of maximal non-whitespace runs."""
-    return len(text.split())
-
-
-def token_count(model: TokenizerModel, texts: Iterable[str]) -> int:
+def token_count(model: TokenizerModel, texts: PieceTable | Iterable[str]) -> int:
     """Total tokens over a corpus.
 
-    Counts distinct pretokenized pieces once and weights by multiplicity;
-    identical to summing ``len(encode(model, t))`` text by text.
+    Encodes each distinct piece once and weights by multiplicity; identical
+    to summing ``len(encode(model, t))`` text by text.
     """
-    pieces: Counter[str] = Counter()
-    for text in texts:
-        pieces.update(pretokenize(text, model.scheme))
-    return sum(mult * len(encode_piece(model, piece)) for piece, mult in pieces.items())
+    table = PieceTable.of(texts, model.scheme)
+    return sum(mult * len(encode_piece(model, piece)) for piece, mult in table.pieces.items())
 
 
 @dataclass(frozen=True)
@@ -54,27 +46,20 @@ class ReductionResult:
         return 100.0 * (1.0 - self.tokens_opt / self.tokens_base)
 
 
-@dataclass(frozen=True)
-class LanguageRow:
-    language: str
-    conversation_count: int
-    reduction_pct: float
-
-
-def fertility(model: TokenizerModel, texts: Iterable[str]) -> FertilityResult:
+def fertility(model: TokenizerModel, texts: PieceTable | Iterable[str]) -> FertilityResult:
     """Tokens per word over the given texts (values closer to 1 are better)."""
-    texts = list(texts)
-    n_words = sum(count_words(t) for t in texts)
-    if n_words == 0:
+    table = PieceTable.of(texts, model.scheme)
+    if table.n_words == 0:
         raise NoWords("fertility is undefined on text without words")
-    return FertilityResult(n_tokens=token_count(model, texts), n_words=n_words)
+    return FertilityResult(n_tokens=token_count(model, table), n_words=table.n_words)
 
 
 def reduction(
-    base: TokenizerModel, opt: TokenizerModel, texts: Iterable[str]
+    base: TokenizerModel, opt: TokenizerModel, texts: PieceTable | Iterable[str]
 ) -> ReductionResult:
     """Token-count change replacing ``base`` by ``opt`` on the same texts."""
-    texts = list(texts)
+    if not isinstance(texts, PieceTable):
+        texts = PieceTable.of(texts, base.scheme) if opt.scheme is base.scheme else list(texts)
     tokens_base = token_count(base, texts)
     tokens_opt = token_count(opt, texts)
     if tokens_base == 0 or tokens_opt == 0:
@@ -99,24 +84,3 @@ def language_groups(
     return [
         (language, ConversationSet(records=tuple(records))) for language, records in kept
     ]
-
-
-def per_language_reduction(
-    base: TokenizerModel,
-    opt: TokenizerModel,
-    test: ConversationSet,
-    threshold: int = 1000,
-) -> list[LanguageRow]:
-    """Reduction per language over the test conversations (both roles),
-    restricted to languages with more than ``threshold`` conversations."""
-    rows: list[LanguageRow] = []
-    for language, subset in language_groups(test, threshold):
-        result = reduction(base, opt, extract_text(subset, RoleFilter.BOTH))
-        rows.append(
-            LanguageRow(
-                language=language,
-                conversation_count=len(subset),
-                reduction_pct=result.reduction_pct,
-            )
-        )
-    return rows

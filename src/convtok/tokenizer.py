@@ -17,11 +17,14 @@ never across pretokenization boundaries.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 from .errors import (
+    ConfigError,
     FormatVersionMismatch,
     IdOutOfRange,
     IntegrityError,
@@ -163,6 +166,38 @@ def pretokenize(text: str, scheme: PretokenScheme) -> list[str]:
         pieces.append(text[s:e])
         i += 1
     return pieces
+
+
+def count_words(text: str) -> int:
+    """Number of maximal non-whitespace runs."""
+    return len(text.split())
+
+
+@dataclass(frozen=True)
+class PieceTable:
+    """Piece counts and word count of some texts: what training and metrics read."""
+
+    pieces: Counter[str]
+    n_words: int
+    scheme: PretokenScheme
+
+    @classmethod
+    def of(cls, corpus: PieceTable | Iterable[str], scheme: PretokenScheme) -> PieceTable:
+        """``corpus`` itself if it is a table, else the table of its texts."""
+        if isinstance(corpus, PieceTable):
+            if corpus.scheme is not scheme:
+                raise ConfigError(f"piece table is {corpus.scheme.value}, not {scheme.value}")
+            return corpus
+        pieces: Counter[str] = Counter()
+        n_words = 0
+        for text in corpus:
+            pieces.update(pretokenize(text, scheme))
+            n_words += count_words(text)
+        return cls(pieces=pieces, n_words=n_words, scheme=scheme)
+
+    def __add__(self, other: PieceTable) -> PieceTable:
+        other = PieceTable.of(other, self.scheme)
+        return PieceTable(self.pieces + other.pieces, self.n_words + other.n_words, self.scheme)
 
 
 # ---------------------------------------------------------------------------

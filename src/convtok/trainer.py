@@ -29,11 +29,12 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigError, CorpusTooLarge
 from .tokenizer import (
     N_BYTE_SYMBOLS,
+    PieceTable,
     PretokenScheme,
     TokenizerMode,
     TokenizerModel,
@@ -41,7 +42,6 @@ from .tokenizer import (
     base_alphabet,
     is_reserved_token,
     merge_adjacent,
-    pretokenize,
 )
 
 ORACLE_GUARD_BYTES = 1 << 20  # 1 MiB
@@ -69,18 +69,11 @@ class TrainConfig:
 # Shared setup
 # ---------------------------------------------------------------------------
 
-def _piece_table(corpus: Iterable[str], scheme: PretokenScheme) -> Counter[str]:
-    table: Counter[str] = Counter()
-    for text in corpus:
-        table.update(pretokenize(text, scheme))
-    return table
-
-
 def _initial_state(
-    corpus: Iterable[str], config: TrainConfig
+    corpus: PieceTable | Iterable[str], config: TrainConfig
 ) -> tuple[list[str], list[tuple[list[str], int]]]:
     """Base vocabulary plus (symbols, multiplicity) work list for training."""
-    pieces = _piece_table(corpus, config.scheme)
+    pieces = PieceTable.of(corpus, config.scheme).pieces
     vocab = list(base_alphabet(config.mode))
     if config.mode is TokenizerMode.CHAR_LEVEL_FALLBACK:
         chars: set[str] = set()
@@ -117,8 +110,8 @@ def _eligible(product: str, mode: TokenizerMode, vocab_set: set[str]) -> bool:
 # Optimized trainer
 # ---------------------------------------------------------------------------
 
-def train_bpe(corpus: Sequence[str], config: TrainConfig) -> TokenizerModel:
-    """Train a BPE model; deterministic in (corpus sequence, config).
+def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> TokenizerModel:
+    """Train a BPE model on texts or a piece table; deterministic in (pieces, config).
 
     Pair counts are maintained incrementally and the best pair is tracked in
     a lazy max-heap, so cost scales with the number of affected pieces per
@@ -213,15 +206,16 @@ def train_bpe(corpus: Sequence[str], config: TrainConfig) -> TokenizerModel:
 # ---------------------------------------------------------------------------
 
 def train_bpe_oracle(
-    corpus: Sequence[str], config: TrainConfig, guard_bytes: int = ORACLE_GUARD_BYTES
+    corpus: PieceTable | Iterable[str], config: TrainConfig, guard_bytes: int = ORACLE_GUARD_BYTES
 ) -> TokenizerModel:
     """Same contract as :func:`train_bpe`, computed by full recount after
     every merge. Quadratic; refuses corpora beyond ``guard_bytes``."""
-    total = sum(len(text.encode("utf-8")) for text in corpus)
+    table = PieceTable.of(corpus, config.scheme)
+    total = sum(len(piece.encode("utf-8")) * mult for piece, mult in table.pieces.items())
     if total > guard_bytes:
         raise CorpusTooLarge(f"oracle trainer limited to {guard_bytes} bytes, got {total}")
 
-    vocab, sequences = _initial_state(corpus, config)
+    vocab, sequences = _initial_state(table, config)
     vocab_set = set(vocab)
     merges: list[Pair] = []
 
@@ -258,7 +252,7 @@ def train_bpe_oracle(
 
 
 def retrain_like(
-    reference: TokenizerModel, corpus: Sequence[str], min_pair_frequency: int = 2
+    reference: TokenizerModel, corpus: PieceTable | Iterable[str], min_pair_frequency: int = 2
 ) -> TokenizerModel:
     """Train from scratch on ``corpus`` with the reference's configuration
     (mode, scheme, target vocabulary size)."""

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -219,3 +221,91 @@ def test_out_of_range_train_fraction_fails_cleanly(data, tmp_path, capsys):
     payload = one_json_error(err)
     assert payload["error"] == "ConfigError"
     assert "train_fraction" in payload["message"]
+
+
+@pytest.fixture(scope="module")
+def small_model(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("small_model") / "model.json"
+    assert main(["train", "--corpus", data["docs"], "--vocab-size", "256",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+def test_non_utf8_encode_stdin_fails_cleanly(small_model, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"caf\xe9\n")))
+    code, out, err = run(capsys, "encode", "--model", small_model)
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == "InvalidEncoding"
+
+
+def test_utf8_encode_stdin_roundtrips(small_model, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO("café\r\n".encode())))
+    code, out, _ = run(capsys, "encode", "--model", small_model)
+    assert code == 0
+    assert decode(load_model(small_model), json.loads(out)) == "café\r\n"
+
+
+def test_non_utf8_encode_text_fails_cleanly(small_model, capsys):
+    # a non-UTF-8 argv byte reaches Python as a lone surrogate escape
+    code, out, err = run(capsys, "encode", "--model", small_model, "--text", "caf\udce9")
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == "InvalidEncoding"
+
+
+@pytest.mark.parametrize("content, error", [
+    (b'{"x":1}', "IntegrityError"),
+    (b"not json", "IntegrityError"),
+    (b"\xff", "InvalidEncoding"),
+    (b'{"experiment":"exp9","rows":[],"provenance":{"tool_version":"0","config_hash":"",'
+     b'"conversations_sha256":"","documents_sha256":""}}', "IntegrityError"),
+])
+def test_bad_report_fails_cleanly(tmp_path, capsys, content, error):
+    report = tmp_path / "report.json"
+    report.write_bytes(content)
+    code, out, err = run(capsys, "report", "--report", str(report), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == error
+    assert not (tmp_path / "o").exists()
+
+
+def _bad_invocation(command, data, tmp):
+    """argv for one failing run of ``command`` and the error it must name."""
+    latin1 = tmp / "latin1.jsonl"
+    latin1.write_bytes(b"caf\xe9\n")
+    blank = tmp / "blank.txt"
+    blank.write_text("\n", encoding="utf-8")
+    not_json = tmp / "not_json.json"
+    not_json.write_text("{", encoding="utf-8")
+    a_file = tmp / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    experiment = ["--conversations", data["convs"], "--documents", str(blank),
+                  "--vocab-size", "300", "--out", str(tmp / "runs")]
+    return {
+        "ingest": (["--conversations", str(latin1)], "InvalidEncoding"),
+        "train": (["--corpus", data["docs"], "--vocab-size", "100",
+                   "--out", str(tmp / "m.json")], "ConfigError"),
+        "encode": (["--model", str(tmp / "missing.json"), "--text", "x"],
+                   "FileNotFoundError"),
+        "fertility": (["--model", str(not_json), "--input", data["docs"]], "IntegrityError"),
+        "exp1": (experiment, "EmptyCorpus"),
+        "exp2": (experiment, "EmptyCorpus"),
+        "exp3": (experiment, "EmptyCorpus"),
+        "report": (["--report", str(not_json), "--out", str(tmp / "o")], "IntegrityError"),
+        "samples": (["--out", str(a_file / "sub")], "NotADirectoryError"),
+    }[command]
+
+
+@pytest.mark.parametrize("command", [
+    "ingest", "train", "encode", "fertility", "exp1", "exp2", "exp3", "report", "samples",
+])
+def test_every_subcommand_fails_with_one_json_line(command, data, tmp_path, capsys):
+    argv, error = _bad_invocation(command, data, tmp_path)
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == error

@@ -149,8 +149,6 @@ class TestLoadConversations:
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [record_obj(0)])
         with pytest.raises(ValueError):
-            load_conversations(path, format="csv")
-        with pytest.raises(ValueError):
             load_documents(path, format="parquet")
 
 

@@ -1,9 +1,11 @@
 import csv
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import convtok
 from convtok.corpus import RoleFilter, SplitSpec, extract_text
 from convtok.errors import ConfigError
 from convtok.experiments import (
@@ -103,6 +105,43 @@ class TestExperiment2:
         assert row.tokens_opt == recomputed.tokens_opt
         assert row.reduction_pct == round(recomputed.reduction_pct, 1)
 
+    def test_language_rows_are_reductions_over_language_groups(self, tiny):
+        base = tiny.ws.base_model()
+        groups = language_groups(tiny.ws.conv_test, tiny.spec.language_threshold)
+        for role_filter in tiny.spec.role_filters:
+            opt = tiny.ws.retrained(role_filter)
+            rows = [r for r in tiny.exp2.rows
+                    if r.filter == role_filter.value and r.scope.startswith("language:")]
+            assert [r.scope for r in rows] == [f"language:{tag}" for tag, _ in groups]
+            for row, (_, subset) in zip(rows, groups):
+                recomputed = reduction(base, opt, extract_text(subset, RoleFilter.BOTH))
+                assert row.conversation_count == len(subset)
+                assert row.tokens_base == recomputed.tokens_base
+                assert row.tokens_opt == recomputed.tokens_opt
+                assert row.reduction_pct == round(recomputed.reduction_pct, 1)
+
+    def test_warm_run_pretokenizes_each_test_text_once(self, tiny, monkeypatch):
+        ws = Workspace(tiny.spec)  # every model is cached on disk by now
+        calls = []
+        real = convtok.tokenizer.pretokenize
+
+        def counting(text, scheme):
+            calls.append(text)
+            return real(text, scheme)
+
+        for module in (convtok.tokenizer, convtok.metrics, convtok.trainer, convtok.experiments):
+            if hasattr(module, "pretokenize"):
+                monkeypatch.setattr(module, "pretokenize", counting)
+        report = run_experiment2(tiny.spec, ws)
+        assert report == tiny.exp2
+        test_texts = extract_text(ws.conv_test, RoleFilter.BOTH)
+        kept = language_groups(ws.conv_test, tiny.spec.language_threshold)
+        language_texts = sum(len(extract_text(subset, RoleFilter.BOTH)) for _, subset in kept)
+        assert calls
+        assert len(calls) <= len(test_texts) + language_texts
+        test_ids = {id(t) for t in test_texts}
+        assert all(id(t) in test_ids for t in calls)  # no train text is pretokenized
+
 
 class TestExperiment3:
     def test_includes_every_filter(self, tiny):
@@ -166,6 +205,36 @@ class TestDeterminism:
             model = load_model(out / "models" / f"{name}.json")
             assert len(model.vocab) <= 330
             assert len(model.vocab) > 300  # really retrained, not run A's files
+
+    def test_interrupted_model_write_leaves_a_usable_cache(self, tiny, tmp_path, monkeypatch):
+        spec = ExperimentSpec(
+            conversations_path=tiny.spec.conversations_path,
+            documents_path=tiny.spec.documents_path,
+            output_dir=tmp_path / "interrupted",
+            split=tiny.spec.split,
+            vocab_size=tiny.spec.vocab_size,
+            language_threshold=tiny.spec.language_threshold,
+        )
+        ws = Workspace(spec)
+        ws.base_model()  # cached, with a valid manifest
+        real_write_bytes = Path.write_bytes
+
+        def dies_midway(path, data):
+            if path.name.startswith("retrained_user"):
+                real_write_bytes(path, data[: len(data) // 2])
+                raise OSError("disk full")
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", dies_midway)
+        with pytest.raises(OSError):
+            ws.retrained(RoleFilter.USER_ONLY)
+        monkeypatch.undo()
+
+        fresh = Workspace(spec)
+        model = fresh.retrained(RoleFilter.USER_ONLY)
+        assert model_to_bytes(model) == model_to_bytes(tiny.ws.retrained(RoleFilter.USER_ONLY))
+        names = {p.name for p in spec.output_dir.joinpath("models").iterdir()}
+        assert names == {"base.json", "retrained_user.json", "manifest.json"}
 
 
 class TestSpecValidation:

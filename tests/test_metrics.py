@@ -9,7 +9,7 @@ from convtok.metrics import (
     ReductionResult,
     count_words,
     fertility,
-    per_language_reduction,
+    language_groups,
     reduction,
     token_count,
 )
@@ -28,6 +28,17 @@ def conversations_of(texts_by_language):
                 language=language,
             ))
     return ConversationSet(records=tuple(records))
+
+
+def language_reductions(base, opt, conversations, threshold):
+    """(language, conversation count, reduction %) per kept language, computed
+    as experiment 2's language rows are: language_groups, then reduction over
+    both roles of each group."""
+    return [
+        (language, len(subset),
+         reduction(base, opt, extract_text(subset, RoleFilter.BOTH)).reduction_pct)
+        for language, subset in language_groups(conversations, threshold)
+    ]
 
 
 class TestCountWords:
@@ -102,13 +113,14 @@ class TestPerLanguageReduction:
         conversations = conversations_of({"english": texts})
         base = train_bpe(["completely different corpus text"], TrainConfig(vocab_size=280))
         opt = train_bpe(extract_text(conversations, RoleFilter.BOTH), TrainConfig(vocab_size=300))
-        rows = per_language_reduction(base, opt, conversations, threshold=10)
+        rows = language_reductions(base, opt, conversations, threshold=10)
         both_texts = extract_text(conversations, RoleFilter.BOTH)
         global_result = reduction(base, opt, both_texts)
         assert len(rows) == 1
-        assert rows[0].language == "english"
-        assert rows[0].conversation_count == 30
-        assert rows[0].reduction_pct == pytest.approx(global_result.reduction_pct)
+        language, conversation_count, reduction_pct = rows[0]
+        assert language == "english"
+        assert conversation_count == 30
+        assert reduction_pct == pytest.approx(global_result.reduction_pct)
 
     def test_threshold_is_strict(self):
         conversations = conversations_of({
@@ -116,8 +128,8 @@ class TestPerLanguageReduction:
             "spanish": [f"texto {i}" for i in range(10)],
         })
         base = train_bpe(["x"], TrainConfig(vocab_size=257, min_pair_frequency=1))
-        rows = per_language_reduction(base, base, conversations, threshold=10)
-        assert [r.language for r in rows] == ["english"]
+        rows = language_reductions(base, base, conversations, threshold=10)
+        assert [language for language, _, _ in rows] == ["english"]
 
     def test_sorted_by_count_descending(self):
         conversations = conversations_of({
@@ -125,8 +137,8 @@ class TestPerLanguageReduction:
             "english": [f"text {i}" for i in range(9)],
         })
         base = train_bpe(["x"], TrainConfig(vocab_size=257, min_pair_frequency=1))
-        rows = per_language_reduction(base, base, conversations, threshold=1)
-        assert [r.language for r in rows] == ["english", "spanish"]
+        rows = language_reductions(base, base, conversations, threshold=1)
+        assert [language for language, _, _ in rows] == ["english", "spanish"]
 
     def test_mismatched_language_goes_negative(self):
         # base knows the Chinese text well; the optimized model was trained
@@ -136,8 +148,8 @@ class TestPerLanguageReduction:
         conversations = conversations_of({"chinese": zh_texts, "english": en_texts})
         base = train_bpe(zh_texts, TrainConfig(vocab_size=500, min_pair_frequency=1))
         opt = train_bpe(en_texts, TrainConfig(vocab_size=500, min_pair_frequency=1))
-        rows = per_language_reduction(base, opt, conversations, threshold=5)
-        by_language = {r.language: r.reduction_pct for r in rows}
+        rows = language_reductions(base, opt, conversations, threshold=5)
+        by_language = {language: pct for language, _, pct in rows}
         assert by_language["chinese"] < 0
 
     def test_weighted_consistency_with_global_counts(self):
@@ -149,8 +161,8 @@ class TestPerLanguageReduction:
         base = train_bpe(["seed corpus"], TrainConfig(vocab_size=280))
         opt = train_bpe(["other seed"], TrainConfig(vocab_size=280))
         threshold = 3
-        rows = per_language_reduction(base, opt, conversations, threshold=threshold)
-        covered = {r.language for r in rows}
+        rows = language_reductions(base, opt, conversations, threshold=threshold)
+        covered = {language for language, _, _ in rows}
         assert covered == {"english", "spanish"}
         per_language_opt = 0
         rest_opt = 0

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from convtok.errors import (
+    ConfigError,
     FormatVersionMismatch,
     IdOutOfRange,
     IntegrityError,
@@ -11,6 +12,7 @@ from convtok.errors import (
 )
 from convtok.tokenizer import (
     FALLBACK_TOKENS,
+    PieceTable,
     PretokenScheme,
     TokenizerMode,
     TokenizerModel,
@@ -154,6 +156,41 @@ class TestPretokenize:
             for piece in pretokenize(random_text(rng), WS):
                 kinds = {ch.isspace() for ch in piece}
                 assert len(kinds) == 1
+
+
+class TestPieceTable:
+    def test_counts_pieces_and_words(self):
+        table = PieceTable.of(["hello world", "hello  there"], CAT)
+        assert table.pieces == {"hello": 2, " world": 1, " ": 1, " there": 1}
+        assert table.n_words == 4
+        assert table.scheme is CAT
+
+    @pytest.mark.parametrize("scheme", [CAT, WS])
+    def test_sum_of_tables_is_table_of_concatenation(self, scheme):
+        rng = random.Random(77)
+        texts_a = [random_text(rng) for _ in range(60)]
+        texts_b = [random_text(rng) for _ in range(40)]
+        combined = PieceTable.of(texts_a, scheme) + PieceTable.of(texts_b, scheme)
+        assert combined == PieceTable.of(texts_a + texts_b, scheme)
+
+    def test_table_passes_through_unchanged(self):
+        table = PieceTable.of(["a b"], WS)
+        assert PieceTable.of(table, WS) is table
+
+    def test_scheme_mismatch_rejected(self):
+        table = PieceTable.of(["a b"], WS)
+        with pytest.raises(ConfigError):
+            PieceTable.of(table, CAT)
+        with pytest.raises(ConfigError):
+            PieceTable.of(["a b"], CAT) + table
+
+    def test_consumers_accept_a_table(self):
+        texts = ["one two three", "two three", "three"]
+        model = train_bpe(texts, TrainConfig(vocab_size=270, min_pair_frequency=1))
+        table = PieceTable.of(texts, CAT)
+        assert train_bpe(table, TrainConfig(vocab_size=270, min_pair_frequency=1)) == model
+        with pytest.raises(ConfigError):
+            train_bpe(table, TrainConfig(vocab_size=270, scheme=WS))
 
 
 # ---------------------------------------------------------------------------
