@@ -24,6 +24,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import __version__ as _tool_version
 from .corpus import (
@@ -36,7 +37,7 @@ from .corpus import (
     train_id_set,
 )
 from .errors import ConfigError, ConvtokError, IntegrityError, InvalidEncoding
-from .metrics import fertility, language_groups, reduction
+from .metrics import FertilityResult, fertility, language_groups, reduction
 from .tokenizer import (
     PieceTable,
     PretokenScheme,
@@ -179,7 +180,28 @@ def load_report(path: str | Path) -> ExperimentReport:
         raise IntegrityError(f"not a report file: {path}: {exc!r}") from exc
     if report.experiment not in EXPERIMENT_IDS:
         raise IntegrityError(f"unknown experiment id in {path}: {report.experiment!r}")
+    if report.experiment == "exp2" and not report.rows:
+        raise IntegrityError(f"exp2 report without rows: {path}")
+    # the report files format every comparison row's filter and reduction
+    required = () if report.experiment == "exp1" else ("filter", "reduction_pct")
+    _check_types(report.provenance, (), f"provenance of {path}")
+    for i, row in enumerate(report.rows):
+        _check_types(row, required, f"row {i} of {path}")
     return report
+
+
+def _check_types(record, required: tuple[str, ...], where: str) -> None:
+    """IntegrityError unless each field of a parsed dataclass holds a value of
+    its declared type (an int counts as a float, a bool as neither) and the
+    ``required`` fields are not None."""
+    for name, hint in get_type_hints(type(record)).items():
+        nullable = name not in required
+        allowed = tuple(t for t in get_args(hint) or (hint,) if nullable or t is not type(None))
+        if float in allowed:
+            allowed += (int,)
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise IntegrityError(f"bad {name} in {where}: {value!r}")
 
 
 def _round_fert(value: float) -> float:
@@ -239,18 +261,20 @@ class Workspace:
         self.docs_test = [d for i, d in enumerate(self.documents.documents) if str(i) not in train_ids]
         self._models: dict[str, TokenizerModel] = {}
         self._tables: dict[str, PieceTable] = {}
-        self.provenance = Provenance(
-            tool_version=_tool_version,
-            config_hash=self._config_hash(),
-            conversations_sha256=_sha256_file(spec.conversations_path),
-            documents_sha256=_sha256_file(spec.documents_path),
-        )
-
-    def _config_hash(self) -> str:
-        spec = self.spec
-        payload = {
+        corpus_digests = {
             "conversations_sha256": _sha256_file(spec.conversations_path),
             "documents_sha256": _sha256_file(spec.documents_path),
+        }
+        self.provenance = Provenance(
+            tool_version=_tool_version,
+            config_hash=self._config_hash(corpus_digests),
+            **corpus_digests,
+        )
+
+    def _config_hash(self, corpus_digests: dict[str, str]) -> str:
+        spec = self.spec
+        payload = {
+            **corpus_digests,
             "base_model_sha256": (
                 _sha256_file(spec.base_model_path) if spec.base_model_path else None
             ),
@@ -381,15 +405,15 @@ def _comparison_row(
     conversation_count: int | None = None,
 ) -> ScopeRow:
     red = reduction(base, opt, table)
-    fert_base = fertility(base, table)
-    fert_opt = fertility(opt, table)
+    fert_base = FertilityResult(n_tokens=red.tokens_base, n_words=table.n_words)
+    fert_opt = FertilityResult(n_tokens=red.tokens_opt, n_words=table.n_words)
     return ScopeRow(
         scope=scope,
         filter=filter_name,
         tokens_base=red.tokens_base,
         tokens_opt=red.tokens_opt,
         reduction_pct=_round_pct(red.reduction_pct),
-        n_words=fert_base.n_words,
+        n_words=table.n_words,
         fertility_base=_round_fert(fert_base.fertility),
         fertility_opt=_round_fert(fert_opt.fertility),
         conversation_count=conversation_count,

@@ -27,8 +27,14 @@ def token_count(model: TokenizerModel, texts: PieceTable | Iterable[str]) -> int
 
 @dataclass(frozen=True)
 class FertilityResult:
+    """Raises NoWords when there are no words to divide by."""
+
     n_tokens: int
     n_words: int
+
+    def __post_init__(self):
+        if self.n_words == 0:
+            raise NoWords("fertility is undefined on text without words")
 
     @property
     def fertility(self) -> float:
@@ -49,8 +55,6 @@ class ReductionResult:
 def fertility(model: TokenizerModel, texts: PieceTable | Iterable[str]) -> FertilityResult:
     """Tokens per word over the given texts (values closer to 1 are better)."""
     table = PieceTable.of(texts, model.scheme)
-    if table.n_words == 0:
-        raise NoWords("fertility is undefined on text without words")
     return FertilityResult(n_tokens=token_count(model, table), n_words=table.n_words)
 
 

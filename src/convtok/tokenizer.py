@@ -17,6 +17,7 @@ never across pretokenization boundaries.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -98,43 +99,31 @@ def is_reserved_token(token: str) -> bool:
 # Pretokenization
 # ---------------------------------------------------------------------------
 
-_WS, _LETTER, _DIGIT, _SYMBOL = 0, 1, 2, 3
-_class_cache: dict[str, int] = {}
+class _ClassTable(dict):
+    """``str.translate`` table from a code point to its class letter: U+0020
+    to ``" "``, other whitespace ``w``, letters ``a``, numerics ``d``, the
+    rest ``s``. Each code point is classified on first sight."""
 
-
-def _char_class(ch: str) -> int:
-    cls = _class_cache.get(ch)
-    if cls is None:
-        if ch.isspace():
-            cls = _WS
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        if ch == " ":
+            cls = " "
+        elif ch.isspace():
+            cls = "w"
         elif ch.isalpha():
-            cls = _LETTER
+            cls = "a"
         elif ch.isnumeric():
-            cls = _DIGIT
+            cls = "d"
         else:
-            cls = _SYMBOL
-        _class_cache[ch] = cls
-    return cls
+            cls = "s"
+        self[code] = cls
+        return cls
 
 
-def _class_runs(text: str, split_non_ws: bool) -> list[tuple[int, int, int]]:
-    """Maximal same-class runs as (class, start, end). With ``split_non_ws``
-    False, all non-whitespace classes collapse into one."""
-    runs: list[tuple[int, int, int]] = []
-    start = 0
-    prev = -1
-    for i, ch in enumerate(text):
-        cls = _char_class(ch)
-        if not split_non_ws and cls != _WS:
-            cls = _SYMBOL
-        if cls != prev:
-            if prev != -1:
-                runs.append((prev, start, i))
-            start = i
-            prev = cls
-    if prev != -1:
-        runs.append((prev, start, len(text)))
-    return runs
+_CLASSES = _ClassTable()
+# A letter or digit run takes one leading U+0020 from the whitespace before it.
+_CATEGORY_SPLIT = re.compile(r" ?a+| ?d+|[ w]+?(?= [ad])|[ w]+|s+")
+_WHITESPACE_SPLIT = re.compile(r"[ w]+|[ads]+")
 
 
 def pretokenize(text: str, scheme: PretokenScheme) -> list[str]:
@@ -146,26 +135,8 @@ def pretokenize(text: str, scheme: PretokenScheme) -> list[str]:
     to a following letter or digit run. ``whitespace_split`` only separates
     whitespace runs from non-whitespace runs.
     """
-    if scheme is PretokenScheme.WHITESPACE_SPLIT:
-        return [text[s:e] for _, s, e in _class_runs(text, split_non_ws=False)]
-
-    runs = _class_runs(text, split_non_ws=True)
-    pieces: list[str] = []
-    i = 0
-    n = len(runs)
-    while i < n:
-        cls, s, e = runs[i]
-        if cls == _WS and i + 1 < n and text[e - 1] == " ":
-            nxt_cls, _, nxt_e = runs[i + 1]
-            if nxt_cls in (_LETTER, _DIGIT):
-                if e - 1 > s:
-                    pieces.append(text[s:e - 1])
-                pieces.append(text[e - 1:nxt_e])
-                i += 2
-                continue
-        pieces.append(text[s:e])
-        i += 1
-    return pieces
+    pattern = _WHITESPACE_SPLIT if scheme is PretokenScheme.WHITESPACE_SPLIT else _CATEGORY_SPLIT
+    return [text[m.start():m.end()] for m in pattern.finditer(text.translate(_CLASSES))]
 
 
 def count_words(text: str) -> int:
@@ -215,7 +186,6 @@ class TokenizerModel:
     scheme: PretokenScheme
     vocab: tuple[str, ...]
     merges: tuple[tuple[str, str], ...]
-    version: int = MODEL_FORMAT_VERSION
 
     def __post_init__(self):
         token_ids = {tok: i for i, tok in enumerate(self.vocab)}
@@ -374,7 +344,7 @@ def model_to_bytes(model: TokenizerModel) -> bytes:
     Structurally equal models produce byte-identical output.
     """
     obj = {
-        "version": model.version,
+        "version": MODEL_FORMAT_VERSION,
         "mode": model.mode.value,
         "scheme": model.scheme.value,
         "vocab": list(model.vocab),
@@ -434,5 +404,4 @@ def load_model(path: str | Path) -> TokenizerModel:
         scheme=scheme,
         vocab=tuple(vocab),
         merges=tuple(merge_pairs),
-        version=version,
     )

@@ -254,12 +254,19 @@ def test_non_utf8_encode_text_fails_cleanly(small_model, capsys):
     assert one_json_error(err)["error"] == "InvalidEncoding"
 
 
+_PROVENANCE = (b'"provenance":{"tool_version":"0","config_hash":"",'
+               b'"conversations_sha256":"","documents_sha256":""}')
+
+
 @pytest.mark.parametrize("content, error", [
     (b'{"x":1}', "IntegrityError"),
     (b"not json", "IntegrityError"),
     (b"\xff", "InvalidEncoding"),
-    (b'{"experiment":"exp9","rows":[],"provenance":{"tool_version":"0","config_hash":"",'
-     b'"conversations_sha256":"","documents_sha256":""}}', "IntegrityError"),
+    (b'{"experiment":"exp9","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
+    (b'{"experiment":"exp1","rows":[{"scope":"documents","filter":null,"tokens_base":5,'
+     b'"tokens_opt":null,"reduction_pct":null,"n_words":3,"fertility_base":"x",'
+     b'"fertility_opt":null,"conversation_count":null}],' + _PROVENANCE + b'}', "IntegrityError"),
+    (b'{"experiment":"exp2","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
 ])
 def test_bad_report_fails_cleanly(tmp_path, capsys, content, error):
     report = tmp_path / "report.json"
@@ -269,6 +276,19 @@ def test_bad_report_fails_cleanly(tmp_path, capsys, content, error):
     assert out == ""
     assert one_json_error(err)["error"] == error
     assert not (tmp_path / "o").exists()
+
+
+def test_exp2_with_empty_held_out_split_fails_cleanly(data, tmp_path, capsys):
+    # the one conversation lands in the train split, so the held-out texts
+    # have neither tokens nor words: the token check fires first
+    one = tmp_path / "one.jsonl"
+    with open(data["convs"], encoding="utf-8") as f:
+        one.write_text(f.readline(), encoding="utf-8")
+    code, out, err = run(capsys, "exp2", "--conversations", str(one), "--documents", data["docs"],
+                         "--vocab-size", "300", "--out", str(tmp_path / "runs"))
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == "EmptyText"
 
 
 def _bad_invocation(command, data, tmp):

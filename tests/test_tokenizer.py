@@ -10,6 +10,7 @@ from convtok.errors import (
     IntegrityError,
     InvalidByteSequence,
 )
+from convtok.samples import generate_corpora
 from convtok.tokenizer import (
     FALLBACK_TOKENS,
     PieceTable,
@@ -156,6 +157,88 @@ class TestPretokenize:
             for piece in pretokenize(random_text(rng), WS):
                 kinds = {ch.isspace() for ch in piece}
                 assert len(kinds) == 1
+
+
+# The character-by-character pretokenizer that the class-letter patterns
+# replaced, kept (less its class cache) as their test oracle.
+_WS, _LETTER, _DIGIT, _SYMBOL = 0, 1, 2, 3
+
+
+def _char_class(ch):
+    if ch.isspace():
+        return _WS
+    if ch.isalpha():
+        return _LETTER
+    if ch.isnumeric():
+        return _DIGIT
+    return _SYMBOL
+
+
+def _class_runs(text, split_non_ws):
+    """Maximal same-class runs as (class, start, end). With ``split_non_ws``
+    False, all non-whitespace classes collapse into one."""
+    runs = []
+    start = 0
+    prev = -1
+    for i, ch in enumerate(text):
+        cls = _char_class(ch)
+        if not split_non_ws and cls != _WS:
+            cls = _SYMBOL
+        if cls != prev:
+            if prev != -1:
+                runs.append((prev, start, i))
+            start = i
+            prev = cls
+    if prev != -1:
+        runs.append((prev, start, len(text)))
+    return runs
+
+
+def reference_pretokenize(text, scheme):
+    if scheme is PretokenScheme.WHITESPACE_SPLIT:
+        return [text[s:e] for _, s, e in _class_runs(text, split_non_ws=False)]
+
+    runs = _class_runs(text, split_non_ws=True)
+    pieces = []
+    i = 0
+    n = len(runs)
+    while i < n:
+        cls, s, e = runs[i]
+        if cls == _WS and i + 1 < n and text[e - 1] == " ":
+            nxt_cls, _, nxt_e = runs[i + 1]
+            if nxt_cls in (_LETTER, _DIGIT):
+                if e - 1 > s:
+                    pieces.append(text[s:e - 1])
+                pieces.append(text[e - 1:nxt_e])
+                i += 2
+                continue
+        pieces.append(text[s:e])
+        i += 1
+    return pieces
+
+
+# Every class edge: numeric but not decimal (²), alpha and numeric (一),
+# non-ASCII whitespace, control characters that are whitespace (\x1c, U+0085)
+# and one that is not (\x00), symbols, an emoji, and the space-before-run cases.
+EDGE_POOL = ["²", "一", "\u00a0", "\u3000", "\u0085", "\x1c", "\x00", "_", "🎉",
+             " a", " 1", "  ", " ", "\t", "\n", "a", "Z", "é", "7", "!", ",", "."]
+
+
+class TestPretokenizeMatchesReference:
+    @pytest.mark.parametrize("scheme", [CAT, WS])
+    def test_fuzz(self, scheme):
+        rng = random.Random(20250601)
+        for _ in range(12_000):
+            text = "".join(rng.choices(EDGE_POOL, k=rng.randrange(12)))
+            assert pretokenize(text, scheme) == reference_pretokenize(text, scheme), repr(text)
+
+    @pytest.mark.parametrize("scheme", [CAT, WS])
+    def test_sample_texts(self, scheme):
+        # the corpora of the ``tiny`` experiment fixture
+        docs, lines = generate_corpora(seed=7, doc_bytes=60_000, conv_bytes=60_000)
+        texts = docs + [turn["content"] for line in lines for turn in json.loads(line)["turns"]]
+        for text in texts:
+            assert pretokenize(text, scheme) == reference_pretokenize(text, scheme)
 
 
 class TestPieceTable:
