@@ -21,8 +21,9 @@ from .corpus import (
     load_conversations,
     load_documents,
 )
-from .errors import ConvtokError, InvalidEncoding
+from .errors import ConvtokError, InvalidEncoding, UsageError
 from .experiments import (
+    DEFAULT_VOCAB_SIZE,
     ExperimentSpec,
     emit_plot_data,
     load_report,
@@ -157,7 +158,7 @@ def _experiment_spec(args) -> ExperimentSpec:
         base_model_path=Path(args.base_model) if args.base_model else None,
         role_filters=tuple(dict.fromkeys(RoleFilter(f) for f in args.role_filter))
         if args.role_filter
-        else (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH),
+        else ExperimentSpec.role_filters,
         vocab_size=args.vocab_size,
         mode=TokenizerMode(args.mode),
         scheme=PretokenScheme(args.scheme),
@@ -201,17 +202,26 @@ def _cmd_samples(args) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a UsageError, so that it leaves as one JSON
+    line like every other failure; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _add_model_config_args(parser: argparse.ArgumentParser) -> None:
+    # the defaults are TrainConfig's, which ExperimentSpec shares
     parser.add_argument("--mode", choices=[m.value for m in TokenizerMode],
-                        default=TokenizerMode.BYTE_LEVEL.value)
+                        default=TrainConfig.mode.value)
     parser.add_argument("--scheme", choices=[s.value for s in PretokenScheme],
-                        default=PretokenScheme.CATEGORY_SPLIT.value)
-    parser.add_argument("--vocab-size", type=int, default=8192)
-    parser.add_argument("--min-pair-frequency", type=int, default=2)
+                        default=TrainConfig.scheme.value)
+    parser.add_argument("--vocab-size", type=int, default=DEFAULT_VOCAB_SIZE)
+    parser.add_argument("--min-pair-frequency", type=int, default=TrainConfig.min_pair_frequency)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convtok",
         description="Train and evaluate conversation-optimized BPE tokenizers.",
     )
@@ -258,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--conversations", required=True)
         p.add_argument("--documents", required=True)
         p.add_argument("--base-model")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--train-fraction", type=float, default=0.8)
-        p.add_argument("--threshold", type=int, default=1000,
+        p.add_argument("--seed", type=int, default=SplitSpec.seed)
+        p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
+        p.add_argument("--threshold", type=int, default=ExperimentSpec.language_threshold,
                        help="per-language rows need more conversations than this")
-        p.add_argument("--doc-sample-bytes", type=int, default=8 << 20)
+        p.add_argument("--doc-sample-bytes", type=int, default=ExperimentSpec.doc_sample_bytes)
         p.add_argument("--role-filter", action="append",
                        choices=[f.value for f in RoleFilter],
                        help="repeatable; default: user, assistant, both")
@@ -287,15 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
-    except ConvtokError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConvtokError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -5,6 +5,11 @@ class ConvtokError(Exception):
     """Base class for all toolkit errors."""
 
 
+class UsageError(ConvtokError):
+    """The command line does not parse: an unknown flag, a missing required
+    flag or a value of the wrong type."""
+
+
 class MalformedRecord(ConvtokError):
     """A corpus line violates the expected schema. Carries the 1-based line number."""
 

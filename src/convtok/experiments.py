@@ -22,7 +22,7 @@ import io
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -68,9 +68,9 @@ class ExperimentSpec:
     base_model_path: Path | None = None
     role_filters: tuple[RoleFilter, ...] = ALL_FILTERS
     vocab_size: int = DEFAULT_VOCAB_SIZE
-    mode: TokenizerMode = TokenizerMode.BYTE_LEVEL
-    scheme: PretokenScheme = PretokenScheme.CATEGORY_SPLIT
-    min_pair_frequency: int = 2
+    mode: TokenizerMode = TrainConfig.mode
+    scheme: PretokenScheme = TrainConfig.scheme
+    min_pair_frequency: int = TrainConfig.min_pair_frequency
     language_threshold: int = 1000
     doc_sample_bytes: int = DEFAULT_DOC_SAMPLE_BYTES
     lmsys_format: bool = False
@@ -80,18 +80,19 @@ class ExperimentSpec:
             raise ConfigError("at least one role filter is required")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScopeRow:
-    """One line of a metrics table. ``filter`` names the optimized model's
-    role filter; base-only rows (experiment 1) leave the opt fields unset."""
+    """One line of a metrics table, its fields in report.json key order.
+    ``filter`` names the optimized model's role filter; base-only rows
+    (experiment 1) leave it and the opt fields unset."""
 
     scope: str
-    filter: str | None
+    filter: str | None = None
     tokens_base: int
-    n_words: int
-    fertility_base: float
     tokens_opt: int | None = None
     reduction_pct: float | None = None
+    n_words: int
+    fertility_base: float
     fertility_opt: float | None = None
     conversation_count: int | None = None
 
@@ -110,61 +111,21 @@ class ExperimentReport:
     rows: tuple[ScopeRow, ...]
     provenance: Provenance
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "rows": [
-                {
-                    "scope": r.scope,
-                    "filter": r.filter,
-                    "tokens_base": r.tokens_base,
-                    "tokens_opt": r.tokens_opt,
-                    "reduction_pct": r.reduction_pct,
-                    "n_words": r.n_words,
-                    "fertility_base": r.fertility_base,
-                    "fertility_opt": r.fertility_opt,
-                    "conversation_count": r.conversation_count,
-                }
-                for r in self.rows
-            ],
-            "provenance": {
-                "tool_version": self.provenance.tool_version,
-                "config_hash": self.provenance.config_hash,
-                "conversations_sha256": self.provenance.conversations_sha256,
-                "documents_sha256": self.provenance.documents_sha256,
-            },
-        }
-
     def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_dict(), ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        return json.dumps(asdict(self), ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentReport":
-        rows = tuple(
-            ScopeRow(
-                scope=r["scope"],
-                filter=r.get("filter"),
-                tokens_base=r["tokens_base"],
-                n_words=r["n_words"],
-                fertility_base=r["fertility_base"],
-                tokens_opt=r.get("tokens_opt"),
-                reduction_pct=r.get("reduction_pct"),
-                fertility_opt=r.get("fertility_opt"),
-                conversation_count=r.get("conversation_count"),
-            )
-            for r in obj["rows"]
-        )
-        p = obj["provenance"]
+        """Inverse of :meth:`to_json_bytes`; keys that name no field are ignored."""
         return ExperimentReport(
             experiment=obj["experiment"],
-            rows=rows,
-            provenance=Provenance(
-                tool_version=p["tool_version"],
-                config_hash=p["config_hash"],
-                conversations_sha256=p["conversations_sha256"],
-                documents_sha256=p["documents_sha256"],
-            ),
+            rows=tuple(_from_fields(ScopeRow, r) for r in obj["rows"]),
+            provenance=_from_fields(Provenance, obj["provenance"]),
         )
+
+
+def _from_fields(cls, obj: dict):
+    return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 def load_report(path: str | Path) -> ExperimentReport:
@@ -304,9 +265,9 @@ class Workspace:
             return False
         try:
             recorded = json.loads(manifest.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
             return False
-        return recorded.get("config_hash") == self.provenance.config_hash
+        return isinstance(recorded, dict) and recorded.get("config_hash") == self.provenance.config_hash
 
     def _store(self, name: str, model: TokenizerModel) -> None:
         self.models_dir.mkdir(parents=True, exist_ok=True)

@@ -70,7 +70,6 @@ _BYTE_TO_CHAR: tuple[str, ...] = tuple(_BYTE_TO_CHAR_MAP[b] for b in range(256))
 _CHAR_TO_BYTE: dict[str, int] = {c: b for b, c in enumerate(_BYTE_TO_CHAR)}
 
 FALLBACK_TOKENS: tuple[str, ...] = tuple(f"<0x{b:02X}>" for b in range(256))
-_FALLBACK_SET = frozenset(FALLBACK_TOKENS)
 
 
 def byte_symbol_map() -> dict[int, str]:
@@ -88,11 +87,6 @@ def base_alphabet(mode: TokenizerMode) -> tuple[str, ...]:
     if mode is TokenizerMode.BYTE_LEVEL:
         return _BYTE_TO_CHAR
     return FALLBACK_TOKENS
-
-
-def is_reserved_token(token: str) -> bool:
-    """True for the ``<0xHH>`` byte-fallback literals."""
-    return token in _FALLBACK_SET
 
 
 # ---------------------------------------------------------------------------

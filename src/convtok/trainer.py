@@ -7,21 +7,23 @@ lists on any corpus:
   frequency ("aaa" contributes (a,a) twice);
 * repeatedly merge the most frequent eligible pair, breaking frequency ties
   by lexicographically smallest (left, right); a pair is ineligible when its
-  concatenation already names a vocabulary entry (including the reserved
-  byte-fallback literals), so every merge adds exactly one token;
+  concatenation already names a vocabulary entry, so every merge adds
+  exactly one token (in ``char_level_fallback`` mode the reserved ``<0xHH>``
+  literals are the first 256 entries, so they are never produced);
 * stop when the vocabulary reaches the target size or the best frequency
   drops below ``min_pair_frequency``.
 
 Selection depends only on (frequency, pair), so the result is independent of
 iteration order and identical across runs and platforms.
 
-The optimized trainer keeps live pair counts and a lazy max-heap of
-(count, pair) entries. A merge rewrites only the pieces that hold the merged
-pair, and each such piece applies only its net per-pair change, so a pair
-whose count in the piece is unchanged costs nothing. A heap entry is pushed
-only when a count rises; a popped entry that records more than the live
-count is re-filed at the live count. Since counts only fall between pushes,
-the selection stays exact (see :func:`train_bpe`).
+The optimized trainer keeps live pair counts, a grow-only set of owner
+pieces per pair and a lazy max-heap of (count, pair) entries. A merge
+rewrites only the owners of the merged pair, and each rewritten piece applies
+one signed per-pair delta, so a pair whose count in the piece is unchanged
+costs nothing. A heap entry is pushed only when a count rises; a popped entry
+that records more than the live count is re-filed at the live count. Since
+counts only fall between pushes, the selection stays exact (see
+:func:`train_bpe`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .tokenizer import (
     TokenizerModel,
     _base_symbols,
     base_alphabet,
-    is_reserved_token,
     merge_adjacent,
 )
 
@@ -96,16 +97,6 @@ def _initial_state(
     return vocab, sequences
 
 
-def _eligible(product: str, mode: TokenizerMode, vocab_set: set[str]) -> bool:
-    # A merged token may not collide with an existing vocabulary entry (the
-    # other route to the same string already exists) or with a reserved
-    # byte-fallback literal. Both conditions are permanent once true, so the
-    # fast trainer can ban such pairs outright.
-    if product in vocab_set:
-        return False
-    return not (mode is TokenizerMode.CHAR_LEVEL_FALLBACK and is_reserved_token(product))
-
-
 # ---------------------------------------------------------------------------
 # Optimized trainer
 # ---------------------------------------------------------------------------
@@ -117,15 +108,24 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
     a lazy max-heap, so cost scales with the number of affected pieces per
     merge instead of the corpus size.
 
-    For each affected piece only the nonzero net deltas between its old and
-    new pair multisets touch ``pair_counts``, and ``where`` changes only for
-    pairs that enter or leave the piece. Heap invariant: every live pair has
-    at least one entry whose recorded count is at or above its live count.
-    The initial heap and every rise push such an entry, counts only fall
-    between pushes, and a popped entry whose recorded count is not the live
-    count is re-filed at the live count. Hence the first popped entry that
-    matches its live count is the true (max frequency, min pair), and the
-    selection equals the oracle's.
+    Each rewritten piece applies one signed delta, its new pair counts minus
+    its old ones, to ``pair_counts``. A pair that rises holds the merge
+    product, which names no earlier symbol, so a rise only ever creates a
+    pair: its holders only shrink after that, and at count zero it can never
+    return.
+
+    ``where`` invariant: ``where[p]`` is a superset of the pieces that hold a
+    live pair ``p``. A piece joins it when ``p`` is created there and never
+    leaves it; an owner that no longer holds the merged pair is skipped, as
+    ``merge_adjacent`` leaves it the same length. A pair's set is dropped with
+    its count when the count reaches zero.
+
+    Heap invariant: every live pair has at least one entry whose recorded
+    count is at or above its live count. The initial heap and every rise push
+    such an entry, counts only fall between pushes, and a popped entry whose
+    recorded count is not the live count is re-filed at the live count. Hence
+    the first popped entry that matches its live count is the true (max
+    frequency, min pair), and the selection equals the oracle's.
     """
     vocab, sequences = _initial_state(corpus, config)
     vocab_set = set(vocab)
@@ -156,7 +156,7 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
             break
         left, right = pair
         product = left + right
-        if not _eligible(product, config.mode, vocab_set):
+        if product in vocab_set:
             banned.add(pair)
             continue
 
@@ -164,34 +164,27 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
         vocab.append(product)
         vocab_set.add(product)
 
-        # The merged pair leaves every piece that held it.
-        for idx in where.pop(pair):
+        for idx in where[pair]:
             old_seq, mult = sequences[idx]
             new_seq = merge_adjacent(old_seq, left, right, product)
+            if len(new_seq) == len(old_seq):
+                continue  # a stale owner: the pair left this piece earlier
             sequences[idx] = (new_seq, mult)
-            old_pairs = Counter(zip(old_seq, old_seq[1:]))
-            new_pairs = Counter(zip(new_seq, new_seq[1:]))
-            for p, n in new_pairs.items():
-                delta = n - old_pairs.get(p, 0)
-                if delta > 0:
-                    updated = pair_counts.get(p, 0) + delta * mult
+            delta = Counter(zip(new_seq, new_seq[1:]))
+            delta.subtract(zip(old_seq, old_seq[1:]))
+            for p, d in delta.items():
+                if d > 0:
+                    updated = pair_counts.get(p, 0) + d * mult
                     pair_counts[p] = updated
                     heapq.heappush(heap, (-updated, p))
-                elif delta < 0:
-                    pair_counts[p] += delta * mult
-            for p in old_pairs.keys() - new_pairs.keys():
-                remaining = pair_counts[p] - old_pairs[p] * mult
-                if remaining:
-                    pair_counts[p] = remaining
-                else:
-                    del pair_counts[p]
-                owners = where.get(p)
-                if owners is not None:
-                    owners.discard(idx)
-                    if not owners:
+                    where.setdefault(p, set()).add(idx)
+                elif d < 0:
+                    remaining = pair_counts[p] + d * mult
+                    if remaining:
+                        pair_counts[p] = remaining
+                    else:
+                        del pair_counts[p]
                         del where[p]
-            for p in new_pairs.keys() - old_pairs.keys():
-                where.setdefault(p, set()).add(idx)
 
     return TokenizerModel(
         mode=config.mode,
@@ -227,7 +220,7 @@ def train_bpe_oracle(
         candidates = [
             (freq, pair)
             for pair, freq in counts.items()
-            if _eligible(pair[0] + pair[1], config.mode, vocab_set)
+            if pair[0] + pair[1] not in vocab_set
         ]
         if not candidates:
             break

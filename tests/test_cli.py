@@ -1,12 +1,15 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from convtok.cli import main
+from convtok.cli import _experiment_spec, build_parser, main
+from convtok.experiments import DEFAULT_VOCAB_SIZE, ExperimentSpec
 from convtok.samples import write_sample_corpora
-from convtok.tokenizer import decode, load_model
+from convtok.tokenizer import PretokenScheme, TokenizerMode, decode, load_model
+from convtok.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -329,3 +332,55 @@ def test_every_subcommand_fails_with_one_json_line(command, data, tmp_path, caps
     payload = one_json_error(err)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", "c.txt", "--vocab-size", "abc", "--out", "m.json"],
+    ["train", "--corpus", "c.txt"],
+], ids=["non-integer-vocab-size", "missing-out"])
+def test_usage_error_is_one_json_line(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert payload["error"] == "UsageError"
+    assert payload["message"].startswith("convtok train: ")
+
+
+@pytest.mark.parametrize("flag, text", [("--help", "usage: convtok"), ("--version", "convtok ")])
+def test_help_and_version_keep_their_output(flag, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(text)
+
+
+def test_experiment_flag_defaults_are_the_spec_defaults():
+    args = build_parser().parse_args(["exp1", "--conversations", "c", "--documents", "d",
+                                      "--out", "o"])
+    assert _experiment_spec(args) == ExperimentSpec(Path("c"), Path("d"), Path("o"))
+
+
+def test_train_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["train", "--corpus", "c", "--out", "m"])
+    config = TrainConfig(vocab_size=args.vocab_size, mode=TokenizerMode(args.mode),
+                         scheme=PretokenScheme(args.scheme),
+                         min_pair_frequency=args.min_pair_frequency)
+    assert config == TrainConfig(vocab_size=DEFAULT_VOCAB_SIZE)
+
+
+@pytest.mark.parametrize("manifest", [
+    b"\xff\xfe", b"[1]", b'"x"', b"{", b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf8", "list", "string", "not-json", "deeply-nested"])
+def test_damaged_manifest_is_a_cache_miss(manifest, data, tmp_path, capsys):
+    argv = ["exp1", "--conversations", data["convs"], "--documents", data["docs"],
+            "--vocab-size", "300", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    clean = (tmp_path / "exp1" / "report.json").read_bytes()
+    (tmp_path / "models" / "manifest.json").write_bytes(manifest)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (tmp_path / "exp1" / "report.json").read_bytes() == clean
+    recorded = json.loads((tmp_path / "models" / "manifest.json").read_bytes())
+    assert recorded == {"config_hash": json.loads(clean)["provenance"]["config_hash"]}
