@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -21,7 +22,7 @@ from .corpus import (
     load_conversations,
     load_documents,
 )
-from .errors import ConvtokError, InvalidEncoding, UsageError
+from .errors import ConvtokError, InvalidEncoding, MalformedRecord, UsageError, parse_json
 from .experiments import (
     DEFAULT_VOCAB_SIZE,
     ExperimentSpec,
@@ -57,13 +58,10 @@ def _load_corpus_texts(path: str, fmt: str, role_filter: str, lmsys: bool) -> li
 def _sniff_conversations(path: str, lmsys: bool) -> bool:
     key = "conversation" if lmsys else "turns"
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                return False
+            obj = parse_json(line, partial(MalformedRecord, line_number), default=None)
             return isinstance(obj, dict) and key in obj
     return False
 

@@ -13,15 +13,15 @@ UTF-8 text (one document per line) or JSONL with a ``text`` field.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, EmptyCorpus, InvalidEncoding, MalformedRecord
+from .errors import ConfigError, EmptyCorpus, InvalidEncoding, MalformedRecord, parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -160,10 +160,7 @@ def load_conversations(path: str | Path, lmsys: bool = False) -> ConversationSet
     for line_number, line in enumerate(_read_utf8_lines(path), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(line_number, f"invalid JSON: {exc.msg}") from exc
+        obj = parse_json(line, partial(MalformedRecord, line_number))
         if not isinstance(obj, dict):
             raise MalformedRecord(line_number, "each line must hold a JSON object")
         record = _parse_record(obj, line_number, lmsys)
@@ -184,15 +181,12 @@ def load_documents(path: str | Path, format: str = "auto") -> DocumentSet:
     lines = _read_utf8_lines(path)
     if format == "auto":
         format = "text"
-        for line in lines:
+        for line_number, line in enumerate(lines, start=1):
             if line.strip():
                 if line.lstrip().startswith("{"):
-                    try:
-                        probe = json.loads(line)
-                        if isinstance(probe, dict) and "text" in probe:
-                            format = "jsonl"
-                    except json.JSONDecodeError:
-                        pass
+                    probe = parse_json(line, partial(MalformedRecord, line_number), default=None)
+                    if isinstance(probe, dict) and "text" in probe:
+                        format = "jsonl"
                 break
     elif format not in ("text", "jsonl"):
         raise ValueError(f"unsupported document format: {format!r}")
@@ -204,10 +198,7 @@ def load_documents(path: str | Path, format: str = "auto") -> DocumentSet:
         for line_number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_number, f"invalid JSON: {exc.msg}") from exc
+            obj = parse_json(line, partial(MalformedRecord, line_number))
             if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
                 raise MalformedRecord(line_number, "expected an object with a string 'text' field")
             text = _utf8_clean(obj["text"], line_number)

@@ -1,4 +1,29 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the JSON parse that raises them."""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Callable
+
+_RAISE = object()
+
+
+def parse_json(text: str, error: Callable[[str], Exception], default: Any = _RAISE) -> Any:
+    """``json.loads(text)``, failing only with ``error(message)``.
+
+    JSON nested deeper than the decoder's recursion limit fails that way too,
+    not with a ``RecursionError``. Text that is not JSON returns ``default``
+    instead when one is given, so a format sniffer can tell JSON from plain
+    text; too-deep JSON is still an error there.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        if default is not _RAISE:
+            return default
+        raise error(f"invalid JSON: {exc.msg} at character {exc.pos}") from exc
+    except RecursionError as exc:
+        raise error("JSON nested deeper than the decoder's recursion limit") from exc
 
 
 class ConvtokError(Exception):

@@ -36,7 +36,7 @@ from .corpus import (
     split,
     train_id_set,
 )
-from .errors import ConfigError, ConvtokError, IntegrityError, InvalidEncoding
+from .errors import ConfigError, ConvtokError, IntegrityError, InvalidEncoding, parse_json
 from .metrics import FertilityResult, fertility, language_groups, reduction
 from .tokenizer import (
     PieceTable,
@@ -135,9 +135,10 @@ def load_report(path: str | Path) -> ExperimentReport:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidEncoding(f"report file is not UTF-8: {path}") from exc
+    obj = parse_json(text, lambda msg: IntegrityError(f"not a report file: {path}: {msg}"))
     try:
-        report = ExperimentReport.from_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        report = ExperimentReport.from_dict(obj)
+    except (KeyError, TypeError) as exc:
         raise IntegrityError(f"not a report file: {path}: {exc!r}") from exc
     if report.experiment not in EXPERIMENT_IDS:
         raise IntegrityError(f"unknown experiment id in {path}: {report.experiment!r}")
@@ -264,8 +265,8 @@ class Workspace:
         if not manifest.exists():
             return False
         try:
-            recorded = json.loads(manifest.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            recorded = parse_json(manifest.read_text(encoding="utf-8"), IntegrityError)
+        except (UnicodeDecodeError, IntegrityError):
             return False
         return isinstance(recorded, dict) and recorded.get("config_hash") == self.provenance.config_hash
 

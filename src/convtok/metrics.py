@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .corpus import ConversationSet
 from .errors import EmptyText, NoWords
-from .tokenizer import PieceTable, TokenizerModel, count_words, encode_piece  # noqa: F401
+from .tokenizer import PieceTable, TokenizerModel, encode_piece
 
 
 def token_count(model: TokenizerModel, texts: PieceTable | Iterable[str]) -> int:

@@ -42,7 +42,6 @@ from .tokenizer import (
     TokenizerModel,
     _base_symbols,
     base_alphabet,
-    merge_adjacent,
 )
 
 ORACLE_GUARD_BYTES = 1 << 20  # 1 MiB
@@ -69,6 +68,21 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # Shared setup
 # ---------------------------------------------------------------------------
+
+def merge_adjacent(symbols: list[str], left: str, right: str, joined: str) -> list[str]:
+    """Replace (left, right) adjacencies left-to-right without overlap."""
+    out: list[str] = []
+    i = 0
+    n = len(symbols)
+    while i < n:
+        if symbols[i] == left and i + 1 < n and symbols[i + 1] == right:
+            out.append(joined)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return out
+
 
 def _initial_state(
     corpus: PieceTable | Iterable[str], config: TrainConfig

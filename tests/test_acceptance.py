@@ -13,12 +13,13 @@ import time
 import pytest
 
 from convtok.corpus import ConversationRecord, ConversationSet, RoleFilter, SplitSpec, split
-from convtok.metrics import count_words, fertility, token_count
+from convtok.metrics import fertility, token_count
 from convtok.samples import generate_corpora
 from convtok.tokenizer import (
     TokenizerMode,
     TokenizerModel,
     base_alphabet,
+    count_words,
     decode,
     encode,
 )

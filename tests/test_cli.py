@@ -384,3 +384,26 @@ def test_damaged_manifest_is_a_cache_miss(manifest, data, tmp_path, capsys):
     assert (tmp_path / "exp1" / "report.json").read_bytes() == clean
     recorded = json.loads((tmp_path / "models" / "manifest.json").read_bytes())
     assert recorded == {"config_hash": json.loads(clean)["provenance"]["config_hash"]}
+
+
+@pytest.mark.parametrize("command, flag, error", [
+    ("encode", "--model", "IntegrityError"),
+    ("fertility", "--model", "IntegrityError"),
+    ("report", "--report", "IntegrityError"),
+    ("ingest", "--conversations", "MalformedRecord"),
+    ("train", "--corpus", "MalformedRecord"),
+])
+def test_deeply_nested_json_is_one_json_line(command, flag, error, data, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    rest = {
+        "encode": ["--text", "x"],
+        "fertility": ["--input", data["docs"]],
+        "report": ["--out", str(tmp_path / "out")],
+        "ingest": [],
+        "train": ["--vocab-size", "300", "--out", str(tmp_path / "m.json")],
+    }[command]
+    code, out, err = run(capsys, command, flag, str(deep), *rest)
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == error

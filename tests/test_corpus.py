@@ -16,6 +16,9 @@ from convtok.corpus import (
 )
 from convtok.errors import EmptyCorpus, InvalidEncoding, MalformedRecord
 
+# valid JSON nested deeper than the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
 
 def record_obj(i, language="english", turns=None):
     return {
@@ -80,6 +83,15 @@ class TestLoadConversations:
         path.write_text('{"id": "a"}\nnot json\n', encoding="utf-8")
         with pytest.raises(MalformedRecord):
             load_conversations(path)
+
+    def test_deeply_nested_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record_obj(0)])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(DEEP + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_conversations(path)
+        assert err.value.line_number == 2
 
     def test_bad_role(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -191,6 +203,22 @@ class TestLoadDocuments:
         path.write_bytes(b"ok\n\xc3(\n")
         with pytest.raises(InvalidEncoding):
             load_documents(path)
+
+    @pytest.mark.parametrize("lines, line_number", [
+        (['{"x": ' + DEEP + "}"], 1),
+        (['{"text": "ok"}', '{"text": ' + DEEP + "}"], 2),
+    ], ids=["sniffed-line", "jsonl-line"])
+    def test_deeply_nested_line_is_malformed(self, lines, line_number, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as err:
+            load_documents(path)
+        assert err.value.line_number == line_number
+
+    def test_text_that_is_not_json_stays_text(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("{not json\nsecond\n", encoding="utf-8")
+        assert list(load_documents(path)) == ["{not json", "second"]
 
 
 # ---------------------------------------------------------------------------

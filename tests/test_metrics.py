@@ -7,14 +7,13 @@ from convtok.errors import EmptyText, NoWords
 from convtok.metrics import (
     FertilityResult,
     ReductionResult,
-    count_words,
     fertility,
     language_groups,
     reduction,
     token_count,
 )
 from convtok.samples import generate_corpora
-from convtok.tokenizer import TokenizerMode, encode
+from convtok.tokenizer import TokenizerMode, count_words, encode
 from convtok.trainer import TrainConfig, train_bpe
 
 

@@ -17,6 +17,8 @@ from convtok.tokenizer import (
     PretokenScheme,
     TokenizerMode,
     TokenizerModel,
+    _apply_merges,
+    _base_symbols,
     base_alphabet,
     byte_symbol_map,
     decode,
@@ -27,7 +29,7 @@ from convtok.tokenizer import (
     pretokenize,
     save_model,
 )
-from convtok.trainer import TrainConfig, train_bpe
+from convtok.trainer import TrainConfig, merge_adjacent, train_bpe
 
 CAT = PretokenScheme.CATEGORY_SPLIT
 WS = PretokenScheme.WHITESPACE_SPLIT
@@ -319,6 +321,149 @@ class TestEncode:
             text = random_text(rng)
             assert len(encode(byte_model, text)) <= len(text.encode("utf-8"))
             assert len(encode(char_model, text)) <= 4 * len(text)
+
+
+def reference_apply_merges(model, symbols):
+    """Test oracle for ``_apply_merges``: rescan for the lowest-ranked pair
+    present, merge it everywhere with ``merge_adjacent``, repeat. Quadratic."""
+    ranks = model._merge_ranks
+    while len(symbols) >= 2:
+        best_rank = best_pair = None
+        for pair in zip(symbols, symbols[1:]):
+            rank = ranks.get(pair)
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank, best_pair = rank, pair
+        if best_pair is None:
+            break
+        left, right = best_pair
+        symbols = merge_adjacent(symbols, left, right, left + right)
+    return symbols
+
+
+def random_merge_model(rng, mode, letters, extra_symbols=()):
+    """A valid model whose merges join random symbols in a random rank order,
+    so a merge may rank above the merges that make its operands."""
+    vocab = list(base_alphabet(mode)) + [c for c in letters if c not in base_alphabet(mode)]
+    symbols = list(letters) + list(extra_symbols)
+    merges = []
+    for _ in range(rng.randrange(1, 14)):
+        left, right = rng.choice(symbols), rng.choice(symbols)
+        merges.append((left, right))
+        if left + right not in vocab:
+            vocab.append(left + right)
+            symbols.append(left + right)
+    rng.shuffle(merges)
+    return TokenizerModel(mode=mode, scheme=CAT, vocab=tuple(vocab), merges=tuple(merges))
+
+
+def assert_matches_reference(model, piece):
+    base = _base_symbols(model, piece)
+    assert _apply_merges(model, list(base)) == reference_apply_merges(model, base), (
+        piece, model.merges)
+
+
+class CountingRanks(dict):
+    """A merge-rank table that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def fresh_copy(model):
+    """The same model with its own empty piece cache."""
+    return TokenizerModel(mode=model.mode, scheme=model.scheme, vocab=model.vocab,
+                          merges=model.merges)
+
+
+@pytest.fixture(scope="module")
+def sample_texts():
+    # the corpora of the ``tiny`` experiment fixture, cut to half
+    docs, lines = generate_corpora(seed=7, doc_bytes=30_000, conv_bytes=30_000)
+    return docs + [turn["content"] for line in lines for turn in json.loads(line)["turns"]]
+
+
+@pytest.fixture(scope="module")
+def sample_model(sample_texts):
+    return train_bpe(sample_texts, TrainConfig(vocab_size=1024))
+
+
+class TestApplyMergesMatchesReference:
+    @pytest.mark.parametrize("mode", [TokenizerMode.BYTE_LEVEL, TokenizerMode.CHAR_LEVEL_FALLBACK])
+    @pytest.mark.parametrize("letters", ["ab", "abc"])
+    def test_random_merge_orders(self, mode, letters):
+        rng = random.Random(20250601)
+        for _ in range(400):
+            model = random_merge_model(rng, mode, letters)
+            for _ in range(8):
+                piece = "".join(rng.choices(letters, k=rng.choice([0, 1, 2, 3, 9, 40])))
+                assert_matches_reference(model, piece)
+
+    def test_fallback_symbols(self):
+        # "é" is not in the vocabulary, so it enters as <0xC3> <0xA9>
+        rng = random.Random(7)
+        for _ in range(400):
+            model = random_merge_model(rng, TokenizerMode.CHAR_LEVEL_FALLBACK, "ab",
+                                       extra_symbols=("<0xC3>", "<0xA9>"))
+            for _ in range(8):
+                piece = "".join(rng.choices("abé", k=rng.choice([0, 1, 2, 5, 20])))
+                assert_matches_reference(model, piece)
+
+    def test_fixture_models_on_sample_texts(self, byte_model, char_model, sample_model,
+                                            sample_texts):
+        pieces = {p for text in sample_texts for p in pretokenize(text, CAT)}
+        for model in (byte_model, char_model, sample_model):
+            for piece in pieces:
+                assert_matches_reference(model, piece)
+
+    def test_lower_rank_made_mid_batch_waits_for_the_batch(self):
+        # merging (a, b) at 0 makes (ab, a), which outranks it, but the
+        # (a, b) at 2 is merged first: each rank is applied everywhere at once
+        model = toy_char_model(extra_vocab=("a", "b", "ab", "aba"),
+                               merges=(("ab", "a"), ("a", "b")))
+        assert [model.vocab[i] for i in encode(model, "abab")] == ["ab", "ab"]
+        assert_matches_reference(model, "abab")
+
+    def test_back_to_back_matches(self):
+        model = toy_char_model(extra_vocab=("a", "aa"), merges=(("a", "a"),))
+        assert [model.vocab[i] for i in encode(model, "aaaa")] == ["aa", "aa"]
+        assert [model.vocab[i] for i in encode(model, "aaa")] == ["aa", "a"]
+
+
+class TestEncodeCost:
+    def test_rank_lookups_linear_in_piece_length(self, sample_model, sample_texts):
+        # one unbroken letter run of several thousand symbols, as spaceless
+        # chat text makes; the rescan loop needs one pass per merge applied
+        words = sorted({w for text in sample_texts for w in text.split() if w.isascii()
+                        and w.isalpha()})
+        piece = "".join(random.Random(3).choices(words, k=600))
+        n = len(_base_symbols(sample_model, piece))
+        assert n > 3000 and pretokenize(piece, CAT) == [piece]
+        bound = 3 * n
+
+        model = fresh_copy(sample_model)
+        ranks = CountingRanks(model._merge_ranks)
+        object.__setattr__(model, "_merge_ranks", ranks)
+        expected = reference_apply_merges(sample_model, _base_symbols(sample_model, piece))
+        assert _apply_merges(model, _base_symbols(model, piece)) == expected
+        assert ranks.lookups <= bound
+
+        ranks.lookups = 0
+        reference_apply_merges(model, _base_symbols(model, piece))
+        assert ranks.lookups > bound  # the bound tells the two apart
+
+    def test_piece_cache_is_bounded(self, sample_model, sample_texts, monkeypatch):
+        pieces = sorted({p for text in sample_texts for p in pretokenize(text, CAT)})[:300]
+        uncapped = fresh_copy(sample_model)
+        expected = [encode_piece(uncapped, p) for p in pieces]
+        monkeypatch.setattr("convtok.tokenizer.PIECE_CACHE_MAX", 16)
+        capped = fresh_copy(sample_model)
+        for _ in range(2):
+            for piece, ids in zip(pieces, expected):
+                assert encode_piece(capped, piece) == ids
+                assert len(capped._piece_cache) <= 16
 
 
 class TestDecode:

@@ -8,12 +8,12 @@ from convtok.metrics import token_count
 from convtok.tokenizer import (
     PretokenScheme,
     TokenizerMode,
-    merge_adjacent,
     model_to_bytes,
     pretokenize,
 )
 from convtok.trainer import (
     TrainConfig,
+    merge_adjacent,
     retrain_like,
     train_bpe,
     train_bpe_oracle,
