@@ -9,11 +9,9 @@ __version__ = "0.1.0"
 from .corpus import (
     ConversationRecord,
     ConversationSet,
-    DocumentSet,
     RoleFilter,
     SplitSpec,
     extract_text,
-    language_histogram,
     load_conversations,
     load_documents,
     split,

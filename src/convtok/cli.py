@@ -10,19 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
     RoleFilter,
     SplitSpec,
+    corpus_format,
     extract_text,
-    language_histogram,
     load_conversations,
     load_documents,
 )
-from .errors import ConvtokError, InvalidEncoding, MalformedRecord, UsageError, parse_json
+from .errors import ConvtokError, InvalidEncoding, UsageError
 from .experiments import (
     DEFAULT_VOCAB_SIZE,
     ExperimentSpec,
@@ -33,7 +32,7 @@ from .experiments import (
     run_experiment3,
     write_report,
 )
-from .metrics import fertility
+from .metrics import fertility, language_groups
 from .samples import DEFAULT_CONV_BYTES, DEFAULT_DOC_BYTES, DEFAULT_SEED, write_sample_corpora
 from .tokenizer import PretokenScheme, TokenizerMode, encode, load_model, save_model
 from .trainer import TrainConfig, train_bpe
@@ -45,25 +44,13 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, ensure_ascii=False))
 
 
-def _load_corpus_texts(path: str, fmt: str, role_filter: str, lmsys: bool) -> list[str]:
+def _load_corpus_texts(path: str, fmt: str, role_filter: str) -> list[str]:
     """Texts from a corpus path that is either conversations or documents."""
     if fmt == "auto":
-        fmt = "conversations" if _sniff_conversations(path, lmsys) else "documents"
+        fmt = corpus_format(path)
     if fmt == "conversations":
-        conversations = load_conversations(path, lmsys=lmsys)
-        return extract_text(conversations, RoleFilter(role_filter))
-    return list(load_documents(path).documents)
-
-
-def _sniff_conversations(path: str, lmsys: bool) -> bool:
-    key = "conversation" if lmsys else "turns"
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = parse_json(line, partial(MalformedRecord, line_number), default=None)
-            return isinstance(obj, dict) and key in obj
-    return False
+        return extract_text(load_conversations(path), RoleFilter(role_filter))
+    return list(load_documents(path))
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +60,11 @@ def _sniff_conversations(path: str, lmsys: bool) -> bool:
 def _cmd_ingest(args) -> None:
     summary: dict = {}
     if args.conversations:
-        conversations = load_conversations(args.conversations, lmsys=args.lmsys)
-        histogram = language_histogram(conversations)
+        conversations = load_conversations(args.conversations)
         summary["conversations"] = len(conversations)
-        summary["languages"] = dict(sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0])))
+        summary["languages"] = {
+            language: len(subset) for language, subset in language_groups(conversations, 0)
+        }
         if args.out:
             out = Path(args.out)
             out.parent.mkdir(parents=True, exist_ok=True)
@@ -97,7 +85,7 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    corpus = _load_corpus_texts(args.corpus, args.format, args.role_filter, args.lmsys)
+    corpus = _load_corpus_texts(args.corpus, args.format, args.role_filter)
     config = TrainConfig(
         vocab_size=args.vocab_size,
         mode=TokenizerMode(args.mode),
@@ -138,7 +126,7 @@ def _cmd_encode(args) -> None:
 
 def _cmd_fertility(args) -> None:
     model = load_model(args.model)
-    texts = _load_corpus_texts(args.input, args.format, args.role_filter, args.lmsys)
+    texts = _load_corpus_texts(args.input, args.format, args.role_filter)
     result = fertility(model, texts)
     _emit({
         "n_tokens": result.n_tokens,
@@ -163,7 +151,6 @@ def _experiment_spec(args) -> ExperimentSpec:
         min_pair_frequency=args.min_pair_frequency,
         language_threshold=args.threshold,
         doc_sample_bytes=args.doc_sample_bytes,
-        lmsys_format=args.lmsys,
     )
 
 
@@ -229,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate corpora and report statistics")
     p.add_argument("--conversations")
     p.add_argument("--documents")
-    p.add_argument("--lmsys", action="store_true", help="map LMSYS field names")
     p.add_argument("--out", help="write normalized conversation JSONL here")
     p.set_defaults(func=_cmd_ingest)
 
@@ -237,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=["auto", "conversations", "documents"], default="auto")
     p.add_argument("--role-filter", choices=[f.value for f in RoleFilter], default="both")
-    p.add_argument("--lmsys", action="store_true")
     _add_model_config_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -254,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["auto", "conversations", "documents"], default="auto")
     p.add_argument("--role-filter", choices=[f.value for f in RoleFilter], default="both")
-    p.add_argument("--lmsys", action="store_true")
     p.set_defaults(func=_cmd_fertility)
 
     for name, help_text in (
@@ -274,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--role-filter", action="append",
                        choices=[f.value for f in RoleFilter],
                        help="repeatable; default: user, assistant, both")
-        p.add_argument("--lmsys", action="store_true")
         _add_model_config_args(p)
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_experiment)

@@ -5,16 +5,17 @@ Conversation files are JSONL, one object per line:
     {"id": str, "model": str, "language": str,
      "turns": [{"role": "user"|"assistant", "content": str}, ...]}
 
-``lmsys=True`` maps the public LMSYS-Chat field names (``conversation_id``,
-``conversation``, ``language``) onto this schema. Document corpora are plain
-UTF-8 text (one document per line) or JSONL with a ``text`` field.
+A record with no ``id`` field and a ``conversation_id`` field is read with
+the public LMSYS-Chat-1M field names instead (``conversation_id``,
+``conversation``). Document corpora are plain UTF-8 text (one document per
+line) or JSONL with a ``text`` field. :func:`corpus_format` tells the formats
+apart from the file itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,17 +56,6 @@ class ConversationSet:
 
     def __iter__(self):
         return iter(self.records)
-
-
-@dataclass(frozen=True)
-class DocumentSet:
-    documents: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
 
 
 @dataclass(frozen=True)
@@ -110,8 +100,8 @@ def _require(obj: dict, key: str, line_number: int):
     return obj[key]
 
 
-def _parse_record(obj: dict, line_number: int, lmsys: bool) -> ConversationRecord:
-    if lmsys:
+def _parse_record(obj: dict, line_number: int) -> ConversationRecord:
+    if "id" not in obj and "conversation_id" in obj:
         record_id = _require(obj, "conversation_id", line_number)
         turns_raw = _require(obj, "conversation", line_number)
     else:
@@ -149,7 +139,34 @@ def _parse_record(obj: dict, line_number: int, lmsys: bool) -> ConversationRecor
     )
 
 
-def load_conversations(path: str | Path, lmsys: bool = False) -> ConversationSet:
+def _sniff_format(lines: list[str]) -> str:
+    """``conversations``, ``jsonl`` or ``text``, decided by the first leading
+    non-blank line that parses as JSON. A line that does not parse is passed
+    over only if it starts with ``{`` (a damaged record); any other makes the
+    file plain text, as does a first JSON value that names no known field."""
+    for line_number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        obj = parse_json(line, partial(MalformedRecord, line_number), default=None)
+        if obj is None and line.startswith("{"):
+            continue
+        if isinstance(obj, dict):
+            if "turns" in obj or "conversation_id" in obj:
+                return "conversations"
+            if "text" in obj:
+                return "jsonl"
+        return "text"
+    return "text"
+
+
+def corpus_format(path: str | Path) -> str:
+    """The format of a corpus file: ``conversations``, ``jsonl`` (documents
+    in a ``text`` field) or ``text`` (one document per line)."""
+    return _sniff_format(_read_utf8_lines(path))
+
+
+def load_conversations(path: str | Path) -> ConversationSet:
     """Parse a conversation corpus, aborting on the first malformed line.
 
     Language tags are lowercased but otherwise taken verbatim from the file
@@ -163,7 +180,7 @@ def load_conversations(path: str | Path, lmsys: bool = False) -> ConversationSet
         obj = parse_json(line, partial(MalformedRecord, line_number))
         if not isinstance(obj, dict):
             raise MalformedRecord(line_number, "each line must hold a JSON object")
-        record = _parse_record(obj, line_number, lmsys)
+        record = _parse_record(obj, line_number)
         if record.id in seen_ids:
             raise MalformedRecord(line_number, f"duplicate record id {record.id!r}")
         seen_ids.add(record.id)
@@ -172,29 +189,14 @@ def load_conversations(path: str | Path, lmsys: bool = False) -> ConversationSet
     return ConversationSet(records=tuple(records))
 
 
-def load_documents(path: str | Path, format: str = "auto") -> DocumentSet:
-    """Load a document corpus, skipping blank lines.
-
-    ``format`` is ``text`` (one document per line), ``jsonl`` (objects with a
-    ``text`` field), or ``auto`` to sniff from the first non-blank line.
-    """
+def load_documents(path: str | Path) -> tuple[str, ...]:
+    """Load a document corpus, skipping blank lines: JSONL objects with a
+    ``text`` field if :func:`corpus_format` says so, else one document per line."""
     lines = _read_utf8_lines(path)
-    if format == "auto":
-        format = "text"
-        for line_number, line in enumerate(lines, start=1):
-            if line.strip():
-                if line.lstrip().startswith("{"):
-                    probe = parse_json(line, partial(MalformedRecord, line_number), default=None)
-                    if isinstance(probe, dict) and "text" in probe:
-                        format = "jsonl"
-                break
-    elif format not in ("text", "jsonl"):
-        raise ValueError(f"unsupported document format: {format!r}")
-
-    documents: list[str] = []
-    if format == "text":
+    if _sniff_format(lines) != "jsonl":
         documents = [line for line in lines if line.strip()]
     else:
+        documents = []
         for line_number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -207,7 +209,7 @@ def load_documents(path: str | Path, format: str = "auto") -> DocumentSet:
     if not documents:
         raise EmptyCorpus(f"no documents in {path}")
     logger.info("loaded %d documents from %s", len(documents), path)
-    return DocumentSet(documents=tuple(documents))
+    return tuple(documents)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,3 @@ def extract_text(conversations: ConversationSet, role_filter: RoleFilter) -> lis
                 texts.append(content)
     return texts
 
-
-def language_histogram(conversations: ConversationSet) -> dict[str, int]:
-    """Conversation counts per language tag. Counts sum to the set size."""
-    return dict(Counter(r.language for r in conversations.records))

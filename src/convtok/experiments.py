@@ -73,7 +73,6 @@ class ExperimentSpec:
     min_pair_frequency: int = TrainConfig.min_pair_frequency
     language_threshold: int = 1000
     doc_sample_bytes: int = DEFAULT_DOC_SAMPLE_BYTES
-    lmsys_format: bool = False
 
     def __post_init__(self):
         if not self.role_filters:
@@ -214,13 +213,13 @@ class Workspace:
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
-        self.conversations = load_conversations(spec.conversations_path, lmsys=spec.lmsys_format)
+        self.conversations = load_conversations(spec.conversations_path)
         self.documents = load_documents(spec.documents_path)
         self.conv_train, self.conv_test = split(self.conversations, spec.split)
-        doc_ids = [str(i) for i in range(len(self.documents.documents))]
+        doc_ids = [str(i) for i in range(len(self.documents))]
         train_ids = train_id_set(doc_ids, spec.split)
-        self.docs_train = [d for i, d in enumerate(self.documents.documents) if str(i) in train_ids]
-        self.docs_test = [d for i, d in enumerate(self.documents.documents) if str(i) not in train_ids]
+        self.docs_train = [d for i, d in enumerate(self.documents) if str(i) in train_ids]
+        self.docs_test = [d for i, d in enumerate(self.documents) if str(i) not in train_ids]
         self._models: dict[str, TokenizerModel] = {}
         self._tables: dict[str, PieceTable] = {}
         corpus_digests = {

@@ -139,7 +139,9 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
     such an entry, counts only fall between pushes, and a popped entry whose
     recorded count is not the live count is re-filed at the live count. Hence
     the first popped entry that matches its live count is the true (max
-    frequency, min pair), and the selection equals the oracle's.
+    frequency, min pair), and the selection equals the oracle's. A popped
+    pair whose product is already in the vocabulary is dropped: the
+    vocabulary only grows, so the pair never becomes eligible again.
     """
     vocab, sequences = _initial_state(corpus, config)
     vocab_set = set(vocab)
@@ -155,12 +157,11 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
 
     heap: list[tuple[int, Pair]] = [(-freq, pair) for pair, freq in pair_counts.items()]
     heapq.heapify(heap)
-    banned: set[Pair] = set()
 
     while len(vocab) < config.vocab_size and heap:
         neg_freq, pair = heapq.heappop(heap)
         freq = pair_counts.get(pair)
-        if freq is None or pair in banned:
+        if freq is None:
             continue
         if freq != -neg_freq:
             # the count fell since this entry was pushed: re-file it
@@ -171,7 +172,6 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
         left, right = pair
         product = left + right
         if product in vocab_set:
-            banned.add(pair)
             continue
 
         merges.append(pair)

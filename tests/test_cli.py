@@ -126,7 +126,7 @@ def test_ingest_writes_normalized_jsonl(tmp_path, capsys):
     }) + "\n", encoding="utf-8")
     normalized = tmp_path / "normalized.jsonl"
     code, out, _ = run(capsys, "ingest", "--conversations", str(lmsys),
-                       "--lmsys", "--out", str(normalized))
+                       "--out", str(normalized))
     assert code == 0
     assert json.loads(out)["languages"] == {"english": 1}
     # the normalized file parses under the native schema
@@ -144,12 +144,64 @@ def test_train_lmsys_corpus(tmp_path, capsys):
     } for i in range(10)]
     lmsys.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     model_path = tmp_path / "m.json"
-    code, _, err = run(capsys, "train", "--corpus", str(lmsys), "--lmsys",
+    code, _, err = run(capsys, "train", "--corpus", str(lmsys),
                        "--role-filter", "assistant", "--vocab-size", "300",
                        "--out", str(model_path))
     assert code == 0, err
     model = load_model(model_path)
     assert any("friend" in token for token in model.vocab[256:])
+
+
+def to_lmsys_names(src, dest):
+    """Rewrite a native conversation file with the LMSYS-Chat-1M field names."""
+    with open(src, encoding="utf-8") as fh, open(dest, "w", encoding="utf-8") as out:
+        for line in fh:
+            record = json.loads(line)
+            record["conversation_id"] = record.pop("id")
+            record["conversation"] = record.pop("turns")
+            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def test_experiment_on_lmsys_corpus(data, tmp_path, capsys):
+    lmsys = tmp_path / "lmsys.jsonl"
+    to_lmsys_names(data["convs"], lmsys)
+    reports = {}
+    for name, convs in (("native", data["convs"]), ("lmsys", str(lmsys))):
+        code, _, err = run(capsys, "exp1", "--conversations", convs, "--documents", data["docs"],
+                           "--vocab-size", "300", "--threshold", "3",
+                           "--out", str(tmp_path / name))
+        assert code == 0, err
+        reports[name] = json.loads((tmp_path / name / "exp1" / "report.json").read_bytes())
+    # the same conversations under other field names: the same rows
+    assert reports["lmsys"]["rows"] == reports["native"]["rows"]
+
+
+def test_train_on_damaged_first_line_fails_cleanly(data, tmp_path, capsys):
+    damaged = tmp_path / "damaged.jsonl"
+    with open(data["convs"], encoding="utf-8") as fh:
+        records = [next(fh) for _ in range(50)]
+    damaged.write_text('{"id": "x", broken\n' + "".join(records), encoding="utf-8")
+    code, out, err = run(capsys, "train", "--corpus", str(damaged), "--vocab-size", "300",
+                         "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert payload["error"] == "MalformedRecord"
+    assert payload["message"].startswith("line 1: ")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_experiment_on_damaged_jsonl_documents_fails_cleanly(data, tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"text": broken\n{"text": "one"}\n{"text": "two"}\n', encoding="utf-8")
+    code, out, err = run(capsys, "exp1", "--conversations", data["convs"],
+                         "--documents", str(docs), "--vocab-size", "300",
+                         "--out", str(tmp_path / "runs"))
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert payload["error"] == "MalformedRecord"
+    assert payload["message"].startswith("line 1: ")
 
 
 def test_encode_from_input_file(data, tmp_path, capsys):

@@ -8,13 +8,14 @@ from convtok.corpus import (
     ConversationSet,
     RoleFilter,
     SplitSpec,
+    corpus_format,
     extract_text,
-    language_histogram,
     load_conversations,
     load_documents,
     split,
 )
 from convtok.errors import EmptyCorpus, InvalidEncoding, MalformedRecord
+from convtok.metrics import language_groups
 
 # valid JSON nested deeper than the decoder's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -143,7 +144,7 @@ class TestLoadConversations:
             ],
             "redacted": False,
         }])
-        loaded = load_conversations(path, lmsys=True)
+        loaded = load_conversations(path)
         record = loaded.records[0]
         assert record.id == "abc123"
         assert record.language == "portuguese"
@@ -157,11 +158,18 @@ class TestLoadConversations:
         )
         assert len(load_conversations(path)) == 2
 
-    def test_unknown_format_rejected(self, tmp_path):
+    def test_native_names_win_over_lmsys_names(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, [record_obj(0)])
-        with pytest.raises(ValueError):
-            load_documents(path, format="parquet")
+        write_jsonl(path, [{**record_obj(0), "conversation_id": "other"}])
+        assert load_conversations(path).records[0].id == "c0"
+
+    def test_native_record_without_id_keeps_its_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        obj = record_obj(0)
+        del obj["id"]
+        write_jsonl(path, [obj])
+        with pytest.raises(MalformedRecord, match="missing field 'id'"):
+            load_conversations(path)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +198,13 @@ class TestLoadDocuments:
     def test_jsonl_autodetected(self, tmp_path):
         path = tmp_path / "d.whatever"
         write_jsonl(path, [{"text": "detected"}])
-        assert list(load_documents(path, format="auto")) == ["detected"]
+        assert list(load_documents(path)) == ["detected"]
 
     def test_jsonl_bad_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"text": "ok"}\n{"no_text": 1}\n', encoding="utf-8")
         with pytest.raises(MalformedRecord):
-            load_documents(path, format="jsonl")
+            load_documents(path)
 
     def test_non_utf8(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -207,7 +215,8 @@ class TestLoadDocuments:
     @pytest.mark.parametrize("lines, line_number", [
         (['{"x": ' + DEEP + "}"], 1),
         (['{"text": "ok"}', '{"text": ' + DEEP + "}"], 2),
-    ], ids=["sniffed-line", "jsonl-line"])
+        (["{broken", DEEP], 2),
+    ], ids=["sniffed-line", "jsonl-line", "sniffed-after-damaged-line"])
     def test_deeply_nested_line_is_malformed(self, lines, line_number, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -219,6 +228,37 @@ class TestLoadDocuments:
         path = tmp_path / "d.txt"
         path.write_text("{not json\nsecond\n", encoding="utf-8")
         assert list(load_documents(path)) == ["{not json", "second"]
+
+    def test_damaged_first_line_of_jsonl_is_malformed(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": broken\n{"text": "ok"}\n', encoding="utf-8")
+        with pytest.raises(MalformedRecord) as err:
+            load_documents(path)
+        assert err.value.line_number == 1
+
+
+# ---------------------------------------------------------------------------
+# corpus_format
+# ---------------------------------------------------------------------------
+
+class TestCorpusFormat:
+    @pytest.mark.parametrize("text, expected", [
+        (json.dumps(record_obj(0)) + "\n", "conversations"),
+        ('{"conversation_id": "x", "conversation": []}\n', "conversations"),
+        ('{"text": "a"}\n', "jsonl"),
+        ("plain words\n", "text"),
+        ('{"x": 1}\n{"text": "a"}\n', "text"),
+        ("[1, 2]\n", "text"),
+        ("\n\n", "text"),
+        ('\n{"id": "x", broken\n{also broken\n' + json.dumps(record_obj(0)) + "\n",
+         "conversations"),
+        ('{"text": broken\nplain words\n{"text": "a"}\n', "text"),
+    ], ids=["native", "lmsys", "jsonl", "text", "unknown-object", "json-list", "blank",
+            "damaged-records-passed-over", "non-json-line-decides"])
+    def test_first_json_line_decides(self, text, expected, tmp_path):
+        path = tmp_path / "corpus"
+        path.write_text(text, encoding="utf-8")
+        assert corpus_format(path) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +327,7 @@ class TestSplit:
 
 
 # ---------------------------------------------------------------------------
-# extract_text / language_histogram
+# extract_text / language counts
 # ---------------------------------------------------------------------------
 
 class TestExtractText:
@@ -318,6 +358,11 @@ class TestExtractText:
                                turns=(("user", "3"),), language="english"),
         ))
         assert extract_text(conversations, RoleFilter.BOTH) == ["1", "2", "3"]
+
+
+def language_histogram(conversations):
+    """Conversation counts per language tag, as ``ingest`` reports them."""
+    return {language: len(subset) for language, subset in language_groups(conversations, 0)}
 
 
 class TestLanguageHistogram:
