@@ -21,7 +21,7 @@ from .corpus import (
     load_conversations,
     load_documents,
 )
-from .errors import ConvtokError, InvalidEncoding, UsageError
+from .errors import ConvtokError, InvalidEncoding, UsageError, read_utf8, write_atomic
 from .experiments import (
     DEFAULT_VOCAB_SIZE,
     ExperimentSpec,
@@ -66,17 +66,13 @@ def _cmd_ingest(args) -> None:
             language: len(subset) for language, subset in language_groups(conversations, 0)
         }
         if args.out:
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with open(out, "w", encoding="utf-8") as fh:
-                for r in conversations.records:
-                    fh.write(json.dumps({
-                        "id": r.id,
-                        "model": r.model_name,
-                        "language": r.language,
-                        "turns": [{"role": role, "content": content} for role, content in r.turns],
-                    }, ensure_ascii=False, separators=(",", ":")) + "\n")
-            summary["out"] = str(out)
+            lines = (json.dumps({
+                "id": r.id,
+                "model": r.model_name,
+                "language": r.language,
+                "turns": [{"role": role, "content": content} for role, content in r.turns],
+            }, ensure_ascii=False, separators=(",", ":")) + "\n" for r in conversations.records)
+            summary["out"] = str(write_atomic(args.out, "".join(lines).encode("utf-8")))
     if args.documents:
         summary["documents"] = len(load_documents(args.documents))
     if not summary:
@@ -93,7 +89,6 @@ def _cmd_train(args) -> None:
         min_pair_frequency=args.min_pair_frequency,
     )
     model = train_bpe(corpus, config)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)
     _emit({"out": args.out, "vocab_size": len(model.vocab), "merges": len(model.merges)})
 
@@ -107,16 +102,8 @@ def _cmd_encode(args) -> None:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise InvalidEncoding(f"--text: {exc}") from exc
-    elif args.input:
-        try:
-            text = Path(args.input).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidEncoding(f"{args.input}: {exc}") from exc
     else:
-        try:
-            text = sys.stdin.buffer.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidEncoding(f"stdin: {exc}") from exc
+        text = read_utf8(args.input or sys.stdin.buffer)
     ids = encode(model, text)
     if args.count_only:
         _emit({"n_tokens": len(ids)})

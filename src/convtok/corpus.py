@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, EmptyCorpus, InvalidEncoding, MalformedRecord, parse_json
+from .errors import ConfigError, EmptyCorpus, InvalidEncoding, MalformedRecord, parse_json, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -77,12 +77,11 @@ class SplitSpec:
 # Loading
 # ---------------------------------------------------------------------------
 
-def _read_utf8_lines(path: str | Path) -> list[str]:
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise InvalidEncoding(f"{path}: {exc}") from exc
+def _read_lines(path: str | Path) -> list[str]:
+    # A line ends at "\n" only, less one trailing "\r": U+2028, a form feed
+    # and the other breaks str.splitlines() knows are content, as they are
+    # inside a JSON string.
+    return [line.removesuffix("\r") for line in read_utf8(path).split("\n")]
 
 
 def _utf8_clean(value: str, line_number: int) -> str:
@@ -163,7 +162,7 @@ def _sniff_format(lines: list[str]) -> str:
 def corpus_format(path: str | Path) -> str:
     """The format of a corpus file: ``conversations``, ``jsonl`` (documents
     in a ``text`` field) or ``text`` (one document per line)."""
-    return _sniff_format(_read_utf8_lines(path))
+    return _sniff_format(_read_lines(path))
 
 
 def load_conversations(path: str | Path) -> ConversationSet:
@@ -174,7 +173,7 @@ def load_conversations(path: str | Path) -> ConversationSet:
     """
     records: list[ConversationRecord] = []
     seen_ids: set[str] = set()
-    for line_number, line in enumerate(_read_utf8_lines(path), start=1):
+    for line_number, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         obj = parse_json(line, partial(MalformedRecord, line_number))
@@ -192,7 +191,7 @@ def load_conversations(path: str | Path) -> ConversationSet:
 def load_documents(path: str | Path) -> tuple[str, ...]:
     """Load a document corpus, skipping blank lines: JSONL objects with a
     ``text`` field if :func:`corpus_format` says so, else one document per line."""
-    lines = _read_utf8_lines(path)
+    lines = _read_lines(path)
     if _sniff_format(lines) != "jsonl":
         documents = [line for line in lines if line.strip()]
     else:

@@ -1,11 +1,49 @@
-"""Exception types shared across the toolkit, and the JSON parse that raises them."""
+"""Exception types shared across the toolkit, and the file boundary that
+raises them: the JSON parse, the strict UTF-8 read and the atomic write."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+import os
+from pathlib import Path
+from typing import Any, BinaryIO, Callable
 
 _RAISE = object()
+
+
+def read_utf8(source: str | Path | BinaryIO) -> str:
+    """The text of a file, or of a binary stream such as ``sys.stdin.buffer``.
+
+    Decodes strict UTF-8 and translates no newlines: carriage returns reach
+    the caller as they are in the bytes. Bytes that are not UTF-8 raise
+    InvalidEncoding naming the source.
+    """
+    if hasattr(source, "read"):
+        raw, name = source.read(), getattr(source, "name", "<stream>")
+    else:
+        raw, name = Path(source).read_bytes(), source
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding(f"{name} is not UTF-8: {exc}") from exc
+
+
+def write_atomic(path: str | Path, data: bytes) -> Path:
+    """Write ``data`` to ``path``, creating its directory, and return the path.
+
+    The bytes go to a temp file in the same directory, which is then renamed
+    over ``path``: an interrupted write leaves the old file or none, never a
+    truncated one.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 def parse_json(text: str, error: Callable[[str], Exception], default: Any = _RAISE) -> Any:

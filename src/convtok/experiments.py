@@ -21,7 +21,6 @@ import hashlib
 import io
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -36,7 +35,15 @@ from .corpus import (
     split,
     train_id_set,
 )
-from .errors import ConfigError, ConvtokError, IntegrityError, InvalidEncoding, parse_json
+from .errors import (
+    ConfigError,
+    ConvtokError,
+    IntegrityError,
+    InvalidEncoding,
+    parse_json,
+    read_utf8,
+    write_atomic,
+)
 from .metrics import FertilityResult, fertility, language_groups, reduction
 from .tokenizer import (
     PieceTable,
@@ -130,11 +137,7 @@ def _from_fields(cls, obj: dict):
 def load_report(path: str | Path) -> ExperimentReport:
     """Parse a report.json. Raises InvalidEncoding for bytes that are not
     UTF-8 and IntegrityError for anything that is not a report."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidEncoding(f"report file is not UTF-8: {path}") from exc
-    obj = parse_json(text, lambda msg: IntegrityError(f"not a report file: {path}: {msg}"))
+    obj = parse_json(read_utf8(path), lambda msg: IntegrityError(f"not a report file: {path}: {msg}"))
     try:
         report = ExperimentReport.from_dict(obj)
     except (KeyError, TypeError) as exc:
@@ -176,18 +179,6 @@ def _round_pct(value: float) -> float:
 
 def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write through a temp file in the same directory, then rename it over
-    ``path``: an interrupted write leaves the old file or none, never a
-    truncated one."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +255,20 @@ class Workspace:
         if not manifest.exists():
             return False
         try:
-            recorded = parse_json(manifest.read_text(encoding="utf-8"), IntegrityError)
-        except (UnicodeDecodeError, IntegrityError):
+            recorded = parse_json(read_utf8(manifest), IntegrityError)
+        except (InvalidEncoding, IntegrityError):
             return False
         return isinstance(recorded, dict) and recorded.get("config_hash") == self.provenance.config_hash
 
     def _store(self, name: str, model: TokenizerModel) -> None:
-        self.models_dir.mkdir(parents=True, exist_ok=True)
         if not self._cache_valid():
             # models from a different configuration must not survive the
             # manifest update, or later lookups would load them as current
             for stale in self.models_dir.glob("*.json"):
                 stale.unlink()
-        _write_atomic(self._model_path(name), model_to_bytes(model))
+        write_atomic(self._model_path(name), model_to_bytes(model))
         manifest = json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":"))
-        _write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
+        write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
 
     def _get(self, name: str, build) -> TokenizerModel:
         model = self._models.get(name)
@@ -451,24 +441,14 @@ def _metrics_cells(row: ScopeRow) -> list:
 def write_report(report: ExperimentReport, output_dir: str | Path) -> list[Path]:
     """Write report.json plus one metrics CSV per base/optimized comparison."""
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    json_path = out / "report.json"
-    json_path.write_bytes(report.to_json_bytes())
-    written.append(json_path)
-
+    written = [write_atomic(out / "report.json", report.to_json_bytes())]
     filters = [f for f in dict.fromkeys(r.filter for r in report.rows) if f is not None]
     if not filters:
-        path = out / "report.csv"
-        path.write_bytes(_csv_bytes(_CSV_COLUMNS, [_metrics_cells(r) for r in report.rows]))
-        written.append(path)
-    else:
-        for name in filters:
-            path = out / f"report_{name}.csv"
-            rows = [_metrics_cells(r) for r in report.rows if r.filter == name]
-            path.write_bytes(_csv_bytes(_CSV_COLUMNS, rows))
-            written.append(path)
+        rows = [_metrics_cells(r) for r in report.rows]
+        written.append(write_atomic(out / "report.csv", _csv_bytes(_CSV_COLUMNS, rows)))
+    for name in filters:
+        rows = [_metrics_cells(r) for r in report.rows if r.filter == name]
+        written.append(write_atomic(out / f"report_{name}.csv", _csv_bytes(_CSV_COLUMNS, rows)))
     return written
 
 
@@ -476,14 +456,12 @@ def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Pat
     """Plot-ready tables: fertility bars, reduction bars per role filter,
     per-language bars, and document-change bars. One CSV per chart."""
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     if report.experiment == "exp1":
         path = out / "plot_fertility.csv"
         rows = [[r.scope, f"{r.fertility_base:.6f}"] for r in report.rows]
-        path.write_bytes(_csv_bytes(["scope", "fertility"], rows))
-        written.append(path)
+        written.append(write_atomic(path, _csv_bytes(["scope", "fertility"], rows)))
     elif report.experiment == "exp2":
         path = out / "plot_reduction.csv"
         rows = [
@@ -491,8 +469,7 @@ def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Pat
             for r in report.rows
             if r.scope == "all"
         ]
-        path.write_bytes(_csv_bytes(["filter", "reduction_pct"], rows))
-        written.append(path)
+        written.append(write_atomic(path, _csv_bytes(["filter", "reduction_pct"], rows)))
 
         filters = [f for f in dict.fromkeys(r.filter for r in report.rows) if f is not None]
         lang_filter = RoleFilter.BOTH.value if RoleFilter.BOTH.value in filters else filters[0]
@@ -501,14 +478,12 @@ def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Pat
             for r in report.rows
             if r.filter == lang_filter and r.scope.startswith("language:")
         ]
-        path = out / "plot_languages.csv"
-        path.write_bytes(_csv_bytes(["language", "conversations", "reduction_pct"], lang_rows))
-        written.append(path)
+        header = ["language", "conversations", "reduction_pct"]
+        written.append(write_atomic(out / "plot_languages.csv", _csv_bytes(header, lang_rows)))
     elif report.experiment == "exp3":
         path = out / "plot_documents_change.csv"
         rows = [[r.filter, f"{r.reduction_pct:.1f}"] for r in report.rows]
-        path.write_bytes(_csv_bytes(["filter", "reduction_pct"], rows))
-        written.append(path)
+        written.append(write_atomic(path, _csv_bytes(["filter", "reduction_pct"], rows)))
     else:
         raise ValueError(f"unknown experiment id: {report.experiment!r}")
     return written

@@ -18,6 +18,8 @@ import math
 import random
 from pathlib import Path
 
+from .errors import write_atomic
+
 DEFAULT_SEED = 20250601
 DEFAULT_DOC_BYTES = 2_000_000
 DEFAULT_CONV_BYTES = 2_000_000
@@ -361,10 +363,8 @@ def write_sample_corpora(
     """Write documents.txt and conversations.jsonl under ``out_dir`` and
     return their paths. Same arguments always produce byte-identical files."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     documents, lines = generate_corpora(seed=seed, doc_bytes=doc_bytes, conv_bytes=conv_bytes)
-    docs_path = out / "documents.txt"
-    convs_path = out / "conversations.jsonl"
-    docs_path.write_bytes(("\n".join(documents) + "\n").encode("utf-8"))
-    convs_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    return docs_path, convs_path
+    return (
+        write_atomic(out / "documents.txt", ("\n".join(documents) + "\n").encode("utf-8")),
+        write_atomic(out / "conversations.jsonl", ("\n".join(lines) + "\n").encode("utf-8")),
+    )

@@ -31,8 +31,9 @@ from .errors import (
     IdOutOfRange,
     IntegrityError,
     InvalidByteSequence,
-    InvalidEncoding,
     parse_json,
+    read_utf8,
+    write_atomic,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -324,41 +325,23 @@ def decode(model: TokenizerModel, ids: list[int]) -> str:
     """Invert :func:`encode`. ``decode(model, encode(model, s)) == s``."""
     vocab = model.vocab
     n = len(vocab)
-    if model.mode is TokenizerMode.BYTE_LEVEL:
-        chars: list[str] = []
+    byte_level = model.mode is TokenizerMode.BYTE_LEVEL
+    data = bytearray()
+    try:
         for i in ids:
             if not 0 <= i < n:
                 raise IdOutOfRange(f"token id {i} outside vocabulary of {n}")
-            chars.append(vocab[i])
-        data = bytes(_CHAR_TO_BYTE[c] for c in "".join(chars))
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidByteSequence(f"token bytes are not valid UTF-8: {exc}") from exc
-
-    parts: list[str] = []
-    pending = bytearray()
-
-    def flush() -> None:
-        if pending:
-            try:
-                parts.append(pending.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise InvalidByteSequence(
-                    f"fallback bytes are not valid UTF-8: {exc}"
-                ) from exc
-            pending.clear()
-
-    for i in ids:
-        if not 0 <= i < n:
-            raise IdOutOfRange(f"token id {i} outside vocabulary of {n}")
-        if i < N_BYTE_SYMBOLS:
-            pending.append(i)
-        else:
-            flush()
-            parts.append(vocab[i])
-    flush()
-    return "".join(parts)
+            if byte_level:
+                data.extend(_CHAR_TO_BYTE[c] for c in vocab[i])
+            elif i < N_BYTE_SYMBOLS:
+                data.append(i)  # the fallback token <0xHH> stands for byte i
+            else:
+                data += vocab[i].encode("utf-8")
+        # one decode of all the bytes: a token's UTF-8 never begins with a
+        # continuation byte, so a sequence that is cut off stays an error
+        return data.decode("utf-8")
+    except UnicodeError as exc:  # also a lone surrogate in a loaded vocabulary
+        raise InvalidByteSequence(f"token bytes are not valid UTF-8: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +364,7 @@ def model_to_bytes(model: TokenizerModel) -> bytes:
 
 
 def save_model(model: TokenizerModel, path: str | Path) -> None:
-    Path(path).write_bytes(model_to_bytes(model))
+    write_atomic(path, model_to_bytes(model))
 
 
 def load_model(path: str | Path) -> TokenizerModel:
@@ -390,12 +373,7 @@ def load_model(path: str | Path) -> TokenizerModel:
     Raises FormatVersionMismatch for unknown versions and IntegrityError for
     structural damage (dangling merges, duplicate or reordered vocab, ...).
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidEncoding(f"model file is not UTF-8: {path}") from exc
-    obj = parse_json(text, lambda msg: IntegrityError(f"model file {path}: {msg}"))
+    obj = parse_json(read_utf8(path), lambda msg: IntegrityError(f"model file {path}: {msg}"))
     if not isinstance(obj, dict):
         raise IntegrityError("model file must contain a JSON object")
     version = obj.get("version")

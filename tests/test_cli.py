@@ -301,6 +301,20 @@ def test_utf8_encode_stdin_roundtrips(small_model, capsys, monkeypatch):
     assert decode(load_model(small_model), json.loads(out)) == "café\r\n"
 
 
+def test_encode_input_stdin_and_text_agree_on_newlines(small_model, tmp_path, capsys,
+                                                       monkeypatch):
+    raw = b"one\r\ntwo\rthree\n"
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(raw)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    runs = [run(capsys, "encode", "--model", small_model, *source)
+            for source in (["--input", str(path)], [], ["--text", raw.decode("utf-8")])]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    ids = [json.loads(out) for _, out, _ in runs]
+    assert ids[0] == ids[1] == ids[2]
+    assert decode(load_model(small_model), ids[0]) == raw.decode("utf-8")
+
+
 def test_non_utf8_encode_text_fails_cleanly(small_model, capsys):
     # a non-UTF-8 argv byte reaches Python as a lone surrogate escape
     code, out, err = run(capsys, "encode", "--model", small_model, "--text", "caf\udce9")

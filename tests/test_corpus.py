@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from convtok.cli import main
 from convtok.corpus import (
     ConversationRecord,
     ConversationSet,
@@ -158,6 +159,21 @@ class TestLoadConversations:
         )
         assert len(load_conversations(path)) == 2
 
+    def test_unicode_line_breaks_inside_strings(self, tmp_path, capsys):
+        # each of these would end a line for str.splitlines(); JSON escapes
+        # the form feed as \f, and leaves the other three raw
+        content = "one\u2028two\u2029three\u0085four\x0cfive"
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record_obj(0, turns=[{"role": "user", "content": content}])])
+        assert "one\u2028two\u2029three\u0085four".encode("utf-8") in path.read_bytes()
+        loaded = load_conversations(path)
+        assert loaded.records[0].turns == (("user", content),)
+        normalized = tmp_path / "out" / "normalized.jsonl"
+        assert main(["ingest", "--conversations", str(path), "--out", str(normalized)]) == 0
+        assert main(["ingest", "--conversations", str(normalized)]) == 0
+        assert load_conversations(normalized) == loaded
+        capsys.readouterr()
+
     def test_native_names_win_over_lmsys_names(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{**record_obj(0), "conversation_id": "other"}])
@@ -182,6 +198,9 @@ class TestLoadDocuments:
         path.write_text("first doc\nsecond doc\n", encoding="utf-8")
         docs = load_documents(path)
         assert list(docs) == ["first doc", "second doc"]
+        # only "\n" ends a line, less one "\r" before it
+        path.write_bytes("first doc\x0csame doc\r\nsecond\u2028doc\rtoo\n".encode("utf-8"))
+        assert list(load_documents(path)) == ["first doc\x0csame doc", "second\u2028doc\rtoo"]
 
     def test_blank_lines_only(self, tmp_path):
         path = tmp_path / "d.txt"

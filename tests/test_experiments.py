@@ -1,5 +1,6 @@
 import csv
 import json
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from convtok.experiments import (
 )
 from convtok.metrics import fertility, language_groups, reduction
 from convtok.samples import write_sample_corpora
-from convtok.tokenizer import load_model, model_to_bytes
+from convtok.tokenizer import load_model, model_to_bytes, save_model
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +236,31 @@ class TestDeterminism:
         assert model_to_bytes(model) == model_to_bytes(tiny.ws.retrained(RoleFilter.USER_ONLY))
         names = {p.name for p in spec.output_dir.joinpath("models").iterdir()}
         assert names == {"base.json", "retrained_user.json", "manifest.json"}
+
+    @pytest.mark.parametrize("writer", ["save_model", "write_report"])
+    def test_interrupted_rewrite_keeps_the_old_file(self, writer, tiny, tmp_path, monkeypatch):
+        if writer == "save_model":
+            path = tmp_path / "model.json"
+            old, new = tiny.ws.base_model(), tiny.ws.retrained(RoleFilter.BOTH)
+            write = partial(save_model, path=path)
+        else:
+            path = tmp_path / "report" / "report.json"
+            old, new = tiny.exp1, tiny.exp3
+            write = partial(write_report, output_dir=path.parent)
+        write(old)
+        old_bytes = path.read_bytes()
+        real_write_bytes = Path.write_bytes
+
+        def dies_midway(target, data):
+            real_write_bytes(target, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", dies_midway)
+        with pytest.raises(OSError):
+            write(new)
+        monkeypatch.undo()
+        assert path.read_bytes() == old_bytes
+        assert not list(path.parent.glob("*.tmp"))
 
 
 class TestSpecValidation:

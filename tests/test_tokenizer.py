@@ -494,6 +494,16 @@ class TestDecode:
         lone_continuation = model.token_id("<0xC3>")
         with pytest.raises(InvalidByteSequence):
             decode(model, [lone_continuation])
+        # a cut-off fallback sequence stays an error before a vocabulary token
+        with pytest.raises(InvalidByteSequence):
+            decode(model, [lone_continuation, model.token_id("ab")])
+        assert decode(model, [model.token_id("<0xC3>"), model.token_id("<0xA9>"),
+                              model.token_id("ab")]) == "éab"
+
+    def test_lone_surrogate_token(self):
+        model = toy_char_model(extra_vocab=("\ud800",), merges=())
+        with pytest.raises(InvalidByteSequence):
+            decode(model, [model.token_id("\ud800")])
 
     def test_invalid_byte_mode_sequence(self, byte_model):
         c3_symbol = byte_symbol_map()[0xC3]
