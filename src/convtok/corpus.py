@@ -89,7 +89,7 @@ def _utf8_clean(value: str, line_number: int) -> str:
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise InvalidEncoding(f"content is not valid UTF-8: {exc}", line_number) from exc
+        raise InvalidEncoding(f"string is not valid UTF-8: {exc}", line_number) from exc
     return value
 
 
@@ -131,10 +131,10 @@ def _parse_record(obj: dict, line_number: int) -> ConversationRecord:
         turns.append((role, _utf8_clean(content, line_number)))
 
     return ConversationRecord(
-        id=record_id,
-        model_name=model_name,
+        id=_utf8_clean(record_id, line_number),
+        model_name=_utf8_clean(model_name, line_number),
         turns=tuple(turns),
-        language=language.lower(),
+        language=_utf8_clean(language, line_number).lower(),
     )
 
 

@@ -51,7 +51,7 @@ from .tokenizer import (
     TokenizerMode,
     TokenizerModel,
     load_model,
-    model_to_bytes,
+    save_model,
 )
 from .trainer import TrainConfig, retrain_like, train_bpe
 
@@ -200,7 +200,8 @@ def sample_documents(documents: list[str], max_bytes: int) -> list[str]:
 class Workspace:
     """Loads corpora, derives splits, pretokenizes each text scope once and
     trains or loads the models a spec needs. Models are cached under
-    ``<output_dir>/models`` keyed by a config hash, so experiments reuse them."""
+    ``<output_dir>/models`` keyed by a config hash, so experiments reuse them;
+    a cache whose manifest records another hash is emptied on construction."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -222,6 +223,12 @@ class Workspace:
             config_hash=self._config_hash(corpus_digests),
             **corpus_digests,
         )
+        if not self._cache_valid():
+            # no model of another configuration may outlive the manifest update
+            for stale in self.models_dir.glob("*.json"):
+                stale.unlink()
+            manifest = json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":"))
+            write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
 
     def _config_hash(self, corpus_digests: dict[str, str]) -> str:
         spec = self.spec
@@ -247,39 +254,23 @@ class Workspace:
     def models_dir(self) -> Path:
         return Path(self.spec.output_dir) / "models"
 
-    def _model_path(self, name: str) -> Path:
-        return self.models_dir / f"{name}.json"
-
     def _cache_valid(self) -> bool:
-        manifest = self.models_dir / "manifest.json"
-        if not manifest.exists():
-            return False
         try:
-            recorded = parse_json(read_utf8(manifest), IntegrityError)
-        except (InvalidEncoding, IntegrityError):
+            recorded = parse_json(read_utf8(self.models_dir / "manifest.json"), IntegrityError)
+        except (FileNotFoundError, InvalidEncoding, IntegrityError):
             return False
         return isinstance(recorded, dict) and recorded.get("config_hash") == self.provenance.config_hash
-
-    def _store(self, name: str, model: TokenizerModel) -> None:
-        if not self._cache_valid():
-            # models from a different configuration must not survive the
-            # manifest update, or later lookups would load them as current
-            for stale in self.models_dir.glob("*.json"):
-                stale.unlink()
-        write_atomic(self._model_path(name), model_to_bytes(model))
-        manifest = json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":"))
-        write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
 
     def _get(self, name: str, build) -> TokenizerModel:
         model = self._models.get(name)
         if model is None:
-            path = self._model_path(name)
-            if self._cache_valid() and path.exists():
+            path = self.models_dir / f"{name}.json"
+            if path.exists():
                 model = load_model(path)
                 logger.info("loaded cached model %s", path)
             else:
                 model = build()
-                self._store(name, model)
+                save_model(model, path)
                 logger.info("trained model %s (vocab %d)", name, len(model.vocab))
             self._models[name] = model
         return model
@@ -336,6 +327,13 @@ class Workspace:
 # Experiments
 # ---------------------------------------------------------------------------
 
+def _workspace(spec: ExperimentSpec, workspace: Workspace | None) -> Workspace:
+    # a report's rows follow ``spec`` and its provenance follows the workspace
+    if workspace is not None and workspace.spec != spec:
+        raise ConfigError("the workspace was built for a different experiment spec")
+    return workspace or Workspace(spec)
+
+
 def _fertility_row(model: TokenizerModel, scope: str, table: PieceTable) -> ScopeRow:
     result = fertility(model, table)
     return ScopeRow(
@@ -373,7 +371,7 @@ def _comparison_row(
 
 def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
     """Baseline fertility on documents versus conversation scopes."""
-    ws = workspace or Workspace(spec)
+    ws = _workspace(spec, workspace)
     base = ws.base_model()
     rows = tuple(
         _fertility_row(base, scope, ws.table(scope))
@@ -384,7 +382,7 @@ def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) ->
 
 def run_experiment2(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
     """Retrain per role filter; reduction on the held-out conversation split."""
-    ws = workspace or Workspace(spec)
+    ws = _workspace(spec, workspace)
     train_ids = {r.id for r in ws.conv_train.records}
     test_ids = {r.id for r in ws.conv_test.records}
     if train_ids & test_ids:
@@ -405,7 +403,7 @@ def run_experiment2(spec: ExperimentSpec, workspace: Workspace | None = None) ->
 
 def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
     """Retrained tokenizers evaluated back on the document corpus."""
-    ws = workspace or Workspace(spec)
+    ws = _workspace(spec, workspace)
     base = ws.base_model()
     rows = tuple(
         _comparison_row(base, ws.retrained(f), "documents", f.value, ws.table("documents"))

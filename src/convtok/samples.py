@@ -360,9 +360,10 @@ def write_sample_corpora(
     doc_bytes: int = DEFAULT_DOC_BYTES,
     conv_bytes: int = DEFAULT_CONV_BYTES,
 ) -> tuple[Path, Path]:
-    """Write documents.txt and conversations.jsonl under ``out_dir`` and
-    return their paths. Same arguments always produce byte-identical files."""
+    """Make ``out_dir`` first, then write documents.txt and conversations.jsonl
+    in it and return their paths; the same arguments give byte-identical files."""
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     documents, lines = generate_corpora(seed=seed, doc_bytes=doc_bytes, conv_bytes=conv_bytes)
     return (
         write_atomic(out / "documents.txt", ("\n".join(documents) + "\n").encode("utf-8")),

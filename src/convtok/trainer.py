@@ -18,11 +18,11 @@ iteration order and identical across runs and platforms.
 
 The optimized trainer keeps live pair counts, a grow-only set of owner
 pieces per pair and a lazy max-heap of (count, pair) entries. A merge
-rewrites only the owners of the merged pair, and each rewritten piece applies
-one signed per-pair delta, so a pair whose count in the piece is unchanged
-costs nothing. A heap entry is pushed only when a count rises; a popped entry
-that records more than the live count is re-filed at the live count. Since
-counts only fall between pushes, the selection stays exact (see
+rewrites only the owners of the merged pair: each rewritten piece adds its
+new pairs and subtracts its old ones. Only pairs that hold the merge product
+can rise, and each is pushed once, after the merge's last owner; a popped
+entry that records more than the live count is re-filed at the live count.
+Since counts only fall between pushes, the selection stays exact (see
 :func:`train_bpe`).
 """
 
@@ -118,30 +118,31 @@ def _initial_state(
 def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> TokenizerModel:
     """Train a BPE model on texts or a piece table; deterministic in (pieces, config).
 
-    Pair counts are maintained incrementally and the best pair is tracked in
-    a lazy max-heap, so cost scales with the number of affected pieces per
-    merge instead of the corpus size.
+    Pair counts are kept incrementally and the best pair sits in a lazy
+    max-heap, so a merge costs in proportion to its owner pieces, not the corpus.
 
-    Each rewritten piece applies one signed delta, its new pair counts minus
-    its old ones, to ``pair_counts``. A pair that rises holds the merge
-    product, which names no earlier symbol, so a rise only ever creates a
-    pair: its holders only shrink after that, and at count zero it can never
-    return.
+    Each rewritten piece adds its new pairs to ``pair_counts``, then
+    subtracts its old ones, so a pair it keeps never touches zero. A new pair
+    without the merge product joins two symbols that were adjacent before,
+    so only pairs with the product rise. The product names no earlier symbol,
+    so such a pair is created by this merge: it gains the piece as an owner
+    and joins ``created``. Its holders only shrink after that; at count zero
+    it is dropped with its owner set.
 
     ``where`` invariant: ``where[p]`` is a superset of the pieces that hold a
     live pair ``p``. A piece joins it when ``p`` is created there and never
     leaves it; an owner that no longer holds the merged pair is skipped, as
-    ``merge_adjacent`` leaves it the same length. A pair's set is dropped with
-    its count when the count reaches zero.
+    ``merge_adjacent`` leaves it the same length.
 
     Heap invariant: every live pair has at least one entry whose recorded
-    count is at or above its live count. The initial heap and every rise push
-    such an entry, counts only fall between pushes, and a popped entry whose
-    recorded count is not the live count is re-filed at the live count. Hence
-    the first popped entry that matches its live count is the true (max
-    frequency, min pair), and the selection equals the oracle's. A popped
-    pair whose product is already in the vocabulary is dropped: the
-    vocabulary only grows, so the pair never becomes eligible again.
+    count is at or above its live count. The initial heap and one push per
+    ``created`` pair after the merge's last owner add such entries, counts
+    only fall between pushes, and a popped entry whose recorded count is not
+    the live count is re-filed at the live count. Hence the first popped
+    entry that matches its live count is the true (max frequency, min pair),
+    and the selection equals the oracle's. A popped pair whose product is
+    already in the vocabulary is dropped: the vocabulary only grows, so the
+    pair never becomes eligible again.
     """
     vocab, sequences = _initial_state(corpus, config)
     vocab_set = set(vocab)
@@ -178,27 +179,26 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
         vocab.append(product)
         vocab_set.add(product)
 
+        created: set[Pair] = set()
         for idx in where[pair]:
             old_seq, mult = sequences[idx]
             new_seq = merge_adjacent(old_seq, left, right, product)
             if len(new_seq) == len(old_seq):
                 continue  # a stale owner: the pair left this piece earlier
             sequences[idx] = (new_seq, mult)
-            delta = Counter(zip(new_seq, new_seq[1:]))
-            delta.subtract(zip(old_seq, old_seq[1:]))
-            for p, d in delta.items():
-                if d > 0:
-                    updated = pair_counts.get(p, 0) + d * mult
-                    pair_counts[p] = updated
-                    heapq.heappush(heap, (-updated, p))
+            for p in zip(new_seq, new_seq[1:]):
+                pair_counts[p] = pair_counts.get(p, 0) + mult
+                if product in p:
                     where.setdefault(p, set()).add(idx)
-                elif d < 0:
-                    remaining = pair_counts[p] + d * mult
-                    if remaining:
-                        pair_counts[p] = remaining
-                    else:
-                        del pair_counts[p]
-                        del where[p]
+                    created.add(p)
+            for p in zip(old_seq, old_seq[1:]):
+                if remaining := pair_counts[p] - mult:
+                    pair_counts[p] = remaining
+                else:
+                    del pair_counts[p]
+                    del where[p]
+        for p in created:  # entries are fully ordered, so push order is moot
+            heapq.heappush(heap, (-pair_counts[p], p))
 
     return TokenizerModel(
         mode=config.mode,

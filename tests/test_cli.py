@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import convtok.samples
 from convtok.cli import _experiment_spec, build_parser, main
 from convtok.experiments import DEFAULT_VOCAB_SIZE, ExperimentSpec
 from convtok.samples import write_sample_corpora
@@ -114,6 +115,17 @@ def test_samples_deterministic(tmp_path, capsys):
     a = (tmp_path / "a" / "conversations.jsonl").read_bytes()
     b = (tmp_path / "b" / "conversations.jsonl").read_bytes()
     assert a == b
+
+
+def test_samples_under_a_file_fails_before_generating(tmp_path, monkeypatch):
+    (tmp_path / "f").write_bytes(b"")
+
+    def must_not_run(**kwargs):
+        pytest.fail("corpora generated for an output directory that cannot exist")
+
+    monkeypatch.setattr(convtok.samples, "generate_corpora", must_not_run)
+    with pytest.raises(OSError):
+        convtok.samples.write_sample_corpora(tmp_path / "f" / "sub")
 
 
 def test_ingest_writes_normalized_jsonl(tmp_path, capsys):
@@ -252,6 +264,29 @@ def one_json_error(err):
     lines = err.splitlines()
     assert len(lines) == 1, err
     return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("field", ["id", "model", "language"])
+def test_lone_surrogate_in_a_record_field_fails_cleanly(field, tmp_path, capsys):
+    # valid JSON, but "\ud800" decodes to a string that UTF-8 cannot encode
+    record = {"id": "a", "model": "m", "language": "en",
+              "turns": [{"role": "user", "content": "hello there"}]}
+    line = json.dumps(record).replace(f'"{field}": "{record[field]}"', f'"{field}": "x\\ud800"')
+    assert "\\ud800" in line
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n", encoding="utf-8")
+    for argv in (["ingest", "--conversations", str(bad)],
+                 ["ingest", "--conversations", str(bad), "--out", str(tmp_path / "n.jsonl")],
+                 ["train", "--corpus", str(bad), "--vocab-size", "300",
+                  "--out", str(tmp_path / "m.json")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        payload = one_json_error(err)
+        assert payload["error"] == "InvalidEncoding"
+        assert payload["message"].startswith("line 1: ")
+    assert not (tmp_path / "n.jsonl").exists()
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_non_utf8_encode_input_fails_cleanly(data, tmp_path, capsys):

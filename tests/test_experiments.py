@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -263,7 +264,40 @@ class TestDeterminism:
         assert not list(path.parent.glob("*.tmp"))
 
 
+class TestModelCache:
+    def test_cold_run_writes_the_manifest_once(self, tiny, tmp_path, monkeypatch):
+        spec = ExperimentSpec(
+            conversations_path=tiny.spec.conversations_path,
+            documents_path=tiny.spec.documents_path,
+            output_dir=tmp_path / "cold",
+            split=tiny.spec.split,
+            vocab_size=300,
+            language_threshold=tiny.spec.language_threshold,
+        )
+        written = []
+        real_write_atomic = convtok.experiments.write_atomic
+
+        def counting(path, data):
+            written.append(Path(path).name)
+            return real_write_atomic(path, data)
+
+        monkeypatch.setattr(convtok.experiments, "write_atomic", counting)
+        run_experiment2(spec)
+        assert written.count("manifest.json") == 1
+        names = {p.name for p in (tmp_path / "cold" / "models").iterdir()}
+        assert names == {"manifest.json", "base.json", "retrained_user.json",
+                         "retrained_assistant.json", "retrained_both.json"}
+
+
 class TestSpecValidation:
+    @pytest.mark.parametrize("run", [run_experiment1, run_experiment2, run_experiment3])
+    def test_workspace_of_another_spec_is_rejected(self, run, tiny):
+        # rows would follow one spec while the provenance hashed the other
+        other = replace(tiny.spec, language_threshold=tiny.spec.language_threshold + 1)
+        with pytest.raises(ConfigError):
+            run(other, tiny.ws)
+        assert run(tiny.spec, tiny.ws).provenance == tiny.ws.provenance
+
     def test_bad_values_raise_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             SplitSpec(train_fraction=1.5)

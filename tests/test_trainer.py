@@ -1,8 +1,15 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import convtok
 from convtok.errors import ConfigError, CorpusTooLarge
 from convtok.metrics import token_count
 from convtok.tokenizer import (
@@ -95,6 +102,48 @@ class TestTrainBpe:
         corpus = random_corpus(random.Random(5))
         config = TrainConfig(vocab_size=300)
         assert model_to_bytes(train_bpe(corpus, config)) == model_to_bytes(train_bpe(corpus, config))
+
+    def test_training_is_independent_of_the_hash_seed(self):
+        # the per-merge set of created pairs is iterated in string-hash order;
+        # heap entries are fully ordered, so the order of their pushes is moot
+        corpus = random_corpus(random.Random(77), n_texts=8, n_words=120)
+        script = (
+            "import hashlib, json, sys\n"
+            "from convtok.tokenizer import TokenizerMode, model_to_bytes\n"
+            "from convtok.trainer import TrainConfig, train_bpe\n"
+            "corpus = json.load(sys.stdin)\n"
+            "for mode in TokenizerMode:\n"
+            "    config = TrainConfig(vocab_size=420, mode=mode, min_pair_frequency=1)\n"
+            "    print(hashlib.sha256(model_to_bytes(train_bpe(corpus, config))).hexdigest())\n"
+        )
+        src = str(Path(convtok.__file__).resolve().parents[1])
+        digests = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", script], input=json.dumps(corpus),
+                                 env=env, capture_output=True, text=True, check=True).stdout
+            digests.append(out.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
+        local = [hashlib.sha256(model_to_bytes(train_bpe(corpus, TrainConfig(
+            vocab_size=420, mode=mode, min_pair_frequency=1)))).hexdigest() for mode in (BYTE, CHAR)]
+        assert digests[0] == local
+
+    def test_a_merge_pushes_each_created_pair_once(self, monkeypatch):
+        # merging (a, b) creates (ab, c) in five distinct pieces: one push, at
+        # its final count, not one per piece
+        pushed = []
+        real_push = convtok.trainer.heapq.heappush
+
+        def spy(heap, entry):
+            pushed.append(entry[1])
+            real_push(heap, entry)
+
+        monkeypatch.setattr(convtok.trainer.heapq, "heappush", spy)
+        model = train_bpe(["abc xabc yabc zabc wabc"] * 3, TrainConfig(vocab_size=258))
+        assert model.merges == (("a", "b"), ("ab", "c"))
+        assert pushed.count(("ab", "c")) == 1
 
     def test_min_pair_frequency_stops_merging(self):
         assert train_bpe(["ab"], TrainConfig(vocab_size=300)).merges == ()
