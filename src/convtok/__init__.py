@@ -66,7 +66,6 @@ from .tokenizer import (
 )
 from .trainer import (
     TrainConfig,
-    retrain_like,
     train_bpe,
     train_bpe_oracle,
 )

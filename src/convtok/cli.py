@@ -81,6 +81,8 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    # fail on an unusable --out before the corpus is loaded and trained on
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus_texts(args.corpus, args.format, args.role_filter)
     config = TrainConfig(
         vocab_size=args.vocab_size,

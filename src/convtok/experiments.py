@@ -21,7 +21,7 @@ import hashlib
 import io
 import json
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -53,7 +53,7 @@ from .tokenizer import (
     load_model,
     save_model,
 )
-from .trainer import TrainConfig, retrain_like, train_bpe
+from .trainer import TrainConfig, train_bpe
 
 logger = logging.getLogger(__name__)
 
@@ -199,7 +199,9 @@ def sample_documents(documents: list[str], max_bytes: int) -> list[str]:
 
 class Workspace:
     """Loads corpora, derives splits, pretokenizes each text scope once and
-    trains or loads the models a spec needs. Models are cached under
+    trains or loads the models a spec needs. Every model is ``train_bpe`` on
+    a scope's piece table under one ``TrainConfig``, taken from the spec or,
+    with ``base_model_path``, from that file. Models are cached under
     ``<output_dir>/models`` keyed by a config hash, so experiments reuse them;
     a cache whose manifest records another hash is emptied on construction."""
 
@@ -214,6 +216,13 @@ class Workspace:
         self.docs_test = [d for i, d in enumerate(self.documents) if str(i) not in train_ids]
         self._models: dict[str, TokenizerModel] = {}
         self._tables: dict[str, PieceTable] = {}
+        base = load_model(spec.base_model_path) if spec.base_model_path else None
+        self.config = TrainConfig(
+            vocab_size=len(base.vocab) if base else spec.vocab_size,
+            mode=base.mode if base else spec.mode,
+            scheme=base.scheme if base else spec.scheme,
+            min_pair_frequency=spec.min_pair_frequency,
+        )
         corpus_digests = {
             "conversations_sha256": _sha256_file(spec.conversations_path),
             "documents_sha256": _sha256_file(spec.documents_path),
@@ -229,6 +238,10 @@ class Workspace:
                 stale.unlink()
             manifest = json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":"))
             write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
+        if base is not None:
+            self._models["base"] = base
+            if not (self.models_dir / "base.json").exists():
+                save_model(base, self.models_dir / "base.json")
 
     def _config_hash(self, corpus_digests: dict[str, str]) -> str:
         spec = self.spec
@@ -261,7 +274,7 @@ class Workspace:
             return False
         return isinstance(recorded, dict) and recorded.get("config_hash") == self.provenance.config_hash
 
-    def _get(self, name: str, build) -> TokenizerModel:
+    def _get(self, name: str, scope: str, config: TrainConfig) -> TokenizerModel:
         model = self._models.get(name)
         if model is None:
             path = self.models_dir / f"{name}.json"
@@ -269,41 +282,24 @@ class Workspace:
                 model = load_model(path)
                 logger.info("loaded cached model %s", path)
             else:
-                model = build()
+                model = train_bpe(self.table(scope), config)
                 save_model(model, path)
                 logger.info("trained model %s (vocab %d)", name, len(model.vocab))
             self._models[name] = model
         return model
 
     def base_model(self) -> TokenizerModel:
-        spec = self.spec
-
-        def build() -> TokenizerModel:
-            if spec.base_model_path is not None:
-                return load_model(spec.base_model_path)
-            corpus = sample_documents(self.docs_train, spec.doc_sample_bytes)
-            config = TrainConfig(
-                vocab_size=spec.vocab_size,
-                mode=spec.mode,
-                scheme=spec.scheme,
-                min_pair_frequency=spec.min_pair_frequency,
-            )
-            return train_bpe(corpus, config)
-
-        return self._get("base", build)
+        return self._get("base", "train:documents", self.config)
 
     def retrained(self, role_filter: RoleFilter) -> TokenizerModel:
-        base = self.base_model()
-
-        def build() -> TokenizerModel:
-            corpus = self.table(f"train:{role_filter.value}")
-            return retrain_like(base, corpus, min_pair_frequency=self.spec.min_pair_frequency)
-
-        return self._get(f"retrained_{role_filter.value}", build)
+        # a base that stopped early caps its retrained models at its own size
+        config = replace(self.config, vocab_size=len(self.base_model().vocab))
+        return self._get(f"retrained_{role_filter.value}", f"train:{role_filter.value}", config)
 
     def table(self, scope: str) -> PieceTable:
-        """Piece table of a scope in the base model's scheme: ``train:<role>``,
-        or on the test side ``documents``, ``all``, ``<role>``, ``language:<tag>``."""
+        """Piece table of a scope in the run's scheme: ``train:documents``,
+        ``train:<role>``, or on the test side ``documents``, ``all``,
+        ``<role>``, ``language:<tag>``."""
         if scope not in self._tables:
             self._tables[scope] = self._build_table(scope)
         return self._tables[scope]
@@ -314,13 +310,15 @@ class Workspace:
             return self.table(f"{prefix}user") + self.table(f"{prefix}assistant")
         if scope == "documents":
             texts = self.docs_test
+        elif scope == "train:documents":
+            texts = sample_documents(self.docs_train, self.spec.doc_sample_bytes)
         elif scope.startswith("language:"):
             subset = dict(language_groups(self.conv_test, 0))[scope.removeprefix("language:")]
             texts = extract_text(subset, RoleFilter.BOTH)
         else:
             side, _, role = scope.rpartition(":")
             texts = extract_text(self.conv_train if side == "train" else self.conv_test, RoleFilter(role))
-        return PieceTable.of(texts, self.base_model().scheme)
+        return PieceTable.of(texts, self.config.scheme)
 
 
 # ---------------------------------------------------------------------------

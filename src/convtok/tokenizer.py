@@ -216,10 +216,6 @@ class TokenizerModel:
                 if any(ch not in _CHAR_TO_BYTE for ch in tok):
                     raise IntegrityError(f"token contains unmapped characters: {tok!r}")
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
     def token_id(self, token: str) -> int:
         return self._token_ids[token]
 

@@ -257,16 +257,3 @@ def train_bpe_oracle(
         merges=tuple(merges),
     )
 
-
-def retrain_like(
-    reference: TokenizerModel, corpus: PieceTable | Iterable[str], min_pair_frequency: int = 2
-) -> TokenizerModel:
-    """Train from scratch on ``corpus`` with the reference's configuration
-    (mode, scheme, target vocabulary size)."""
-    config = TrainConfig(
-        vocab_size=len(reference.vocab),
-        mode=reference.mode,
-        scheme=reference.scheme,
-        min_pair_frequency=min_pair_frequency,
-    )
-    return train_bpe(corpus, config)

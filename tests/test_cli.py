@@ -5,11 +5,18 @@ from pathlib import Path
 
 import pytest
 
+import convtok.cli
 import convtok.samples
 from convtok.cli import _experiment_spec, build_parser, main
 from convtok.experiments import DEFAULT_VOCAB_SIZE, ExperimentSpec
 from convtok.samples import write_sample_corpora
-from convtok.tokenizer import PretokenScheme, TokenizerMode, decode, load_model
+from convtok.tokenizer import (
+    PretokenScheme,
+    TokenizerMode,
+    base_alphabet,
+    decode,
+    load_model,
+)
 from convtok.trainer import TrainConfig
 
 
@@ -126,6 +133,20 @@ def test_samples_under_a_file_fails_before_generating(tmp_path, monkeypatch):
     monkeypatch.setattr(convtok.samples, "generate_corpora", must_not_run)
     with pytest.raises(OSError):
         convtok.samples.write_sample_corpora(tmp_path / "f" / "sub")
+
+
+def test_train_under_a_file_fails_before_training(data, tmp_path, capsys, monkeypatch):
+    (tmp_path / "f").write_bytes(b"")
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("trained for an output path that cannot exist")
+
+    monkeypatch.setattr(convtok.cli, "train_bpe", must_not_run)
+    code, out, err = run(capsys, "train", "--corpus", data["docs"], "--vocab-size", "300",
+                         "--out", str(tmp_path / "f" / "sub" / "m.json"))
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == "NotADirectoryError"
 
 
 def test_ingest_writes_normalized_jsonl(tmp_path, capsys):
@@ -289,6 +310,27 @@ def test_lone_surrogate_in_a_record_field_fails_cleanly(field, tmp_path, capsys)
     assert not (tmp_path / "m.json").exists()
 
 
+_RECORD = {"id": "a", "model": "m", "language": "en",
+           "turns": [{"role": "user", "content": "hello there"}]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"id": ""}, "id must be a non-empty string"),
+    ({"model": 3}, "model must be a string"),
+    ({"language": ""}, "language must be a non-empty string"),
+    ({"turns": ["hello there"]}, "each turn must be an object"),
+    ({"turns": [{"role": "user", "content": ["hello"]}]}, "turn content must be a string"),
+], ids=["empty-id", "model-not-string", "empty-language", "turn-not-object",
+        "content-not-string"])
+def test_mistyped_record_field_fails_cleanly(change, message, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({**_RECORD, **change}) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "ingest", "--conversations", str(bad))
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err) == {"error": "MalformedRecord", "message": f"line 1: {message}"}
+
+
 def test_non_utf8_encode_input_fails_cleanly(data, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     run(capsys, "train", "--corpus", data["docs"], "--vocab-size", "256",
@@ -380,6 +422,34 @@ def test_bad_report_fails_cleanly(tmp_path, capsys, content, error):
     assert out == ""
     assert one_json_error(err)["error"] == error
     assert not (tmp_path / "o").exists()
+
+
+_BYTE_VOCAB = list(base_alphabet(TokenizerMode.BYTE_LEVEL))
+_MODEL = {"version": 1, "mode": "byte_level", "scheme": "category_split",
+          "vocab": _BYTE_VOCAB, "merges": []}
+
+
+@pytest.mark.parametrize("change, message", [
+    (None, "model file must contain a JSON object"),
+    ({"mode": "word_level"}, "bad mode/scheme field"),
+    ({"scheme": "none"}, "bad mode/scheme field"),
+    ({"vocab": _BYTE_VOCAB + [7]}, "vocab must be a list of strings"),
+    ({"merges": {"t": "h"}}, "merges must be a list"),
+    ({"merges": [["t", "h", "e"]]}, "bad merge entry"),
+    ({"vocab": _BYTE_VOCAB[:255]}, "vocabulary smaller than the base alphabet"),
+    ({"vocab": _BYTE_VOCAB + ["t h"]}, "token contains unmapped characters"),
+], ids=["not-an-object", "bad-mode", "bad-scheme", "vocab-not-strings", "merges-not-list",
+        "bad-merge-entry", "vocab-below-256", "unmapped-character"])
+def test_damaged_model_fails_cleanly(change, message, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps([_MODEL] if change is None else {**_MODEL, **change}),
+                     encoding="utf-8")
+    code, out, err = run(capsys, "encode", "--model", str(model), "--text", "x")
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert payload["error"] == "IntegrityError"
+    assert payload["message"].startswith(message)
 
 
 def test_exp2_with_empty_held_out_split_fails_cleanly(data, tmp_path, capsys):

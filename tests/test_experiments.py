@@ -23,7 +23,14 @@ from convtok.experiments import (
 )
 from convtok.metrics import fertility, language_groups, reduction
 from convtok.samples import write_sample_corpora
-from convtok.tokenizer import load_model, model_to_bytes, save_model
+from convtok.tokenizer import (
+    PretokenScheme,
+    TokenizerMode,
+    load_model,
+    model_to_bytes,
+    save_model,
+)
+from convtok.trainer import TrainConfig, train_bpe
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +269,54 @@ class TestDeterminism:
         monkeypatch.undo()
         assert path.read_bytes() == old_bytes
         assert not list(path.parent.glob("*.tmp"))
+
+
+class TestWorkspaceTraining:
+    """Every model is train_bpe on a scope's table under the run's config."""
+
+    def test_base_is_trained_on_the_sampled_documents(self, tiny):
+        texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
+        config = TrainConfig(vocab_size=tiny.spec.vocab_size, mode=tiny.spec.mode,
+                             scheme=tiny.spec.scheme,
+                             min_pair_frequency=tiny.spec.min_pair_frequency)
+        assert tiny.ws.base_model() == train_bpe(texts, config)
+
+    def test_each_role_filter_trains_its_own_model(self, tiny):
+        merges = {f: tiny.ws.retrained(f).merges for f in tiny.spec.role_filters}
+        assert len(set(merges.values())) == len(merges)
+
+    def test_retrained_models_stop_at_an_early_stopping_base(self, tiny, tmp_path):
+        # a few short documents support far fewer merges than vocab_size asks for
+        docs = tmp_path / "docs.txt"
+        docs.write_text("".join(f"a short document, number {i}\n" for i in range(20)),
+                        encoding="utf-8")
+        spec = replace(tiny.spec, documents_path=docs, output_dir=tmp_path / "out",
+                       vocab_size=5000)
+        ws = Workspace(spec)
+        run_experiment2(spec, ws)
+        base = ws.base_model()
+        assert len(base.vocab) < spec.vocab_size
+        sizes = [len(ws.retrained(f).vocab) for f in spec.role_filters]
+        assert max(sizes) == len(base.vocab)  # the chat tables support more merges
+
+    def test_retrained_models_take_the_base_files_configuration(self, tiny, tmp_path):
+        base_path = tmp_path / "base.json"
+        texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
+        save_model(train_bpe(texts, TrainConfig(vocab_size=1500,
+                                                mode=TokenizerMode.CHAR_LEVEL_FALLBACK,
+                                                scheme=PretokenScheme.WHITESPACE_SPLIT)),
+                   base_path)
+        # the spec's own mode, scheme and vocab_size are the defaults, and unused
+        spec = replace(tiny.spec, output_dir=tmp_path / "out", base_model_path=base_path,
+                       vocab_size=ExperimentSpec.vocab_size)
+        ws = Workspace(spec)
+        run_experiment2(spec, ws)
+        base = load_model(base_path)
+        assert ws.base_model() == base
+        for role_filter in spec.role_filters:
+            model = ws.retrained(role_filter)
+            assert (model.mode, model.scheme) == (base.mode, base.scheme)
+            assert len(model.vocab) <= len(base.vocab)
 
 
 class TestModelCache:

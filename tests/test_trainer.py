@@ -21,7 +21,6 @@ from convtok.tokenizer import (
 from convtok.trainer import (
     TrainConfig,
     merge_adjacent,
-    retrain_like,
     train_bpe,
     train_bpe_oracle,
 )
@@ -291,38 +290,3 @@ class TestOracleStress:
             slow = train_bpe_oracle(corpus, config)
             assert model_to_bytes(fast) == model_to_bytes(slow), (case, corpus, config)
 
-
-# ---------------------------------------------------------------------------
-# retrain_like
-# ---------------------------------------------------------------------------
-
-class TestRetrainLike:
-    def test_inherits_configuration(self):
-        reference = train_bpe(
-            ["abab ab cd cd"], TrainConfig(vocab_size=300, mode=CHAR,
-                                           scheme=PretokenScheme.WHITESPACE_SPLIT)
-        )
-        retrained = retrain_like(reference, ["xy xy xy zz"])
-        assert retrained.mode == reference.mode
-        assert retrained.scheme == reference.scheme
-        assert len(retrained.vocab) <= len(reference.vocab)
-
-    def test_same_corpus_reproduces_reference(self):
-        corpus = random_corpus(random.Random(77))
-        reference = train_bpe(corpus, TrainConfig(vocab_size=310))
-        assert retrain_like(reference, corpus) == reference
-
-    def test_role_filters_change_the_model(self):
-        user_texts = ["how do i reset my password please help"] * 30
-        assistant_texts = ["certainly, navigate to settings and choose reset"] * 30
-        reference = train_bpe(user_texts + assistant_texts, TrainConfig(vocab_size=350))
-        user_model = retrain_like(reference, user_texts)
-        assistant_model = retrain_like(reference, assistant_texts)
-        assert user_model.merges != assistant_model.merges
-
-    def test_large_reference_vocab_caps_not_reached(self):
-        # tiny corpus exhausts merges long before a 32k-entry vocabulary
-        reference_vocab = 32_000
-        reference = train_bpe(["some tiny corpus"], TrainConfig(vocab_size=reference_vocab))
-        retrained = retrain_like(reference, ["another tiny corpus here"])
-        assert len(retrained.vocab) <= reference_vocab
