@@ -19,7 +19,6 @@ from .corpus import (
 from .errors import (
     ConfigError,
     ConvtokError,
-    CorpusTooLarge,
     EmptyCorpus,
     EmptyText,
     FormatVersionMismatch,
@@ -64,8 +63,4 @@ from .tokenizer import (
     pretokenize,
     save_model,
 )
-from .trainer import (
-    TrainConfig,
-    train_bpe,
-    train_bpe_oracle,
-)
+from .trainer import TrainConfig, train_bpe

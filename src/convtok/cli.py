@@ -23,6 +23,7 @@ from .corpus import (
 )
 from .errors import ConvtokError, InvalidEncoding, UsageError, read_utf8, write_atomic
 from .experiments import (
+    DEFAULT_SCHEME,
     DEFAULT_VOCAB_SIZE,
     ExperimentSpec,
     emit_plot_data,
@@ -34,7 +35,7 @@ from .experiments import (
 )
 from .metrics import fertility, language_groups
 from .samples import DEFAULT_CONV_BYTES, DEFAULT_DOC_BYTES, DEFAULT_SEED, write_sample_corpora
-from .tokenizer import PretokenScheme, TokenizerMode, encode, load_model, save_model
+from .tokenizer import PieceTable, PretokenScheme, TokenizerMode, encode, load_model, save_model
 from .trainer import TrainConfig, train_bpe
 
 EXPERIMENTS = {"exp1": run_experiment1, "exp2": run_experiment2, "exp3": run_experiment3}
@@ -83,14 +84,13 @@ def _cmd_ingest(args) -> None:
 def _cmd_train(args) -> None:
     # fail on an unusable --out before the corpus is loaded and trained on
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus_texts(args.corpus, args.format, args.role_filter)
+    texts = _load_corpus_texts(args.corpus, args.format, args.role_filter)
     config = TrainConfig(
         vocab_size=args.vocab_size,
         mode=TokenizerMode(args.mode),
-        scheme=PretokenScheme(args.scheme),
         min_pair_frequency=args.min_pair_frequency,
     )
-    model = train_bpe(corpus, config)
+    model = train_bpe(PieceTable.of(texts, PretokenScheme(args.scheme)), config)
     save_model(model, args.out)
     _emit({"out": args.out, "vocab_size": len(model.vocab), "merges": len(model.merges)})
 
@@ -185,11 +185,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_model_config_args(parser: argparse.ArgumentParser) -> None:
-    # the defaults are TrainConfig's, which ExperimentSpec shares
+    # the defaults are ExperimentSpec's, which shares TrainConfig's mode and
+    # min_pair_frequency
     parser.add_argument("--mode", choices=[m.value for m in TokenizerMode],
                         default=TrainConfig.mode.value)
     parser.add_argument("--scheme", choices=[s.value for s in PretokenScheme],
-                        default=TrainConfig.scheme.value)
+                        default=DEFAULT_SCHEME.value)
     parser.add_argument("--vocab-size", type=int, default=DEFAULT_VOCAB_SIZE)
     parser.add_argument("--min-pair-frequency", type=int, default=TrainConfig.min_pair_frequency)
 
@@ -218,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="encode text with a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--text")
-    p.add_argument("--input", help="read text from this file (default: stdin)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--text")
+    source.add_argument("--input", help="read text from this file (default: stdin)")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_encode)
 

@@ -100,10 +100,6 @@ class ConfigError(ConvtokError, ValueError):
     internally inconsistent or infeasible."""
 
 
-class CorpusTooLarge(ConvtokError):
-    """The reference trainer refuses corpora beyond its guard limit."""
-
-
 class IdOutOfRange(ConvtokError):
     """A token id does not index into the model vocabulary."""
 

@@ -59,6 +59,7 @@ logger = logging.getLogger(__name__)
 
 ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
+DEFAULT_SCHEME = PretokenScheme.CATEGORY_SPLIT
 DEFAULT_VOCAB_SIZE = 8192
 EXPERIMENT_IDS = ("exp1", "exp2", "exp3")
 
@@ -76,7 +77,7 @@ class ExperimentSpec:
     role_filters: tuple[RoleFilter, ...] = ALL_FILTERS
     vocab_size: int = DEFAULT_VOCAB_SIZE
     mode: TokenizerMode = TrainConfig.mode
-    scheme: PretokenScheme = TrainConfig.scheme
+    scheme: PretokenScheme = DEFAULT_SCHEME
     min_pair_frequency: int = TrainConfig.min_pair_frequency
     language_threshold: int = 1000
     doc_sample_bytes: int = DEFAULT_DOC_SAMPLE_BYTES
@@ -200,10 +201,11 @@ def sample_documents(documents: list[str], max_bytes: int) -> list[str]:
 class Workspace:
     """Loads corpora, derives splits, pretokenizes each text scope once and
     trains or loads the models a spec needs. Every model is ``train_bpe`` on
-    a scope's piece table under one ``TrainConfig``, taken from the spec or,
-    with ``base_model_path``, from that file. Models are cached under
-    ``<output_dir>/models`` keyed by a config hash, so experiments reuse them;
-    a cache whose manifest records another hash is emptied on construction."""
+    a scope's piece table under one ``TrainConfig``; the config and the
+    tables' scheme are taken from the spec or, with ``base_model_path``, from
+    that file. Models are cached under ``<output_dir>/models`` keyed by a
+    config hash, so experiments reuse them; a cache whose manifest records
+    another hash is emptied on construction."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -220,9 +222,9 @@ class Workspace:
         self.config = TrainConfig(
             vocab_size=len(base.vocab) if base else spec.vocab_size,
             mode=base.mode if base else spec.mode,
-            scheme=base.scheme if base else spec.scheme,
             min_pair_frequency=spec.min_pair_frequency,
         )
+        self.scheme = base.scheme if base else spec.scheme
         corpus_digests = {
             "conversations_sha256": _sha256_file(spec.conversations_path),
             "documents_sha256": _sha256_file(spec.documents_path),
@@ -244,6 +246,8 @@ class Workspace:
                 save_model(base, self.models_dir / "base.json")
 
     def _config_hash(self, corpus_digests: dict[str, str]) -> str:
+        # the settled values: with a base model file, the spec's unused
+        # vocab_size, mode and scheme must not move the hash
         spec = self.spec
         payload = {
             **corpus_digests,
@@ -253,10 +257,10 @@ class Workspace:
             "train_fraction": repr(spec.split.train_fraction),
             "seed": spec.split.seed,
             "role_filters": [f.value for f in spec.role_filters],
-            "vocab_size": spec.vocab_size,
-            "mode": spec.mode.value,
-            "scheme": spec.scheme.value,
-            "min_pair_frequency": spec.min_pair_frequency,
+            "vocab_size": self.config.vocab_size,
+            "mode": self.config.mode.value,
+            "scheme": self.scheme.value,
+            "min_pair_frequency": self.config.min_pair_frequency,
             "language_threshold": spec.language_threshold,
             "doc_sample_bytes": spec.doc_sample_bytes,
         }
@@ -318,7 +322,7 @@ class Workspace:
         else:
             side, _, role = scope.rpartition(":")
             texts = extract_text(self.conv_train if side == "train" else self.conv_test, RoleFilter(role))
-        return PieceTable.of(texts, self.config.scheme)
+        return PieceTable.of(texts, self.scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -61,11 +61,11 @@ def fertility(model: TokenizerModel, texts: PieceTable | Iterable[str]) -> Ferti
 def reduction(
     base: TokenizerModel, opt: TokenizerModel, texts: PieceTable | Iterable[str]
 ) -> ReductionResult:
-    """Token-count change replacing ``base`` by ``opt`` on the same texts."""
-    if not isinstance(texts, PieceTable):
-        texts = PieceTable.of(texts, base.scheme) if opt.scheme is base.scheme else list(texts)
-    tokens_base = token_count(base, texts)
-    tokens_opt = token_count(opt, texts)
+    """Token-count change replacing ``base`` by ``opt`` on the same texts.
+    Models of two schemes raise ConfigError: they count different pieces."""
+    table = PieceTable.of(texts, base.scheme)
+    tokens_base = token_count(base, table)
+    tokens_opt = token_count(opt, table)
     if tokens_base == 0 or tokens_opt == 0:
         raise EmptyText("reduction is undefined on empty text")
     return ReductionResult(tokens_base=tokens_base, tokens_opt=tokens_opt)

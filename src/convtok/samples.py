@@ -18,7 +18,7 @@ import math
 import random
 from pathlib import Path
 
-from .errors import write_atomic
+from .errors import ConfigError, write_atomic
 
 DEFAULT_SEED = 20250601
 DEFAULT_DOC_BYTES = 2_000_000
@@ -333,7 +333,10 @@ def generate_corpora(
     conv_bytes: int = DEFAULT_CONV_BYTES,
 ) -> tuple[list[str], list[str]]:
     """Return (documents, conversation JSONL lines), each roughly the
-    requested byte size."""
+    requested byte size. A size below 1 raises ConfigError."""
+    if min(doc_bytes, conv_bytes) < 1:
+        raise ConfigError(
+            f"doc_bytes and conv_bytes must be at least 1, got {doc_bytes} and {conv_bytes}")
     rng = random.Random(seed)
     world = _World(rng)
     documents: list[str] = []

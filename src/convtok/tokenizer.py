@@ -167,7 +167,9 @@ class PieceTable:
         return cls(pieces=pieces, n_words=n_words, scheme=scheme)
 
     def __add__(self, other: PieceTable) -> PieceTable:
-        other = PieceTable.of(other, self.scheme)
+        if other.scheme is not self.scheme:
+            raise ConfigError(
+                f"cannot add a {other.scheme.value} table to a {self.scheme.value} one")
         return PieceTable(self.pieces + other.pieces, self.n_words + other.n_words, self.scheme)
 
 

@@ -1,7 +1,8 @@
-"""BPE training: an incremental optimized trainer and a naive reference oracle.
+"""BPE training on a piece table, with incremental pair counts.
 
-Both trainers implement the same contract and must produce identical merge
-lists on any corpus:
+The trainer implements this contract; the reference trainer in
+``tests/oracles.py`` recounts every pair after each merge and must produce
+identical merge lists on any table:
 
 * count adjacent symbol pairs across pretokenized pieces, weighted by piece
   frequency ("aaa" contributes (a,a) twice);
@@ -16,35 +17,30 @@ lists on any corpus:
 Selection depends only on (frequency, pair), so the result is independent of
 iteration order and identical across runs and platforms.
 
-The optimized trainer keeps live pair counts, a grow-only set of owner
-pieces per pair and a lazy max-heap of (count, pair) entries. A merge
-rewrites only the owners of the merged pair: each rewritten piece adds its
-new pairs and subtracts its old ones. Only pairs that hold the merge product
-can rise, and each is pushed once, after the merge's last owner; a popped
-entry that records more than the live count is re-filed at the live count.
-Since counts only fall between pushes, the selection stays exact (see
+The trainer keeps live pair counts, a grow-only set of owner pieces per
+pair and a lazy max-heap of (count, pair) entries. A merge rewrites only
+the owners of the merged pair: each rewritten piece adds its new pairs and
+subtracts its old ones. Only pairs that hold the merge product can rise,
+and each is pushed once, after the merge's last owner; a popped entry that
+records more than the live count is re-filed at the live count. Since
+counts only fall between pushes, the selection stays exact (see
 :func:`train_bpe`).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import ConfigError, CorpusTooLarge
+from .errors import ConfigError
 from .tokenizer import (
     N_BYTE_SYMBOLS,
     PieceTable,
-    PretokenScheme,
     TokenizerMode,
     TokenizerModel,
     _base_symbols,
     base_alphabet,
 )
-
-ORACLE_GUARD_BYTES = 1 << 20  # 1 MiB
 
 Pair = tuple[str, str]
 
@@ -53,7 +49,6 @@ Pair = tuple[str, str]
 class TrainConfig:
     vocab_size: int
     mode: TokenizerMode = TokenizerMode.BYTE_LEVEL
-    scheme: PretokenScheme = PretokenScheme.CATEGORY_SPLIT
     min_pair_frequency: int = 2
 
     def __post_init__(self):
@@ -85,10 +80,12 @@ def merge_adjacent(symbols: list[str], left: str, right: str, joined: str) -> li
 
 
 def _initial_state(
-    corpus: PieceTable | Iterable[str], config: TrainConfig
+    table: PieceTable, config: TrainConfig
 ) -> tuple[list[str], list[tuple[list[str], int]]]:
     """Base vocabulary plus (symbols, multiplicity) work list for training."""
-    pieces = PieceTable.of(corpus, config.scheme).pieces
+    if not isinstance(table, PieceTable):
+        raise TypeError(f"training takes a PieceTable, not {type(table).__name__}")
+    pieces = table.pieces
     vocab = list(base_alphabet(config.mode))
     if config.mode is TokenizerMode.CHAR_LEVEL_FALLBACK:
         chars: set[str] = set()
@@ -100,9 +97,7 @@ def _initial_state(
                 f"vocab_size {config.vocab_size} is below the base alphabet size "
                 f"{len(vocab)} (256 fallback tokens + {len(chars)} corpus characters)"
             )
-    probe = TokenizerModel(
-        mode=config.mode, scheme=config.scheme, vocab=tuple(vocab), merges=()
-    )
+    probe = TokenizerModel(mode=config.mode, scheme=table.scheme, vocab=tuple(vocab), merges=())
     sequences = [
         (symbols, mult)
         for piece, mult in pieces.items()
@@ -112,11 +107,11 @@ def _initial_state(
 
 
 # ---------------------------------------------------------------------------
-# Optimized trainer
+# Trainer
 # ---------------------------------------------------------------------------
 
-def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> TokenizerModel:
-    """Train a BPE model on texts or a piece table; deterministic in (pieces, config).
+def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
+    """Train a BPE model of the table's scheme; deterministic in (table, config).
 
     Pair counts are kept incrementally and the best pair sits in a lazy
     max-heap, so a merge costs in proportion to its owner pieces, not the corpus.
@@ -140,11 +135,11 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
     only fall between pushes, and a popped entry whose recorded count is not
     the live count is re-filed at the live count. Hence the first popped
     entry that matches its live count is the true (max frequency, min pair),
-    and the selection equals the oracle's. A popped pair whose product is
+    and the selection equals the full recount's. A popped pair whose product is
     already in the vocabulary is dropped: the vocabulary only grows, so the
     pair never becomes eligible again.
     """
-    vocab, sequences = _initial_state(corpus, config)
+    vocab, sequences = _initial_state(table, config)
     vocab_set = set(vocab)
     merges: list[Pair] = []
 
@@ -202,58 +197,7 @@ def train_bpe(corpus: PieceTable | Iterable[str], config: TrainConfig) -> Tokeni
 
     return TokenizerModel(
         mode=config.mode,
-        scheme=config.scheme,
+        scheme=table.scheme,
         vocab=tuple(vocab),
         merges=tuple(merges),
     )
-
-
-# ---------------------------------------------------------------------------
-# Reference oracle
-# ---------------------------------------------------------------------------
-
-def train_bpe_oracle(
-    corpus: PieceTable | Iterable[str], config: TrainConfig, guard_bytes: int = ORACLE_GUARD_BYTES
-) -> TokenizerModel:
-    """Same contract as :func:`train_bpe`, computed by full recount after
-    every merge. Quadratic; refuses corpora beyond ``guard_bytes``."""
-    table = PieceTable.of(corpus, config.scheme)
-    total = sum(len(piece.encode("utf-8")) * mult for piece, mult in table.pieces.items())
-    if total > guard_bytes:
-        raise CorpusTooLarge(f"oracle trainer limited to {guard_bytes} bytes, got {total}")
-
-    vocab, sequences = _initial_state(table, config)
-    vocab_set = set(vocab)
-    merges: list[Pair] = []
-
-    while len(vocab) < config.vocab_size:
-        counts: Counter[Pair] = Counter()
-        for seq, mult in sequences:
-            for a, b in zip(seq, seq[1:]):
-                counts[(a, b)] += mult
-        candidates = [
-            (freq, pair)
-            for pair, freq in counts.items()
-            if pair[0] + pair[1] not in vocab_set
-        ]
-        if not candidates:
-            break
-        freq, pair = min(candidates, key=lambda fp: (-fp[0], fp[1]))
-        if freq < config.min_pair_frequency:
-            break
-        left, right = pair
-        product = left + right
-        merges.append(pair)
-        vocab.append(product)
-        vocab_set.add(product)
-        sequences = [
-            (merge_adjacent(seq, left, right, product), mult) for seq, mult in sequences
-        ]
-
-    return TokenizerModel(
-        mode=config.mode,
-        scheme=config.scheme,
-        vocab=tuple(vocab),
-        merges=tuple(merges),
-    )
-

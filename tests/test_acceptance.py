@@ -16,6 +16,8 @@ from convtok.corpus import ConversationRecord, ConversationSet, RoleFilter, Spli
 from convtok.metrics import fertility, token_count
 from convtok.samples import generate_corpora
 from convtok.tokenizer import (
+    PieceTable,
+    PretokenScheme,
     TokenizerMode,
     TokenizerModel,
     base_alphabet,
@@ -23,7 +25,10 @@ from convtok.tokenizer import (
     decode,
     encode,
 )
-from convtok.trainer import TrainConfig, train_bpe, train_bpe_oracle
+from convtok.trainer import TrainConfig, train_bpe
+from oracles import train_bpe_oracle
+
+CAT = PretokenScheme.CATEGORY_SPLIT
 
 
 def fuzz_text(rng, max_len=80):
@@ -44,10 +49,12 @@ def fuzz_text(rng, max_len=80):
 @pytest.fixture(scope="module")
 def small_models():
     docs, lines = generate_corpora(seed=50, doc_bytes=25_000, conv_bytes=10_000)
-    byte_model = train_bpe(docs, TrainConfig(vocab_size=700, mode=TokenizerMode.BYTE_LEVEL))
+    byte_model = train_bpe(PieceTable.of(docs, CAT),
+                           TrainConfig(vocab_size=700, mode=TokenizerMode.BYTE_LEVEL))
     ascii_docs = [d.encode("ascii", "ignore").decode("ascii") for d in docs]
     char_model = train_bpe(
-        ascii_docs, TrainConfig(vocab_size=700, mode=TokenizerMode.CHAR_LEVEL_FALLBACK)
+        PieceTable.of(ascii_docs, CAT),
+        TrainConfig(vocab_size=700, mode=TokenizerMode.CHAR_LEVEL_FALLBACK),
     )
     return byte_model, char_model
 
@@ -102,7 +109,7 @@ def test_oracle_equivalence_on_random_corpora(record_criterion):
         corpus = corpus[: max(1, len(corpus) // 1)]
         total = sum(len(t.encode("utf-8")) for t in corpus)
         assert total <= 32 * 1024, f"corpus {trial} exceeds 32 KiB: {total}"
-        corpora.append(corpus)
+        corpora.append(PieceTable.of(corpus, CAT))
 
     mismatches = 0
     for trial, corpus in enumerate(corpora):
@@ -238,7 +245,7 @@ def test_split_integrity(record_criterion, tmp_path):
 
 def test_token_count_monotone_in_merges(record_criterion):
     docs, _ = generate_corpora(seed=31, doc_bytes=90_000, conv_bytes=1)
-    full = train_bpe(docs, TrainConfig(vocab_size=256 + 600))
+    full = train_bpe(PieceTable.of(docs, CAT), TrainConfig(vocab_size=256 + 600))
     assert len(full.merges) == 600
     base = list(base_alphabet(full.mode))
     counts = []

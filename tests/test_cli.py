@@ -8,7 +8,7 @@ import pytest
 import convtok.cli
 import convtok.samples
 from convtok.cli import _experiment_spec, build_parser, main
-from convtok.experiments import DEFAULT_VOCAB_SIZE, ExperimentSpec
+from convtok.experiments import DEFAULT_SCHEME, DEFAULT_VOCAB_SIZE, ExperimentSpec
 from convtok.samples import write_sample_corpora
 from convtok.tokenizer import (
     PretokenScheme,
@@ -133,6 +133,18 @@ def test_samples_under_a_file_fails_before_generating(tmp_path, monkeypatch):
     monkeypatch.setattr(convtok.samples, "generate_corpora", must_not_run)
     with pytest.raises(OSError):
         convtok.samples.write_sample_corpora(tmp_path / "f" / "sub")
+
+
+@pytest.mark.parametrize("flag", ["--doc-bytes", "--conv-bytes"])
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_samples_below_one_byte_fails_cleanly(flag, size, tmp_path, capsys):
+    code, out, err = run(capsys, "samples", "--out", str(tmp_path / "s"), flag, size)
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert payload["error"] == "ConfigError"
+    assert flag.removeprefix("--").replace("-", "_") in payload["message"]
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 def test_train_under_a_file_fails_before_training(data, tmp_path, capsys, monkeypatch):
@@ -261,6 +273,18 @@ def test_experiment_with_pretrained_base_model(data, tmp_path, capsys):
     cached = load_model(out_dir / "models" / "base.json")
     assert cached == load_model(base_path)
     assert len(cached.vocab) == 317
+
+
+def test_encode_text_and_input_are_exclusive(small_model, tmp_path, capsys):
+    text_file = tmp_path / "input.txt"
+    text_file.write_text("from the file", encoding="utf-8")
+    code, out, err = run(capsys, "encode", "--model", small_model,
+                         "--text", "zz", "--input", str(text_file))
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert payload["error"] == "UsageError"
+    assert "not allowed with argument" in payload["message"]
 
 
 def test_error_is_machine_readable(tmp_path, capsys):
@@ -535,9 +559,9 @@ def test_experiment_flag_defaults_are_the_spec_defaults():
 def test_train_flag_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["train", "--corpus", "c", "--out", "m"])
     config = TrainConfig(vocab_size=args.vocab_size, mode=TokenizerMode(args.mode),
-                         scheme=PretokenScheme(args.scheme),
                          min_pair_frequency=args.min_pair_frequency)
     assert config == TrainConfig(vocab_size=DEFAULT_VOCAB_SIZE)
+    assert PretokenScheme(args.scheme) is DEFAULT_SCHEME is ExperimentSpec.scheme
 
 
 @pytest.mark.parametrize("manifest", [

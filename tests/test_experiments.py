@@ -24,6 +24,7 @@ from convtok.experiments import (
 from convtok.metrics import fertility, language_groups, reduction
 from convtok.samples import write_sample_corpora
 from convtok.tokenizer import (
+    PieceTable,
     PretokenScheme,
     TokenizerMode,
     load_model,
@@ -277,9 +278,8 @@ class TestWorkspaceTraining:
     def test_base_is_trained_on_the_sampled_documents(self, tiny):
         texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
         config = TrainConfig(vocab_size=tiny.spec.vocab_size, mode=tiny.spec.mode,
-                             scheme=tiny.spec.scheme,
                              min_pair_frequency=tiny.spec.min_pair_frequency)
-        assert tiny.ws.base_model() == train_bpe(texts, config)
+        assert tiny.ws.base_model() == train_bpe(PieceTable.of(texts, tiny.spec.scheme), config)
 
     def test_each_role_filter_trains_its_own_model(self, tiny):
         merges = {f: tiny.ws.retrained(f).merges for f in tiny.spec.role_filters}
@@ -302,10 +302,9 @@ class TestWorkspaceTraining:
     def test_retrained_models_take_the_base_files_configuration(self, tiny, tmp_path):
         base_path = tmp_path / "base.json"
         texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
-        save_model(train_bpe(texts, TrainConfig(vocab_size=1500,
-                                                mode=TokenizerMode.CHAR_LEVEL_FALLBACK,
-                                                scheme=PretokenScheme.WHITESPACE_SPLIT)),
-                   base_path)
+        table = PieceTable.of(texts, PretokenScheme.WHITESPACE_SPLIT)
+        config = TrainConfig(vocab_size=1500, mode=TokenizerMode.CHAR_LEVEL_FALLBACK)
+        save_model(train_bpe(table, config), base_path)
         # the spec's own mode, scheme and vocab_size are the defaults, and unused
         spec = replace(tiny.spec, output_dir=tmp_path / "out", base_model_path=base_path,
                        vocab_size=ExperimentSpec.vocab_size)
@@ -342,6 +341,25 @@ class TestModelCache:
         names = {p.name for p in (tmp_path / "cold" / "models").iterdir()}
         assert names == {"manifest.json", "base.json", "retrained_user.json",
                          "retrained_assistant.json", "retrained_both.json"}
+
+    def test_unused_flags_keep_the_base_model_cache(self, tiny, tmp_path, monkeypatch):
+        # with a base model file its vocab size, mode and scheme govern the
+        # run, so the spec's own values move neither the hash nor the models
+        base_path = tmp_path / "base.json"
+        texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
+        table = PieceTable.of(texts, tiny.spec.scheme)
+        save_model(train_bpe(table, TrainConfig(vocab_size=300)), base_path)
+        spec = replace(tiny.spec, output_dir=tmp_path / "out", base_model_path=base_path)
+        first = run_experiment2(replace(spec, vocab_size=8192))
+        trained = []
+        monkeypatch.setattr(convtok.experiments, "train_bpe",
+                            lambda *args: trained.append(args) or train_bpe(*args))
+        second = run_experiment2(replace(spec, vocab_size=4096,
+                                         mode=TokenizerMode.CHAR_LEVEL_FALLBACK,
+                                         scheme=PretokenScheme.WHITESPACE_SPLIT))
+        assert second.provenance.config_hash == first.provenance.config_hash
+        assert second.rows == first.rows
+        assert trained == []
 
 
 class TestSpecValidation:

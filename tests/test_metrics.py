@@ -3,7 +3,7 @@ import re
 import pytest
 
 from convtok.corpus import ConversationRecord, ConversationSet, RoleFilter, extract_text
-from convtok.errors import EmptyText, NoWords
+from convtok.errors import ConfigError, EmptyText, NoWords
 from convtok.metrics import (
     FertilityResult,
     ReductionResult,
@@ -13,8 +13,11 @@ from convtok.metrics import (
     token_count,
 )
 from convtok.samples import generate_corpora
-from convtok.tokenizer import TokenizerMode, count_words, encode
+from convtok.tokenizer import PieceTable, PretokenScheme, TokenizerMode, count_words, encode
 from convtok.trainer import TrainConfig, train_bpe
+
+CAT = PretokenScheme.CATEGORY_SPLIT
+WS = PretokenScheme.WHITESPACE_SPLIT
 
 
 def conversations_of(texts_by_language):
@@ -60,20 +63,20 @@ class TestFertility:
 
     def test_whole_word_model_reaches_lower_bound(self):
         model = train_bpe(
-            ["one two"] * 3,
+            PieceTable.of(["one two"] * 3, CAT),
             TrainConfig(vocab_size=400, mode=TokenizerMode.CHAR_LEVEL_FALLBACK),
         )
         result = fertility(model, ["one two"])
         assert result.fertility == 1.0
 
     def test_no_words_rejected(self):
-        model = train_bpe(["abc"], TrainConfig(vocab_size=258))
+        model = train_bpe(PieceTable.of(["abc"], CAT), TrainConfig(vocab_size=258))
         with pytest.raises(NoWords):
             fertility(model, ["  ", "\t"])
 
     def test_matches_brute_force_recount(self):
         docs, _ = generate_corpora(seed=404, doc_bytes=30_000, conv_bytes=1)
-        model = train_bpe(docs, TrainConfig(vocab_size=256 + 500))
+        model = train_bpe(PieceTable.of(docs, CAT), TrainConfig(vocab_size=256 + 500))
         assert len(model.merges) == 500
         result = fertility(model, docs)
         # independent recount: plain per-text encodes and a regex word count
@@ -84,7 +87,7 @@ class TestFertility:
 
     def test_token_count_equals_per_text_sum(self):
         docs, _ = generate_corpora(seed=405, doc_bytes=8_000, conv_bytes=1)
-        model = train_bpe(docs, TrainConfig(vocab_size=300))
+        model = train_bpe(PieceTable.of(docs, CAT), TrainConfig(vocab_size=300))
         assert token_count(model, docs) == sum(len(encode(model, t)) for t in docs)
 
 
@@ -97,23 +100,34 @@ class TestReduction:
 
     def test_identical_models_give_exact_zero(self):
         docs, _ = generate_corpora(seed=406, doc_bytes=5_000, conv_bytes=1)
-        model = train_bpe(docs, TrainConfig(vocab_size=300))
+        model = train_bpe(PieceTable.of(docs, CAT), TrainConfig(vocab_size=300))
         assert reduction(model, model, docs).reduction_pct == 0.0
 
     def test_empty_text_rejected(self):
-        model = train_bpe(["abc abc"], TrainConfig(vocab_size=280))
+        model = train_bpe(PieceTable.of(["abc abc"], CAT), TrainConfig(vocab_size=280))
         with pytest.raises(EmptyText):
             reduction(model, model, [])
+
+    def test_models_of_two_schemes_rejected(self):
+        # their token counts would be of different pieces
+        texts = ["hello world", "hello there, world"]
+        config = TrainConfig(vocab_size=280, min_pair_frequency=1)
+        cat = train_bpe(PieceTable.of(texts, CAT), config)
+        ws = train_bpe(PieceTable.of(texts, WS), config)
+        for corpus in (texts, PieceTable.of(texts, CAT)):
+            with pytest.raises(ConfigError):
+                reduction(cat, ws, corpus)
 
 
 class TestPerLanguageReduction:
     def test_single_language_matches_global(self):
         texts = [f"hello question number {i} thanks" for i in range(30)]
         conversations = conversations_of({"english": texts})
-        base = train_bpe(["completely different corpus text"], TrainConfig(vocab_size=280))
-        opt = train_bpe(extract_text(conversations, RoleFilter.BOTH), TrainConfig(vocab_size=300))
-        rows = language_reductions(base, opt, conversations, threshold=10)
         both_texts = extract_text(conversations, RoleFilter.BOTH)
+        base = train_bpe(PieceTable.of(["completely different corpus text"], CAT),
+                         TrainConfig(vocab_size=280))
+        opt = train_bpe(PieceTable.of(both_texts, CAT), TrainConfig(vocab_size=300))
+        rows = language_reductions(base, opt, conversations, threshold=10)
         global_result = reduction(base, opt, both_texts)
         assert len(rows) == 1
         language, conversation_count, reduction_pct = rows[0]
@@ -126,7 +140,8 @@ class TestPerLanguageReduction:
             "english": [f"text {i}" for i in range(11)],
             "spanish": [f"texto {i}" for i in range(10)],
         })
-        base = train_bpe(["x"], TrainConfig(vocab_size=257, min_pair_frequency=1))
+        base = train_bpe(PieceTable.of(["x"], CAT),
+                         TrainConfig(vocab_size=257, min_pair_frequency=1))
         rows = language_reductions(base, base, conversations, threshold=10)
         assert [language for language, _, _ in rows] == ["english"]
 
@@ -135,7 +150,8 @@ class TestPerLanguageReduction:
             "spanish": [f"texto {i}" for i in range(5)],
             "english": [f"text {i}" for i in range(9)],
         })
-        base = train_bpe(["x"], TrainConfig(vocab_size=257, min_pair_frequency=1))
+        base = train_bpe(PieceTable.of(["x"], CAT),
+                         TrainConfig(vocab_size=257, min_pair_frequency=1))
         rows = language_reductions(base, base, conversations, threshold=1)
         assert [language for language, _, _ in rows] == ["english", "spanish"]
 
@@ -145,8 +161,9 @@ class TestPerLanguageReduction:
         zh_texts = ["你好世界欢迎使用"] * 40
         en_texts = ["hello world welcome aboard"] * 40
         conversations = conversations_of({"chinese": zh_texts, "english": en_texts})
-        base = train_bpe(zh_texts, TrainConfig(vocab_size=500, min_pair_frequency=1))
-        opt = train_bpe(en_texts, TrainConfig(vocab_size=500, min_pair_frequency=1))
+        config = TrainConfig(vocab_size=500, min_pair_frequency=1)
+        base = train_bpe(PieceTable.of(zh_texts, CAT), config)
+        opt = train_bpe(PieceTable.of(en_texts, CAT), config)
         rows = language_reductions(base, opt, conversations, threshold=5)
         by_language = {language: pct for language, _, pct in rows}
         assert by_language["chinese"] < 0
@@ -157,8 +174,8 @@ class TestPerLanguageReduction:
             "spanish": [f"palabras comunes {i}" for i in range(6)],
             "russian": [f"слова {i}" for i in range(2)],
         })
-        base = train_bpe(["seed corpus"], TrainConfig(vocab_size=280))
-        opt = train_bpe(["other seed"], TrainConfig(vocab_size=280))
+        base = train_bpe(PieceTable.of(["seed corpus"], CAT), TrainConfig(vocab_size=280))
+        opt = train_bpe(PieceTable.of(["other seed"], CAT), TrainConfig(vocab_size=280))
         threshold = 3
         rows = language_reductions(base, opt, conversations, threshold=threshold)
         covered = {language for language, _, _ in rows}

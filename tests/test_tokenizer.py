@@ -29,7 +29,9 @@ from convtok.tokenizer import (
     pretokenize,
     save_model,
 )
-from convtok.trainer import TrainConfig, merge_adjacent, train_bpe
+from convtok.metrics import fertility, token_count
+from convtok.trainer import TrainConfig, train_bpe
+from oracles import reference_apply_merges, reference_pretokenize
 
 CAT = PretokenScheme.CATEGORY_SPLIT
 WS = PretokenScheme.WHITESPACE_SPLIT
@@ -53,14 +55,15 @@ def random_text(rng, max_len=120):
 @pytest.fixture(scope="module")
 def byte_model():
     corpus = ["the cat sat on the mat", "hello world, hello again", "números y cosas"]
-    return train_bpe(corpus, TrainConfig(vocab_size=300, mode=TokenizerMode.BYTE_LEVEL))
+    return train_bpe(PieceTable.of(corpus, CAT),
+                     TrainConfig(vocab_size=300, mode=TokenizerMode.BYTE_LEVEL))
 
 
 @pytest.fixture(scope="module")
 def char_model():
     corpus = ["the cat sat on the mat", "hello world, hello again"]
     return train_bpe(
-        corpus,
+        PieceTable.of(corpus, CAT),
         TrainConfig(vocab_size=330, mode=TokenizerMode.CHAR_LEVEL_FALLBACK),
     )
 
@@ -161,64 +164,6 @@ class TestPretokenize:
                 assert len(kinds) == 1
 
 
-# The character-by-character pretokenizer that the class-letter patterns
-# replaced, kept (less its class cache) as their test oracle.
-_WS, _LETTER, _DIGIT, _SYMBOL = 0, 1, 2, 3
-
-
-def _char_class(ch):
-    if ch.isspace():
-        return _WS
-    if ch.isalpha():
-        return _LETTER
-    if ch.isnumeric():
-        return _DIGIT
-    return _SYMBOL
-
-
-def _class_runs(text, split_non_ws):
-    """Maximal same-class runs as (class, start, end). With ``split_non_ws``
-    False, all non-whitespace classes collapse into one."""
-    runs = []
-    start = 0
-    prev = -1
-    for i, ch in enumerate(text):
-        cls = _char_class(ch)
-        if not split_non_ws and cls != _WS:
-            cls = _SYMBOL
-        if cls != prev:
-            if prev != -1:
-                runs.append((prev, start, i))
-            start = i
-            prev = cls
-    if prev != -1:
-        runs.append((prev, start, len(text)))
-    return runs
-
-
-def reference_pretokenize(text, scheme):
-    if scheme is PretokenScheme.WHITESPACE_SPLIT:
-        return [text[s:e] for _, s, e in _class_runs(text, split_non_ws=False)]
-
-    runs = _class_runs(text, split_non_ws=True)
-    pieces = []
-    i = 0
-    n = len(runs)
-    while i < n:
-        cls, s, e = runs[i]
-        if cls == _WS and i + 1 < n and text[e - 1] == " ":
-            nxt_cls, _, nxt_e = runs[i + 1]
-            if nxt_cls in (_LETTER, _DIGIT):
-                if e - 1 > s:
-                    pieces.append(text[s:e - 1])
-                pieces.append(text[e - 1:nxt_e])
-                i += 2
-                continue
-        pieces.append(text[s:e])
-        i += 1
-    return pieces
-
-
 # Every class edge: numeric but not decimal (²), alpha and numeric (一),
 # non-ASCII whitespace, control characters that are whitespace (\x1c, U+0085)
 # and one that is not (\x00), symbols, an emoji, and the space-before-run cases.
@@ -270,12 +215,16 @@ class TestPieceTable:
             PieceTable.of(["a b"], CAT) + table
 
     def test_consumers_accept_a_table(self):
+        # training takes a table and gives a model of its scheme; the
+        # metrics take texts or a table and agree
         texts = ["one two three", "two three", "three"]
-        model = train_bpe(texts, TrainConfig(vocab_size=270, min_pair_frequency=1))
+        config = TrainConfig(vocab_size=270, min_pair_frequency=1)
+        assert train_bpe(PieceTable.of(texts, WS), config).scheme is WS
         table = PieceTable.of(texts, CAT)
-        assert train_bpe(table, TrainConfig(vocab_size=270, min_pair_frequency=1)) == model
-        with pytest.raises(ConfigError):
-            train_bpe(table, TrainConfig(vocab_size=270, scheme=WS))
+        model = train_bpe(table, config)
+        assert model.scheme is CAT
+        assert token_count(model, table) == token_count(model, texts)
+        assert fertility(model, table) == fertility(model, texts)
 
 
 # ---------------------------------------------------------------------------
@@ -321,23 +270,6 @@ class TestEncode:
             text = random_text(rng)
             assert len(encode(byte_model, text)) <= len(text.encode("utf-8"))
             assert len(encode(char_model, text)) <= 4 * len(text)
-
-
-def reference_apply_merges(model, symbols):
-    """Test oracle for ``_apply_merges``: rescan for the lowest-ranked pair
-    present, merge it everywhere with ``merge_adjacent``, repeat. Quadratic."""
-    ranks = model._merge_ranks
-    while len(symbols) >= 2:
-        best_rank = best_pair = None
-        for pair in zip(symbols, symbols[1:]):
-            rank = ranks.get(pair)
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank, best_pair = rank, pair
-        if best_pair is None:
-            break
-        left, right = best_pair
-        symbols = merge_adjacent(symbols, left, right, left + right)
-    return symbols
 
 
 def random_merge_model(rng, mode, letters, extra_symbols=()):
@@ -387,7 +319,7 @@ def sample_texts():
 
 @pytest.fixture(scope="module")
 def sample_model(sample_texts):
-    return train_bpe(sample_texts, TrainConfig(vocab_size=1024))
+    return train_bpe(PieceTable.of(sample_texts, CAT), TrainConfig(vocab_size=1024))
 
 
 class TestApplyMergesMatchesReference:

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import convtok
-from convtok.errors import ConfigError, CorpusTooLarge
+from convtok.errors import ConfigError
 from convtok.metrics import token_count
 from convtok.tokenizer import (
+    PieceTable,
     PretokenScheme,
     TokenizerMode,
     model_to_bytes,
@@ -22,11 +23,17 @@ from convtok.trainer import (
     TrainConfig,
     merge_adjacent,
     train_bpe,
-    train_bpe_oracle,
 )
+from oracles import train_bpe_oracle
 
 BYTE = TokenizerMode.BYTE_LEVEL
 CHAR = TokenizerMode.CHAR_LEVEL_FALLBACK
+CAT = PretokenScheme.CATEGORY_SPLIT
+WS = PretokenScheme.WHITESPACE_SPLIT
+
+
+def table_of(texts, scheme=CAT):
+    return PieceTable.of(texts, scheme)
 
 
 def random_corpus(rng, n_texts=6, n_words=80):
@@ -56,29 +63,28 @@ class TestPairCounting:
     def test_piece_multiplicity_weights_the_count(self, trainer):
         # one distinct piece "ab" seen three times counts (a, b) three times
         config = TrainConfig(vocab_size=300, min_pair_frequency=3)
-        assert trainer(["ab"] * 3, config).merges == (("a", "b"),)
-        assert trainer(["ab"] * 2, config).merges == ()
+        assert trainer(table_of(["ab"] * 3), config).merges == (("a", "b"),)
+        assert trainer(table_of(["ab"] * 2), config).merges == ()
 
     def test_overlapping_adjacencies(self, trainer):
         # every adjacent index pair counts: "aaa" has two (a, a) positions
         config = TrainConfig(vocab_size=300, min_pair_frequency=2)
-        assert trainer(["aaa"], config).merges[0] == ("a", "a")
-        assert trainer(["aa"], config).merges == ()
+        assert trainer(table_of(["aaa"]), config).merges[0] == ("a", "a")
+        assert trainer(table_of(["aa"]), config).merges == ()
 
     def test_no_pairs_no_merges(self, trainer):
         # whitespace split leaves "a b c" as five one-symbol pieces
-        config = TrainConfig(vocab_size=300, min_pair_frequency=1,
-                             scheme=PretokenScheme.WHITESPACE_SPLIT)
-        assert trainer([], config).merges == ()
-        assert trainer(["a b c"], config).merges == ()
+        config = TrainConfig(vocab_size=300, min_pair_frequency=1)
+        assert trainer(table_of([], WS), config).merges == ()
+        assert trainer(table_of(["a b c"], WS), config).merges == ()
 
     def test_order_is_frequency_then_pair(self, trainer):
         # pieces "abab" x2 and "ba" x5: (b, a) 2 + 5 = 7 beats (a, b) 2 * 2 = 4
         corpus = ["abab"] * 2 + ["ba"] * 5
         config = TrainConfig(vocab_size=257, min_pair_frequency=1)
-        assert trainer(corpus, config).merges == (("b", "a"),)
+        assert trainer(table_of(corpus), config).merges == (("b", "a"),)
         # equal frequencies: the lexicographically smaller pair wins
-        assert trainer(["cd", "ab"], config).merges == (("a", "b"),)
+        assert trainer(table_of(["cd", "ab"]), config).merges == (("a", "b"),)
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +94,22 @@ class TestPairCounting:
 class TestTrainBpe:
     def test_single_merge_example(self):
         # pieces ["abab", " ab"]: (a,b) appears 3 times and wins
-        model = train_bpe(["abab ab"], TrainConfig(vocab_size=257))
+        model = train_bpe(table_of(["abab ab"]), TrainConfig(vocab_size=257))
         assert model.merges == (("a", "b"),)
         assert model.vocab[256] == "ab"
 
+    def test_texts_are_refused(self):
+        # training reads a piece table; its caller pretokenizes the texts
+        with pytest.raises(TypeError, match="PieceTable"):
+            train_bpe(["abab ab"], TrainConfig(vocab_size=257))
+
     def test_empty_corpus_gives_base_model(self):
-        model = train_bpe([], TrainConfig(vocab_size=500))
+        model = train_bpe(table_of([]), TrainConfig(vocab_size=500))
         assert len(model.vocab) == 256
         assert model.merges == ()
 
     def test_training_is_deterministic(self):
-        corpus = random_corpus(random.Random(5))
+        corpus = table_of(random_corpus(random.Random(5)))
         config = TrainConfig(vocab_size=300)
         assert model_to_bytes(train_bpe(corpus, config)) == model_to_bytes(train_bpe(corpus, config))
 
@@ -108,9 +119,10 @@ class TestTrainBpe:
         corpus = random_corpus(random.Random(77), n_texts=8, n_words=120)
         script = (
             "import hashlib, json, sys\n"
-            "from convtok.tokenizer import TokenizerMode, model_to_bytes\n"
+            "from convtok.tokenizer import PieceTable, PretokenScheme as S, TokenizerMode\n"
+            "from convtok.tokenizer import model_to_bytes\n"
             "from convtok.trainer import TrainConfig, train_bpe\n"
-            "corpus = json.load(sys.stdin)\n"
+            "corpus = PieceTable.of(json.load(sys.stdin), S.CATEGORY_SPLIT)\n"
             "for mode in TokenizerMode:\n"
             "    config = TrainConfig(vocab_size=420, mode=mode, min_pair_frequency=1)\n"
             "    print(hashlib.sha256(model_to_bytes(train_bpe(corpus, config))).hexdigest())\n"
@@ -125,7 +137,7 @@ class TestTrainBpe:
             digests.append(out.split())
         assert len(digests[0]) == 2
         assert digests[0] == digests[1]
-        local = [hashlib.sha256(model_to_bytes(train_bpe(corpus, TrainConfig(
+        local = [hashlib.sha256(model_to_bytes(train_bpe(table_of(corpus), TrainConfig(
             vocab_size=420, mode=mode, min_pair_frequency=1)))).hexdigest() for mode in (BYTE, CHAR)]
         assert digests[0] == local
 
@@ -140,13 +152,13 @@ class TestTrainBpe:
             real_push(heap, entry)
 
         monkeypatch.setattr(convtok.trainer.heapq, "heappush", spy)
-        model = train_bpe(["abc xabc yabc zabc wabc"] * 3, TrainConfig(vocab_size=258))
+        model = train_bpe(table_of(["abc xabc yabc zabc wabc"] * 3), TrainConfig(vocab_size=258))
         assert model.merges == (("a", "b"), ("ab", "c"))
         assert pushed.count(("ab", "c")) == 1
 
     def test_min_pair_frequency_stops_merging(self):
-        assert train_bpe(["ab"], TrainConfig(vocab_size=300)).merges == ()
-        model = train_bpe(["ab"], TrainConfig(vocab_size=300, min_pair_frequency=1))
+        assert train_bpe(table_of(["ab"]), TrainConfig(vocab_size=300)).merges == ()
+        model = train_bpe(table_of(["ab"]), TrainConfig(vocab_size=300, min_pair_frequency=1))
         assert ("a", "b") in model.merges
 
     def test_vocab_size_below_base_rejected(self):
@@ -154,16 +166,16 @@ class TestTrainBpe:
             TrainConfig(vocab_size=255)
 
     def test_char_mode_base_overflow_rejected(self):
-        corpus = [" ".join(chr(0x4E00 + i) for i in range(40))]
+        corpus = table_of([" ".join(chr(0x4E00 + i) for i in range(40))])
         with pytest.raises(ConfigError):
             train_bpe(corpus, TrainConfig(vocab_size=260, mode=CHAR))
 
     def test_char_mode_alphabet_includes_corpus_chars(self):
-        model = train_bpe(["abc"], TrainConfig(vocab_size=300, mode=CHAR))
+        model = train_bpe(table_of(["abc"]), TrainConfig(vocab_size=300, mode=CHAR))
         assert {"a", "b", "c"} <= set(model.vocab[256:])
 
     def test_merged_token_never_shadows_fallback_literal(self):
-        corpus = ["<0x41> <0x41> <0x41> <0x41> <0x41>"]
+        corpus = table_of(["<0x41> <0x41> <0x41> <0x41> <0x41>"])
         config = TrainConfig(vocab_size=400, mode=CHAR, min_pair_frequency=1)
         model = train_bpe(corpus, config)
         assert model.vocab.count("<0x41>") == 1
@@ -174,12 +186,12 @@ class TestTrainBpe:
     def test_selected_merges_met_frequency_threshold(self):
         corpus = random_corpus(random.Random(11))
         config = TrainConfig(vocab_size=400, min_pair_frequency=2)
-        model = train_bpe(corpus, config)
+        model = train_bpe(table_of(corpus), config)
         assert model.merges
         # replay training: recount pairs before each merge and check the bar
         pieces = Counter()
         for text in corpus:
-            pieces.update(pretokenize(text, config.scheme))
+            pieces.update(pretokenize(text, CAT))
         from convtok.tokenizer import _base_symbols  # replay needs base symbols
         sequences = {tuple(_base_symbols(model, p)): m for p, m in pieces.items()}
         for left, right in model.merges:
@@ -191,7 +203,7 @@ class TestTrainBpe:
 
     def test_monotone_token_count_in_merge_count(self):
         corpus = random_corpus(random.Random(23), n_texts=10, n_words=200)
-        full = train_bpe(corpus, TrainConfig(vocab_size=320, min_pair_frequency=1))
+        full = train_bpe(table_of(corpus), TrainConfig(vocab_size=320, min_pair_frequency=1))
         previous = None
         for k in range(0, len(full.merges) + 1, max(1, len(full.merges) // 4)):
             truncated = _truncate(full, k)
@@ -225,7 +237,7 @@ def _truncate(model, k):
 class TestOracle:
     def test_first_merge_of_known_corpus(self):
         model = train_bpe_oracle(
-            ["aaabdaaabac"], TrainConfig(vocab_size=300, mode=CHAR, min_pair_frequency=1)
+            table_of(["aaabdaaabac"]), TrainConfig(vocab_size=300, mode=CHAR, min_pair_frequency=1)
         )
         assert model.merges[0] == ("a", "a")
         # the winning pair had frequency 4 at selection time
@@ -235,19 +247,15 @@ class TestOracle:
 
     def test_base_only_config_trains_nothing(self):
         config = TrainConfig(vocab_size=256)
-        assert train_bpe(["abab abab"], config).merges == ()
-        assert train_bpe_oracle(["abab abab"], config).merges == ()
-
-    def test_guard_limit(self):
-        with pytest.raises(CorpusTooLarge):
-            train_bpe_oracle(["x" * 100], TrainConfig(vocab_size=300), guard_bytes=50)
+        assert train_bpe(table_of(["abab abab"]), config).merges == ()
+        assert train_bpe_oracle(table_of(["abab abab"]), config).merges == ()
 
     @pytest.mark.parametrize("mode", [BYTE, CHAR])
     @pytest.mark.parametrize("min_freq", [1, 2])
     def test_equivalence_on_random_corpora(self, mode, min_freq):
         rng = random.Random(1000 * min_freq + (1 if mode is BYTE else 2))
         for _ in range(4):
-            corpus = random_corpus(rng)
+            corpus = table_of(random_corpus(rng))
             config = TrainConfig(vocab_size=330, mode=mode, min_pair_frequency=min_freq)
             fast = train_bpe(corpus, config)
             slow = train_bpe_oracle(corpus, config)
@@ -263,7 +271,7 @@ class TestOracleStress:
         # (a, b) = 5 and (b, c) = 5 tie; (a, b) wins on the pair order. Merging
         # it drops (b, c) to 2 ("bc" x2) without removing it, so the heap entry
         # recorded at 5 must be re-filed at 2 for the third merge to happen.
-        corpus = ["abc"] * 3 + ["ab"] * 2 + ["bc"] * 2
+        corpus = table_of(["abc"] * 3 + ["ab"] * 2 + ["bc"] * 2)
         config = TrainConfig(vocab_size=300, min_pair_frequency=2)
         expected = (("a", "b"), ("ab", "c"), ("b", "c"))
         assert train_bpe(corpus, config).merges == expected
@@ -276,14 +284,13 @@ class TestOracleStress:
         for case in range(120):
             run = rng.choice("ab")
             vocab = words + [run * rng.randint(3, 40) for _ in range(3)]
-            corpus = [
+            corpus = table_of([
                 " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 25)))
                 for _ in range(rng.randint(1, 4))
-            ]
+            ], tuple(PretokenScheme)[case // 2 % 2])
             config = TrainConfig(
                 vocab_size=rng.randint(300, 380),
                 mode=(BYTE, CHAR)[case % 2],
-                scheme=tuple(PretokenScheme)[case // 2 % 2],
                 min_pair_frequency=1 + case // 4 % 3,
             )
             fast = train_bpe(corpus, config)
