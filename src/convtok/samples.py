@@ -327,6 +327,12 @@ def _conversation(rng, world: _World, index: int) -> dict:
 # Entry points
 # ---------------------------------------------------------------------------
 
+def _check_sizes(doc_bytes: int, conv_bytes: int) -> None:
+    if min(doc_bytes, conv_bytes) < 1:
+        raise ConfigError(
+            f"doc_bytes and conv_bytes must be at least 1, got {doc_bytes} and {conv_bytes}")
+
+
 def generate_corpora(
     seed: int = DEFAULT_SEED,
     doc_bytes: int = DEFAULT_DOC_BYTES,
@@ -334,9 +340,7 @@ def generate_corpora(
 ) -> tuple[list[str], list[str]]:
     """Return (documents, conversation JSONL lines), each roughly the
     requested byte size. A size below 1 raises ConfigError."""
-    if min(doc_bytes, conv_bytes) < 1:
-        raise ConfigError(
-            f"doc_bytes and conv_bytes must be at least 1, got {doc_bytes} and {conv_bytes}")
+    _check_sizes(doc_bytes, conv_bytes)
     rng = random.Random(seed)
     world = _World(rng)
     documents: list[str] = []
@@ -363,8 +367,10 @@ def write_sample_corpora(
     doc_bytes: int = DEFAULT_DOC_BYTES,
     conv_bytes: int = DEFAULT_CONV_BYTES,
 ) -> tuple[Path, Path]:
-    """Make ``out_dir`` first, then write documents.txt and conversations.jsonl
-    in it and return their paths; the same arguments give byte-identical files."""
+    """Check the sizes and make ``out_dir`` before generating anything, then
+    write documents.txt and conversations.jsonl in it and return their paths;
+    the same arguments give byte-identical files."""
+    _check_sizes(doc_bytes, conv_bytes)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     documents, lines = generate_corpora(seed=seed, doc_bytes=doc_bytes, conv_bytes=conv_bytes)

@@ -18,13 +18,14 @@ Selection depends only on (frequency, pair), so the result is independent of
 iteration order and identical across runs and platforms.
 
 The trainer keeps live pair counts, a grow-only set of owner pieces per
-pair and a lazy max-heap of (count, pair) entries. A merge rewrites only
-the owners of the merged pair: each rewritten piece adds its new pairs and
-subtracts its old ones. Only pairs that hold the merge product can rise,
-and each is pushed once, after the merge's last owner; a popped entry that
-records more than the live count is re-filed at the live count. Since
-counts only fall between pushes, the selection stays exact (see
-:func:`train_bpe`).
+pair and a lazy max-heap of (count, pair) entries. A merge of (L, R) into P
+rewrites only the owners of (L, R), each in one left-to-right scan, and
+changes counts only beside each match: the old pairs that touch the matched
+symbols go, and the pairs that join P to its new neighbours come. Only those
+pairs, which hold P, can rise, and each is pushed once, after the merge's
+last owner; a popped entry that records more than the live count is
+re-filed at the live count. Since counts only fall between pushes, the
+selection stays exact (see :func:`train_bpe`).
 """
 
 from __future__ import annotations
@@ -64,21 +65,6 @@ class TrainConfig:
 # Shared setup
 # ---------------------------------------------------------------------------
 
-def merge_adjacent(symbols: list[str], left: str, right: str, joined: str) -> list[str]:
-    """Replace (left, right) adjacencies left-to-right without overlap."""
-    out: list[str] = []
-    i = 0
-    n = len(symbols)
-    while i < n:
-        if symbols[i] == left and i + 1 < n and symbols[i + 1] == right:
-            out.append(joined)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return out
-
-
 def _initial_state(
     table: PieceTable, config: TrainConfig
 ) -> tuple[list[str], list[tuple[list[str], int]]]:
@@ -116,18 +102,25 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
     Pair counts are kept incrementally and the best pair sits in a lazy
     max-heap, so a merge costs in proportion to its owner pieces, not the corpus.
 
-    Each rewritten piece adds its new pairs to ``pair_counts``, then
-    subtracts its old ones, so a pair it keeps never touches zero. A new pair
-    without the merge product joins two symbols that were adjacent before,
-    so only pairs with the product rise. The product names no earlier symbol,
-    so such a pair is created by this merge: it gains the piece as an owner
-    and joins ``created``. Its holders only shrink after that; at count zero
-    it is dropped with its owner set.
+    Merge step: each owner ``s`` of the merged pair ``(L, R)`` is scanned
+    once, left to right, building its new symbol list ``out``. At a match at
+    ``i`` the scan subtracts ``(L, R)``; on the left it subtracts
+    ``(s[i-1], L)`` and adds ``(out[-1], P)``; on the right it subtracts
+    ``(R, s[i+2])`` and adds ``(P, s[i+2])``, unless ``s[i+2:i+4]`` is the
+    next match, whose left side then handles that pair. So ``aaaa`` becomes
+    ``(aa)(aa)`` by subtracting ``(a, a)`` three times and adding
+    ``(aa, aa)`` once, and no pair away from a match is touched. Every
+    subtracted pair is a pair of the old list, whose symbols are all in the
+    vocabulary, and the product ``P`` is not, so no subtracted pair holds
+    ``P`` while every added pair does: the two sets never overlap, and only
+    pairs with the product rise. Such a pair is created by this merge: it
+    gains the piece as an owner and joins ``created``. Its holders only
+    shrink after that; at count zero it is dropped with its owner set.
 
     ``where`` invariant: ``where[p]`` is a superset of the pieces that hold a
     live pair ``p``. A piece joins it when ``p`` is created there and never
-    leaves it; an owner that no longer holds the merged pair is skipped, as
-    ``merge_adjacent`` leaves it the same length.
+    leaves it. An owner whose scan finds no match no longer holds the merged
+    pair, and is skipped as it is.
 
     Heap invariant: every live pair has at least one entry whose recorded
     count is at or above its live count. The initial heap and one push per
@@ -176,17 +169,35 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
 
         created: set[Pair] = set()
         for idx in where[pair]:
-            old_seq, mult = sequences[idx]
-            new_seq = merge_adjacent(old_seq, left, right, product)
-            if len(new_seq) == len(old_seq):
+            seq, mult = sequences[idx]
+            n = len(seq)
+            out: list[str] = []
+            gone: list[Pair] = []  # old pairs beside a match; none holds the product
+            born: list[Pair] = []  # new pairs beside a match; each holds the product
+            i = 0
+            while i < n:
+                if seq[i] != left or i + 1 == n or seq[i + 1] != right:
+                    out.append(seq[i])
+                    i += 1
+                    continue
+                gone.append(pair)
+                if i:
+                    gone.append((seq[i - 1], left))
+                    born.append((out[-1], product))
+                out.append(product)
+                i += 2
+                # unless the next match starts here: its left side takes this pair
+                if i < n and (seq[i] != left or i + 1 == n or seq[i + 1] != right):
+                    gone.append((right, seq[i]))
+                    born.append((product, seq[i]))
+            if not gone:
                 continue  # a stale owner: the pair left this piece earlier
-            sequences[idx] = (new_seq, mult)
-            for p in zip(new_seq, new_seq[1:]):
+            sequences[idx] = (out, mult)
+            for p in born:
                 pair_counts[p] = pair_counts.get(p, 0) + mult
-                if product in p:
-                    where.setdefault(p, set()).add(idx)
-                    created.add(p)
-            for p in zip(old_seq, old_seq[1:]):
+                where.setdefault(p, set()).add(idx)
+                created.add(p)
+            for p in gone:
                 if remaining := pair_counts[p] - mult:
                     pair_counts[p] = remaining
                 else:

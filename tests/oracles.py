@@ -1,17 +1,32 @@
 """Slow reference implementations that the tests hold the package to.
 
 Each one is the plain, quadratic or per-character form of an idea that
-``src/convtok`` implements fast: training by full recount, merge application
-by rescanning, and pretokenizing character by character. None of them ships
-with the package.
+``src/convtok`` implements fast: one merge rewritten across a whole symbol
+list, training by full recount, merge application by rescanning, and
+pretokenizing character by character. None of them ships with the package.
 """
 
 from collections import Counter
 
 from convtok.tokenizer import PieceTable, PretokenScheme, TokenizerModel
-from convtok.trainer import TrainConfig, _initial_state, merge_adjacent
+from convtok.trainer import TrainConfig, _initial_state
 
 Pair = tuple[str, str]
+
+
+def merge_adjacent(symbols: list[str], left: str, right: str, joined: str) -> list[str]:
+    """Replace (left, right) adjacencies left-to-right without overlap."""
+    out: list[str] = []
+    i = 0
+    n = len(symbols)
+    while i < n:
+        if symbols[i] == left and i + 1 < n and symbols[i + 1] == right:
+            out.append(joined)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return out
 
 
 def train_bpe_oracle(table: PieceTable, config: TrainConfig) -> TokenizerModel:

@@ -138,13 +138,13 @@ def test_samples_under_a_file_fails_before_generating(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flag", ["--doc-bytes", "--conv-bytes"])
 @pytest.mark.parametrize("size", ["0", "-5"])
 def test_samples_below_one_byte_fails_cleanly(flag, size, tmp_path, capsys):
-    code, out, err = run(capsys, "samples", "--out", str(tmp_path / "s"), flag, size)
+    code, out, err = run(capsys, "samples", "--out", str(tmp_path / "sdir" / "sub"), flag, size)
     assert code == 1
     assert out == ""
     payload = one_json_error(err)
     assert payload["error"] == "ConfigError"
     assert flag.removeprefix("--").replace("-", "_") in payload["message"]
-    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert not list(tmp_path.iterdir())  # no file, and no directory made for one
 
 
 def test_train_under_a_file_fails_before_training(data, tmp_path, capsys, monkeypatch):

@@ -19,12 +19,8 @@ from convtok.tokenizer import (
     model_to_bytes,
     pretokenize,
 )
-from convtok.trainer import (
-    TrainConfig,
-    merge_adjacent,
-    train_bpe,
-)
-from oracles import train_bpe_oracle
+from convtok.trainer import TrainConfig, train_bpe
+from oracles import merge_adjacent, train_bpe_oracle
 
 BYTE = TokenizerMode.BYTE_LEVEL
 CHAR = TokenizerMode.CHAR_LEVEL_FALLBACK
@@ -261,6 +257,30 @@ class TestOracle:
             slow = train_bpe_oracle(corpus, config)
             assert fast.merges == slow.merges
             assert fast.vocab == slow.vocab
+
+
+class TestNeighbouringMatches:
+    """Matches that share a neighbour, where a merge's pair deltas at one
+    match and at the next meet on the same symbol."""
+
+    CORPORA = (
+        [["a" * k] for k in range(2, 10)]
+        + [["ab" * k] for k in range(2, 10)]
+        + [["aab"], ["xaay"], ["abcab"]]
+    )
+
+    @pytest.mark.parametrize("mode", [BYTE, CHAR])
+    @pytest.mark.parametrize("corpus", CORPORA, ids=lambda c: c[0])
+    def test_matches_oracle(self, corpus, mode):
+        config = TrainConfig(vocab_size=300, mode=mode, min_pair_frequency=1)
+        fast = train_bpe(table_of(corpus), config)
+        slow = train_bpe_oracle(table_of(corpus), config)
+        assert model_to_bytes(fast) == model_to_bytes(slow)
+
+    def test_run_of_four_merges_its_halves(self):
+        # "aaaa" holds (a, a) three times; merging it leaves (aa)(aa), one (aa, aa)
+        config = TrainConfig(vocab_size=300, min_pair_frequency=1)
+        assert train_bpe(table_of(["aaaa"]), config).merges == (("a", "a"), ("aa", "aa"))
 
 
 class TestOracleStress:
