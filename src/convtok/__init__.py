@@ -55,7 +55,6 @@ from .tokenizer import (
     PretokenScheme,
     TokenizerMode,
     TokenizerModel,
-    byte_symbol_map,
     count_words,
     decode,
     encode,

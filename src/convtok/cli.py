@@ -16,29 +16,26 @@ from . import __version__
 from .corpus import (
     RoleFilter,
     SplitSpec,
+    conversation_line,
     corpus_format,
     extract_text,
     load_conversations,
     load_documents,
 )
-from .errors import ConvtokError, InvalidEncoding, UsageError, read_utf8, write_atomic
+from .errors import ConvtokError, UsageError, read_utf8, utf8_str, write_atomic
 from .experiments import (
     DEFAULT_SCHEME,
     DEFAULT_VOCAB_SIZE,
+    EXPERIMENTS,
     ExperimentSpec,
     emit_plot_data,
     load_report,
-    run_experiment1,
-    run_experiment2,
-    run_experiment3,
     write_report,
 )
 from .metrics import fertility, language_groups
 from .samples import DEFAULT_CONV_BYTES, DEFAULT_DOC_BYTES, DEFAULT_SEED, write_sample_corpora
 from .tokenizer import PieceTable, PretokenScheme, TokenizerMode, encode, load_model, save_model
 from .trainer import TrainConfig, train_bpe
-
-EXPERIMENTS = {"exp1": run_experiment1, "exp2": run_experiment2, "exp3": run_experiment3}
 
 
 def _emit(obj: dict) -> None:
@@ -67,13 +64,8 @@ def _cmd_ingest(args) -> None:
             language: len(subset) for language, subset in language_groups(conversations, 0)
         }
         if args.out:
-            lines = (json.dumps({
-                "id": r.id,
-                "model": r.model_name,
-                "language": r.language,
-                "turns": [{"role": role, "content": content} for role, content in r.turns],
-            }, ensure_ascii=False, separators=(",", ":")) + "\n" for r in conversations.records)
-            summary["out"] = str(write_atomic(args.out, "".join(lines).encode("utf-8")))
+            lines = "".join(conversation_line(r) + "\n" for r in conversations.records)
+            summary["out"] = str(write_atomic(args.out, lines.encode("utf-8")))
     if args.documents:
         summary["documents"] = len(load_documents(args.documents))
     if not summary:
@@ -98,12 +90,7 @@ def _cmd_train(args) -> None:
 def _cmd_encode(args) -> None:
     model = load_model(args.model)
     if args.text is not None:
-        # non-UTF-8 argv bytes arrive as lone surrogates
-        text = args.text
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise InvalidEncoding(f"--text: {exc}") from exc
+        text = utf8_str(args.text, "--text")
     else:
         text = read_utf8(args.input or sys.stdin.buffer)
     ids = encode(model, text)

@@ -5,7 +5,8 @@ Conversation files are JSONL, one object per line:
     {"id": str, "model": str, "language": str,
      "turns": [{"role": "user"|"assistant", "content": str}, ...]}
 
-A record with no ``id`` field and a ``conversation_id`` field is read with
+:func:`conversation_line` writes that native form and is the only writer of
+it. A record with no ``id`` field and a ``conversation_id`` field is read with
 the public LMSYS-Chat-1M field names instead (``conversation_id``,
 ``conversation``). Document corpora are plain UTF-8 text (one document per
 line) or JSONL with a ``text`` field. :func:`corpus_format` tells the formats
@@ -15,6 +16,7 @@ apart from the file itself.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, EmptyCorpus, InvalidEncoding, MalformedRecord, parse_json, read_utf8
+from .errors import ConfigError, EmptyCorpus, MalformedRecord, parse_json, read_utf8, utf8_str
 
 logger = logging.getLogger(__name__)
 
@@ -84,15 +86,6 @@ def _read_lines(path: str | Path) -> list[str]:
     return [line.removesuffix("\r") for line in read_utf8(path).split("\n")]
 
 
-def _utf8_clean(value: str, line_number: int) -> str:
-    # json.loads accepts lone surrogates via \uDxxx escapes; reject them here
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise InvalidEncoding(f"string is not valid UTF-8: {exc}", line_number) from exc
-    return value
-
-
 def _require(obj: dict, key: str, line_number: int):
     if key not in obj:
         raise MalformedRecord(line_number, f"missing field {key!r}")
@@ -118,6 +111,7 @@ def _parse_record(obj: dict, line_number: int) -> ConversationRecord:
     if not isinstance(turns_raw, list) or not turns_raw:
         raise MalformedRecord(line_number, "turns must be a non-empty list")
 
+    where = f"line {line_number}"
     turns: list[tuple[str, str]] = []
     for turn in turns_raw:
         if not isinstance(turn, dict):
@@ -128,14 +122,26 @@ def _parse_record(obj: dict, line_number: int) -> ConversationRecord:
             raise MalformedRecord(line_number, f"turn role must be user or assistant, got {role!r}")
         if not isinstance(content, str):
             raise MalformedRecord(line_number, "turn content must be a string")
-        turns.append((role, _utf8_clean(content, line_number)))
+        turns.append((role, utf8_str(content, where)))
 
     return ConversationRecord(
-        id=_utf8_clean(record_id, line_number),
-        model_name=_utf8_clean(model_name, line_number),
+        id=utf8_str(record_id, where),
+        model_name=utf8_str(model_name, where),
         turns=tuple(turns),
-        language=_utf8_clean(language, line_number).lower(),
+        language=utf8_str(language, where).lower(),
     )
+
+
+def conversation_line(record: ConversationRecord) -> str:
+    """The native JSON line of a record, without its newline: keys ``id``,
+    ``model``, ``language``, ``turns``, non-ASCII text as is, compact
+    separators. The line of a loaded record loads back to an equal record."""
+    return json.dumps({
+        "id": record.id,
+        "model": record.model_name,
+        "language": record.language,
+        "turns": [{"role": role, "content": content} for role, content in record.turns],
+    }, ensure_ascii=False, separators=(",", ":"))
 
 
 def _sniff_format(lines: list[str]) -> str:
@@ -202,7 +208,7 @@ def load_documents(path: str | Path) -> tuple[str, ...]:
             obj = parse_json(line, partial(MalformedRecord, line_number))
             if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
                 raise MalformedRecord(line_number, "expected an object with a string 'text' field")
-            text = _utf8_clean(obj["text"], line_number)
+            text = utf8_str(obj["text"], f"line {line_number}")
             if text.strip():
                 documents.append(text)
     if not documents:

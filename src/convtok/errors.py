@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the file boundary that
-raises them: the JSON parse, the strict UTF-8 read and the atomic write."""
+raises them: the JSON parse, the strict UTF-8 read and check, and the atomic
+write."""
 
 from __future__ import annotations
 
@@ -26,6 +27,20 @@ def read_utf8(source: str | Path | BinaryIO) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidEncoding(f"{name} is not UTF-8: {exc}") from exc
+
+
+def utf8_str(value: str, where: str) -> str:
+    """``value`` itself if it encodes as UTF-8.
+
+    A ``str`` from a JSON ``\\uDxxx`` escape or from undecodable argv bytes
+    can hold lone surrogates, which no UTF-8 encoding has; such a value raises
+    InvalidEncoding naming ``where``, such as ``line 3`` or ``--text``.
+    """
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidEncoding(f"{where}: string is not valid UTF-8: {exc}") from exc
+    return value
 
 
 def write_atomic(path: str | Path, data: bytes) -> Path:
@@ -83,12 +98,6 @@ class MalformedRecord(ConvtokError):
 
 class InvalidEncoding(ConvtokError):
     """Input bytes or text are not valid UTF-8."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
 
 
 class EmptyCorpus(ConvtokError):

@@ -61,7 +61,6 @@ ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
 DEFAULT_SCHEME = PretokenScheme.CATEGORY_SPLIT
 DEFAULT_VOCAB_SIZE = 8192
-EXPERIMENT_IDS = ("exp1", "exp2", "exp3")
 
 _CSV_COLUMNS = ["scope", "tokens_base", "tokens_opt", "reduction_pct",
                 "n_words", "fertility_base", "fertility_opt"]
@@ -85,6 +84,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.role_filters:
             raise ConfigError("at least one role filter is required")
+        if self.doc_sample_bytes < 1:
+            raise ConfigError(f"doc_sample_bytes must be at least 1, got {self.doc_sample_bytes}")
+        if self.language_threshold < 0:
+            raise ConfigError(
+                f"language_threshold must be at least 0, got {self.language_threshold}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -143,7 +147,7 @@ def load_report(path: str | Path) -> ExperimentReport:
         report = ExperimentReport.from_dict(obj)
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"not a report file: {path}: {exc!r}") from exc
-    if report.experiment not in EXPERIMENT_IDS:
+    if report.experiment not in EXPERIMENTS:
         raise IntegrityError(f"unknown experiment id in {path}: {report.experiment!r}")
     if report.experiment == "exp2" and not report.rows:
         raise IntegrityError(f"exp2 report without rows: {path}")
@@ -412,6 +416,10 @@ def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) ->
         for f in spec.role_filters
     )
     return ExperimentReport(experiment="exp3", rows=rows, provenance=ws.provenance)
+
+
+# every experiment by id: the CLI's subcommands and the ids a report may carry
+EXPERIMENTS = {"exp1": run_experiment1, "exp2": run_experiment2, "exp3": run_experiment3}
 
 
 # ---------------------------------------------------------------------------

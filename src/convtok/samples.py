@@ -13,11 +13,11 @@ full experiment pipeline runs in minutes on a laptop.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from pathlib import Path
 
+from .corpus import ConversationRecord, conversation_line
 from .errors import ConfigError, write_atomic
 
 DEFAULT_SEED = 20250601
@@ -309,18 +309,20 @@ def _assistant_turn(rng, world: _World, lang: _Lang) -> str:
     return s
 
 
-def _conversation(rng, world: _World, index: int) -> dict:
+def _conversation(rng, world: _World, index: int) -> ConversationRecord:
     lang = world.pick_lang(rng)
     turns = []
     for _ in range(rng.choice([1, 1, 1, 2])):
-        turns.append({"role": "user", "content": _user_turn(rng, world, lang)})
-        turns.append({"role": "assistant", "content": _assistant_turn(rng, world, lang)})
-    return {
-        "id": f"conv-{index:05d}-{rng.getrandbits(32):08x}",
-        "model": rng.choice(MODEL_NAMES),
-        "language": lang.tag,
-        "turns": turns,
-    }
+        turns.append(("user", _user_turn(rng, world, lang)))
+        turns.append(("assistant", _assistant_turn(rng, world, lang)))
+    # the draw order fixes the sample bytes: the turns, the id's bits, then
+    # the model (keyword arguments are evaluated in order)
+    return ConversationRecord(
+        id=f"conv-{index:05d}-{rng.getrandbits(32):08x}",
+        model_name=rng.choice(MODEL_NAMES),
+        turns=tuple(turns),
+        language=lang.tag,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +355,7 @@ def generate_corpora(
     total = 0
     index = 0
     while total < conv_bytes:
-        record = _conversation(rng, world, index)
-        line = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        line = conversation_line(_conversation(rng, world, index))
         lines.append(line)
         total += len(line.encode("utf-8")) + 1
         index += 1

@@ -57,39 +57,28 @@ class PretokenScheme(str, Enum):
 # Byte <-> symbol mapping (byte_level mode)
 # ---------------------------------------------------------------------------
 
-def _build_byte_symbol_map() -> dict[int, str]:
-    identity = [
-        b for b in range(256)
-        if 0x21 <= b <= 0x7E or 0xA1 <= b <= 0xAC or 0xAE <= b <= 0xFF
-    ]
-    mapping = {b: chr(b) for b in identity}
-    shifted = 0
-    for b in range(256):
-        if b not in mapping:
-            mapping[b] = chr(N_BYTE_SYMBOLS + shifted)
-            shifted += 1
-    return mapping
-
-
-_BYTE_TO_CHAR_MAP = _build_byte_symbol_map()
-_BYTE_TO_CHAR: tuple[str, ...] = tuple(_BYTE_TO_CHAR_MAP[b] for b in range(256))
+# The rule is in base_alphabet's docstring. The 68 bytes that do not stand
+# for themselves are three runs, 0x00-0x20, 0x7F-0xA0 and 0xAD, which take
+# code points 256-288, 289-322 and 323.
+_BYTE_TO_CHAR: tuple[str, ...] = tuple(
+    chr(b) if 0x21 <= b <= 0x7E or 0xA1 <= b <= 0xAC or 0xAE <= b <= 0xFF
+    else chr(N_BYTE_SYMBOLS + (b if b <= 0x20 else b - 0x5E if b <= 0xA0 else 67))
+    for b in range(N_BYTE_SYMBOLS)
+)
 _CHAR_TO_BYTE: dict[str, int] = {c: b for b, c in enumerate(_BYTE_TO_CHAR)}
 
 FALLBACK_TOKENS: tuple[str, ...] = tuple(f"<0x{b:02X}>" for b in range(256))
 
 
-def byte_symbol_map() -> dict[int, str]:
-    """Bijection from byte value to the character that stands for it.
-
-    Self-representable bytes (0x21-0x7E, 0xA1-0xAC, 0xAE-0xFF) map to their
-    own code point; the remaining 68 values map, in increasing byte order, to
-    code points 256..323.
-    """
-    return dict(_BYTE_TO_CHAR_MAP)
-
-
 def base_alphabet(mode: TokenizerMode) -> tuple[str, ...]:
-    """First 256 vocabulary entries required for a mode."""
+    """First 256 vocabulary entries required for a mode; entry ``b`` stands
+    for byte ``b``.
+
+    In ``byte_level`` mode the self-representable bytes (0x21-0x7E,
+    0xA1-0xAC, 0xAE-0xFF) are their own code point, and the remaining 68
+    values are, in increasing byte order, code points 256..323. In
+    ``char_level_fallback`` mode they are the tokens ``<0x00>`` .. ``<0xFF>``.
+    """
     if mode is TokenizerMode.BYTE_LEVEL:
         return _BYTE_TO_CHAR
     return FALLBACK_TOKENS
@@ -217,9 +206,6 @@ class TokenizerModel:
             for tok in self.vocab[N_BYTE_SYMBOLS:]:
                 if any(ch not in _CHAR_TO_BYTE for ch in tok):
                     raise IntegrityError(f"token contains unmapped characters: {tok!r}")
-
-    def token_id(self, token: str) -> int:
-        return self._token_ids[token]
 
 
 def _base_symbols(model: TokenizerModel, piece: str) -> list[str]:

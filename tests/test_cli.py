@@ -180,6 +180,14 @@ def test_ingest_writes_normalized_jsonl(tmp_path, capsys):
     assert json.loads(out)["conversations"] == 1
 
 
+def test_ingest_out_reproduces_a_samples_file(data, tmp_path, capsys):
+    normalized = tmp_path / "normalized.jsonl"
+    code, _, _ = run(capsys, "ingest", "--conversations", data["convs"],
+                     "--out", str(normalized))
+    assert code == 0
+    assert normalized.read_bytes() == Path(data["convs"]).read_bytes()
+
+
 def test_train_lmsys_corpus(tmp_path, capsys):
     lmsys = tmp_path / "lmsys.jsonl"
     rows = [{
@@ -489,8 +497,9 @@ def test_exp2_with_empty_held_out_split_fails_cleanly(data, tmp_path, capsys):
     assert one_json_error(err)["error"] == "EmptyText"
 
 
-def _bad_invocation(command, data, tmp):
-    """argv for one failing run of ``command`` and the error it must name."""
+def _bad_invocation(case, data, tmp):
+    """argv for one failing run, named by its subcommand or by the subcommand
+    and what is wrong, and the error it must name."""
     latin1 = tmp / "latin1.jsonl"
     latin1.write_bytes(b"caf\xe9\n")
     blank = tmp / "blank.txt"
@@ -499,34 +508,50 @@ def _bad_invocation(command, data, tmp):
     not_json.write_text("{", encoding="utf-8")
     a_file = tmp / "a_file"
     a_file.write_text("", encoding="utf-8")
-    experiment = ["--conversations", data["convs"], "--documents", str(blank),
-                  "--vocab-size", "300", "--out", str(tmp / "runs")]
+
+    def experiment(command, documents=str(blank), *extra):
+        return [command, "--conversations", data["convs"], "--documents", documents,
+                "--vocab-size", "300", "--out", str(tmp / "runs"), *extra]
+
     return {
-        "ingest": (["--conversations", str(latin1)], "InvalidEncoding"),
-        "train": (["--corpus", data["docs"], "--vocab-size", "100",
+        "ingest": (["ingest", "--conversations", str(latin1)], "InvalidEncoding"),
+        "ingest-nothing": (["ingest"], "ConvtokError"),
+        "train": (["train", "--corpus", data["docs"], "--vocab-size", "100",
                    "--out", str(tmp / "m.json")], "ConfigError"),
-        "encode": (["--model", str(tmp / "missing.json"), "--text", "x"],
+        "train-min-pair-frequency-0": (["train", "--corpus", data["docs"], "--vocab-size", "300",
+                                        "--min-pair-frequency", "0",
+                                        "--out", str(tmp / "m.json")], "ConfigError"),
+        "encode": (["encode", "--model", str(tmp / "missing.json"), "--text", "x"],
                    "FileNotFoundError"),
-        "fertility": (["--model", str(not_json), "--input", data["docs"]], "IntegrityError"),
-        "exp1": (experiment, "EmptyCorpus"),
-        "exp2": (experiment, "EmptyCorpus"),
-        "exp3": (experiment, "EmptyCorpus"),
-        "report": (["--report", str(not_json), "--out", str(tmp / "o")], "IntegrityError"),
-        "samples": (["--out", str(a_file / "sub")], "NotADirectoryError"),
-    }[command]
+        "fertility": (["fertility", "--model", str(not_json), "--input", data["docs"]],
+                      "IntegrityError"),
+        "exp1": (experiment("exp1"), "EmptyCorpus"),
+        "exp1-negative-doc-sample-bytes": (
+            experiment("exp1", data["docs"], "--doc-sample-bytes", "-5"), "ConfigError"),
+        "exp2": (experiment("exp2"), "EmptyCorpus"),
+        "exp2-negative-threshold": (
+            experiment("exp2", data["docs"], "--threshold", "-3"), "ConfigError"),
+        "exp3": (experiment("exp3"), "EmptyCorpus"),
+        "report": (["report", "--report", str(not_json), "--out", str(tmp / "o")],
+                   "IntegrityError"),
+        "samples": (["samples", "--out", str(a_file / "sub")], "NotADirectoryError"),
+    }[case]
 
 
-@pytest.mark.parametrize("command", [
-    "ingest", "train", "encode", "fertility", "exp1", "exp2", "exp3", "report", "samples",
+@pytest.mark.parametrize("case", [
+    "ingest", "ingest-nothing", "train", "train-min-pair-frequency-0", "encode", "fertility",
+    "exp1", "exp1-negative-doc-sample-bytes", "exp2", "exp2-negative-threshold", "exp3",
+    "report", "samples",
 ])
-def test_every_subcommand_fails_with_one_json_line(command, data, tmp_path, capsys):
-    argv, error = _bad_invocation(command, data, tmp_path)
-    code, out, err = run(capsys, command, *argv)
+def test_every_subcommand_fails_with_one_json_line(case, data, tmp_path, capsys):
+    argv, error = _bad_invocation(case, data, tmp_path)
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     payload = one_json_error(err)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == error
+    assert not (tmp_path / "runs").exists()  # an experiment that fails writes nothing
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from convtok.corpus import (
     ConversationSet,
     RoleFilter,
     SplitSpec,
+    conversation_line,
     corpus_format,
     extract_text,
     load_conversations,
@@ -17,6 +18,7 @@ from convtok.corpus import (
 )
 from convtok.errors import EmptyCorpus, InvalidEncoding, MalformedRecord
 from convtok.metrics import language_groups
+from convtok.samples import generate_corpora
 
 # valid JSON nested deeper than the decoder's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -186,6 +188,38 @@ class TestLoadConversations:
         write_jsonl(path, [obj])
         with pytest.raises(MalformedRecord, match="missing field 'id'"):
             load_conversations(path)
+
+
+# ---------------------------------------------------------------------------
+# conversation_line
+# ---------------------------------------------------------------------------
+
+class TestConversationLine:
+    @pytest.mark.parametrize("seed", [7, 20250601])
+    def test_sample_lines_are_written_by_it(self, seed, tmp_path):
+        _, lines = generate_corpora(seed=seed, doc_bytes=1, conv_bytes=30_000)
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records = load_conversations(path).records
+        assert len(records) == len(lines) > 1
+        assert [conversation_line(r) for r in records] == lines
+
+    def test_lmsys_record_comes_back_in_native_names(self, tmp_path):
+        lmsys = tmp_path / "lmsys.jsonl"
+        write_jsonl(lmsys, [{
+            "conversation_id": "x1", "model": "vicuna-13b", "language": "English",
+            "conversation": [{"role": "user", "content": "hi\u2028"},
+                             {"role": "assistant", "content": "olá"}],
+            "redacted": False,
+        }])
+        record = load_conversations(lmsys).records[0]
+        line = conversation_line(record)
+        assert line == ('{"id":"x1","model":"vicuna-13b","language":"english",'
+                        '"turns":[{"role":"user","content":"hi\u2028"},'
+                        '{"role":"assistant","content":"olá"}]}')
+        native = tmp_path / "native.jsonl"
+        native.write_text(line + "\n", encoding="utf-8")
+        assert load_conversations(native).records == (record,)
 
 
 # ---------------------------------------------------------------------------

@@ -376,10 +376,13 @@ class TestSpecValidation:
             SplitSpec(train_fraction=1.5)
         with pytest.raises(ConfigError):
             SplitSpec(seed=-1)
-        with pytest.raises(ConfigError):
-            ExperimentSpec(conversations_path=tmp_path / "c.jsonl",
-                           documents_path=tmp_path / "d.txt",
-                           output_dir=tmp_path / "out", role_filters=())
+        paths = dict(conversations_path=tmp_path / "c.jsonl",
+                     documents_path=tmp_path / "d.txt", output_dir=tmp_path / "out")
+        for bad in ({"role_filters": ()}, {"doc_sample_bytes": 0},
+                    {"doc_sample_bytes": -5}, {"language_threshold": -3}):
+            with pytest.raises(ConfigError):
+                ExperimentSpec(**paths, **bad)
+        ExperimentSpec(**paths, doc_sample_bytes=1, language_threshold=0)
 
 
 class TestReportFiles:

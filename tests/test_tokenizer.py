@@ -20,7 +20,6 @@ from convtok.tokenizer import (
     _apply_merges,
     _base_symbols,
     base_alphabet,
-    byte_symbol_map,
     decode,
     encode,
     encode_piece,
@@ -82,37 +81,36 @@ def toy_char_model(extra_vocab=("a", "b", "ab"), merges=(("a", "b"),)):
 # ---------------------------------------------------------------------------
 
 class TestByteSymbolMap:
+    alphabet = base_alphabet(TokenizerMode.BYTE_LEVEL)
+
     def test_identity_ranges(self):
-        mapping = byte_symbol_map()
-        assert mapping[0x41] == "A"
-        assert mapping[0x7E] == "~"
-        assert mapping[0xFF] == chr(0xFF)
+        assert self.alphabet[0x41] == "A"
+        assert self.alphabet[0x7E] == "~"
+        assert self.alphabet[0xFF] == chr(0xFF)
 
     def test_shifted_values(self):
         # derived by counting non-identity bytes in increasing order
-        mapping = byte_symbol_map()
-        assert mapping[0x20] == chr(288)
-        assert mapping[0x00] == chr(256)
-        assert mapping[0x7F] == chr(289)
-        assert mapping[0xAD] == chr(323)
+        assert self.alphabet[0x20] == chr(288)
+        assert self.alphabet[0x00] == chr(256)
+        assert self.alphabet[0x7F] == chr(289)
+        assert self.alphabet[0xAD] == chr(323)
 
     def test_bijection(self):
-        mapping = byte_symbol_map()
-        assert len(mapping) == 256
-        assert len(set(mapping.values())) == 256
+        assert len(self.alphabet) == 256
+        assert len(set(self.alphabet)) == 256
 
     def test_matches_independent_enumeration(self):
         # independent reconstruction of the stated rule
-        expected = {}
+        expected = []
         shifted = 0
         for b in range(256):
             if 0x21 <= b <= 0x7E or 0xA1 <= b <= 0xAC or 0xAE <= b <= 0xFF:
-                expected[b] = chr(b)
+                expected.append(chr(b))
             else:
-                expected[b] = chr(256 + shifted)
+                expected.append(chr(256 + shifted))
                 shifted += 1
         assert shifted == 68
-        assert byte_symbol_map() == expected
+        assert self.alphabet == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -423,24 +421,24 @@ class TestDecode:
 
     def test_invalid_fallback_bytes(self):
         model = toy_char_model()
-        lone_continuation = model.token_id("<0xC3>")
+        lone_continuation = model.vocab.index("<0xC3>")
         with pytest.raises(InvalidByteSequence):
             decode(model, [lone_continuation])
         # a cut-off fallback sequence stays an error before a vocabulary token
         with pytest.raises(InvalidByteSequence):
-            decode(model, [lone_continuation, model.token_id("ab")])
-        assert decode(model, [model.token_id("<0xC3>"), model.token_id("<0xA9>"),
-                              model.token_id("ab")]) == "éab"
+            decode(model, [lone_continuation, model.vocab.index("ab")])
+        assert decode(model, [model.vocab.index("<0xC3>"), model.vocab.index("<0xA9>"),
+                              model.vocab.index("ab")]) == "éab"
 
     def test_lone_surrogate_token(self):
         model = toy_char_model(extra_vocab=("\ud800",), merges=())
         with pytest.raises(InvalidByteSequence):
-            decode(model, [model.token_id("\ud800")])
+            decode(model, [model.vocab.index("\ud800")])
 
     def test_invalid_byte_mode_sequence(self, byte_model):
-        c3_symbol = byte_symbol_map()[0xC3]
+        c3_symbol = base_alphabet(TokenizerMode.BYTE_LEVEL)[0xC3]
         with pytest.raises(InvalidByteSequence):
-            decode(byte_model, [byte_model.token_id(c3_symbol)])
+            decode(byte_model, [byte_model.vocab.index(c3_symbol)])
 
 
 # ---------------------------------------------------------------------------
