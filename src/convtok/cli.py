@@ -56,6 +56,8 @@ def _load_corpus_texts(path: str, fmt: str, role_filter: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args) -> None:
+    if args.out and not args.conversations:
+        raise UsageError("convtok ingest: --out writes conversations and needs --conversations")
     summary: dict = {}
     if args.conversations:
         conversations = load_conversations(args.conversations)

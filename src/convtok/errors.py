@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit, and the file boundary that
-raises them: the JSON parse, the strict UTF-8 read and check, and the atomic
-write."""
+raises them: the JSON parse, the strict UTF-8 read and check, the file
+digest and the atomic write."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -27,6 +28,11 @@ def read_utf8(source: str | Path | BinaryIO) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidEncoding(f"{name} is not UTF-8: {exc}") from exc
+
+
+def sha256_file(path: str | Path) -> str:
+    """The hex sha256 digest of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def utf8_str(value: str, where: str) -> str:

@@ -27,6 +27,7 @@ from typing import get_args, get_type_hints
 
 from . import __version__ as _tool_version
 from .corpus import (
+    ConversationSet,
     RoleFilter,
     SplitSpec,
     extract_text,
@@ -42,9 +43,10 @@ from .errors import (
     InvalidEncoding,
     parse_json,
     read_utf8,
+    sha256_file,
     write_atomic,
 )
-from .metrics import FertilityResult, fertility, language_groups, reduction
+from .metrics import FertilityResult, language_groups, reduction, token_count
 from .tokenizer import (
     PieceTable,
     PretokenScheme,
@@ -62,8 +64,9 @@ DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
 DEFAULT_SCHEME = PretokenScheme.CATEGORY_SPLIT
 DEFAULT_VOCAB_SIZE = 8192
 
-_CSV_COLUMNS = ["scope", "tokens_base", "tokens_opt", "reduction_pct",
-                "n_words", "fertility_base", "fertility_opt"]
+# the metrics CSV's columns, each a ScopeRow field, with the format of its cells
+_CSV_COLUMNS = {"scope": "", "tokens_base": "", "tokens_opt": "", "reduction_pct": ".1f",
+                "n_words": "", "fertility_base": ".6f", "fertility_opt": ".6f"}
 
 
 @dataclass(frozen=True)
@@ -173,19 +176,6 @@ def _check_types(record, required: tuple[str, ...], where: str) -> None:
             raise IntegrityError(f"bad {name} in {where}: {value!r}")
 
 
-def _round_fert(value: float) -> float:
-    return round(value, 6)
-
-
-def _round_pct(value: float) -> float:
-    # percentages are reported to one decimal place
-    return round(value, 1)
-
-
-def _sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Workspace: corpora, splits, and cached models for one spec
 # ---------------------------------------------------------------------------
@@ -230,8 +220,8 @@ class Workspace:
         )
         self.scheme = base.scheme if base else spec.scheme
         corpus_digests = {
-            "conversations_sha256": _sha256_file(spec.conversations_path),
-            "documents_sha256": _sha256_file(spec.documents_path),
+            "conversations_sha256": sha256_file(spec.conversations_path),
+            "documents_sha256": sha256_file(spec.documents_path),
         }
         self.provenance = Provenance(
             tool_version=_tool_version,
@@ -256,7 +246,7 @@ class Workspace:
         payload = {
             **corpus_digests,
             "base_model_sha256": (
-                _sha256_file(spec.base_model_path) if spec.base_model_path else None
+                sha256_file(spec.base_model_path) if spec.base_model_path else None
             ),
             "train_fraction": repr(spec.split.train_fraction),
             "seed": spec.split.seed,
@@ -321,8 +311,8 @@ class Workspace:
         elif scope == "train:documents":
             texts = sample_documents(self.docs_train, self.spec.doc_sample_bytes)
         elif scope.startswith("language:"):
-            subset = dict(language_groups(self.conv_test, 0))[scope.removeprefix("language:")]
-            texts = extract_text(subset, RoleFilter.BOTH)
+            subset = tuple(r for r in self.conv_test if scope == f"language:{r.language}")
+            texts = extract_text(ConversationSet(subset), RoleFilter.BOTH)
         else:
             side, _, role = scope.rpartition(":")
             texts = extract_text(self.conv_train if side == "train" else self.conv_test, RoleFilter(role))
@@ -340,39 +330,40 @@ def _workspace(spec: ExperimentSpec, workspace: Workspace | None) -> Workspace:
     return workspace or Workspace(spec)
 
 
-def _fertility_row(model: TokenizerModel, scope: str, table: PieceTable) -> ScopeRow:
-    result = fertility(model, table)
-    return ScopeRow(
-        scope=scope,
-        filter=None,
-        tokens_base=result.n_tokens,
-        n_words=result.n_words,
-        fertility_base=_round_fert(result.fertility),
-    )
-
-
-def _comparison_row(
-    base: TokenizerModel,
-    opt: TokenizerModel,
-    scope: str,
-    filter_name: str,
-    table: PieceTable,
-    conversation_count: int | None = None,
+def _row(
+    table: PieceTable, scope: str, base: TokenizerModel, opt: TokenizerModel | None = None,
+    filter: str | None = None, conversation_count: int | None = None,
 ) -> ScopeRow:
-    red = reduction(base, opt, table)
-    fert_base = FertilityResult(n_tokens=red.tokens_base, n_words=table.n_words)
-    fert_opt = FertilityResult(n_tokens=red.tokens_opt, n_words=table.n_words)
+    """The metrics of ``base`` on a scope's table and, given ``opt``, of the
+    optimized model against it. Reductions are rounded to one decimal place
+    and fertilities to six; EmptyText from the reduction comes before
+    NoWords."""
+    red = reduction(base, opt, table) if opt is not None else None
+    fert = FertilityResult(red.tokens_base if red else token_count(base, table), table.n_words)
     return ScopeRow(
         scope=scope,
-        filter=filter_name,
-        tokens_base=red.tokens_base,
-        tokens_opt=red.tokens_opt,
-        reduction_pct=_round_pct(red.reduction_pct),
+        filter=filter,
+        tokens_base=fert.n_tokens,
+        tokens_opt=red.tokens_opt if red else None,
+        reduction_pct=round(red.reduction_pct, 1) if red else None,
         n_words=table.n_words,
-        fertility_base=_round_fert(fert_base.fertility),
-        fertility_opt=_round_fert(fert_opt.fertility),
+        fertility_base=round(fert.fertility, 6),
+        fertility_opt=round(red.tokens_opt / table.n_words, 6) if red else None,
         conversation_count=conversation_count,
     )
+
+
+def _compare(
+    experiment: str, ws: Workspace, scopes: list[tuple[str, int | None]]
+) -> ExperimentReport:
+    """Each role filter's retrained model against the base on every
+    ``(scope, conversation_count)``, grouped by filter."""
+    base = ws.base_model()
+    rows: list[ScopeRow] = []
+    for f in ws.spec.role_filters:
+        opt = ws.retrained(f)
+        rows += [_row(ws.table(scope), scope, base, opt, f.value, count) for scope, count in scopes]
+    return ExperimentReport(experiment=experiment, rows=tuple(rows), provenance=ws.provenance)
 
 
 def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
@@ -380,8 +371,7 @@ def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) ->
     ws = _workspace(spec, workspace)
     base = ws.base_model()
     rows = tuple(
-        _fertility_row(base, scope, ws.table(scope))
-        for scope in ("documents", "all", "user", "assistant")
+        _row(ws.table(scope), scope, base) for scope in ("documents", "all", "user", "assistant")
     )
     return ExperimentReport(experiment="exp1", rows=rows, provenance=ws.provenance)
 
@@ -393,29 +383,15 @@ def run_experiment2(spec: ExperimentSpec, workspace: Workspace | None = None) ->
     test_ids = {r.id for r in ws.conv_test.records}
     if train_ids & test_ids:
         raise ConvtokError("train/test split integrity violated")
-
-    base = ws.base_model()
-    scopes = [("all", None)] + [
-        (f"language:{language}", len(subset))
-        for language, subset in language_groups(ws.conv_test, spec.language_threshold)
-    ]
-    rows = tuple(
-        _comparison_row(base, ws.retrained(f), scope, f.value, ws.table(scope), count)
-        for f in spec.role_filters
-        for scope, count in scopes
-    )
-    return ExperimentReport(experiment="exp2", rows=rows, provenance=ws.provenance)
+    languages = language_groups(ws.conv_test, spec.language_threshold)
+    return _compare("exp2", ws, [("all", None)] + [
+        (f"language:{language}", len(subset)) for language, subset in languages
+    ])
 
 
 def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
     """Retrained tokenizers evaluated back on the document corpus."""
-    ws = _workspace(spec, workspace)
-    base = ws.base_model()
-    rows = tuple(
-        _comparison_row(base, ws.retrained(f), "documents", f.value, ws.table("documents"))
-        for f in spec.role_filters
-    )
-    return ExperimentReport(experiment="exp3", rows=rows, provenance=ws.provenance)
+    return _compare("exp3", _workspace(spec, workspace), [("documents", None)])
 
 
 # every experiment by id: the CLI's subcommands and the ids a report may carry
@@ -434,64 +410,56 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _metrics_cells(row: ScopeRow) -> list:
-    return [
-        row.scope,
-        row.tokens_base,
-        "" if row.tokens_opt is None else row.tokens_opt,
-        "" if row.reduction_pct is None else f"{row.reduction_pct:.1f}",
-        row.n_words,
-        f"{row.fertility_base:.6f}",
-        "" if row.fertility_opt is None else f"{row.fertility_opt:.6f}",
-    ]
+def _metrics_cells(row: ScopeRow) -> list[str]:
+    # the fields a base-only row leaves unset are empty cells
+    cells = ((getattr(row, name), spec) for name, spec in _CSV_COLUMNS.items())
+    return ["" if value is None else format(value, spec) for value, spec in cells]
+
+
+def _reduction_bars(rows) -> tuple[list[str], list[list]]:
+    return ["filter", "reduction_pct"], [[r.filter, f"{r.reduction_pct:.1f}"] for r in rows]
+
+
+def _filters(report: ExperimentReport) -> list[str]:
+    """The role filters of the report's optimized models, in row order."""
+    return [f for f in dict.fromkeys(r.filter for r in report.rows) if f is not None]
 
 
 def write_report(report: ExperimentReport, output_dir: str | Path) -> list[Path]:
-    """Write report.json plus one metrics CSV per base/optimized comparison."""
+    """Write report.json plus one metrics CSV per base/optimized comparison,
+    ``report_<filter>.csv``, or ``report.csv`` when no row has a filter."""
     out = Path(output_dir)
     written = [write_atomic(out / "report.json", report.to_json_bytes())]
-    filters = [f for f in dict.fromkeys(r.filter for r in report.rows) if f is not None]
-    if not filters:
-        rows = [_metrics_cells(r) for r in report.rows]
-        written.append(write_atomic(out / "report.csv", _csv_bytes(_CSV_COLUMNS, rows)))
-    for name in filters:
+    for name in _filters(report) or [None]:
         rows = [_metrics_cells(r) for r in report.rows if r.filter == name]
-        written.append(write_atomic(out / f"report_{name}.csv", _csv_bytes(_CSV_COLUMNS, rows)))
+        csv_name = "report.csv" if name is None else f"report_{name}.csv"
+        written.append(write_atomic(out / csv_name, _csv_bytes(list(_CSV_COLUMNS), rows)))
     return written
 
 
 def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Path]:
-    """Plot-ready tables: fertility bars, reduction bars per role filter,
-    per-language bars, and document-change bars. One CSV per chart."""
-    out = Path(output_dir)
-    written: list[Path] = []
-
+    """Plot-ready tables, one CSV per chart: fertility bars (exp1), reduction
+    bars per role filter and per-language bars (exp2), and document-change
+    bars (exp3). The language bars are the ``both`` filter's, or the first
+    filter's when ``both`` is absent."""
     if report.experiment == "exp1":
-        path = out / "plot_fertility.csv"
-        rows = [[r.scope, f"{r.fertility_base:.6f}"] for r in report.rows]
-        written.append(write_atomic(path, _csv_bytes(["scope", "fertility"], rows)))
+        fertilities = [[r.scope, f"{r.fertility_base:.6f}"] for r in report.rows]
+        tables = {"plot_fertility.csv": (["scope", "fertility"], fertilities)}
     elif report.experiment == "exp2":
-        path = out / "plot_reduction.csv"
-        rows = [
-            [r.filter, f"{r.reduction_pct:.1f}"]
-            for r in report.rows
-            if r.scope == "all"
-        ]
-        written.append(write_atomic(path, _csv_bytes(["filter", "reduction_pct"], rows)))
-
-        filters = [f for f in dict.fromkeys(r.filter for r in report.rows) if f is not None]
+        filters = _filters(report)
         lang_filter = RoleFilter.BOTH.value if RoleFilter.BOTH.value in filters else filters[0]
-        lang_rows = [
+        languages = [
             [r.scope.removeprefix("language:"), r.conversation_count, f"{r.reduction_pct:.1f}"]
             for r in report.rows
             if r.filter == lang_filter and r.scope.startswith("language:")
         ]
-        header = ["language", "conversations", "reduction_pct"]
-        written.append(write_atomic(out / "plot_languages.csv", _csv_bytes(header, lang_rows)))
+        tables = {
+            "plot_reduction.csv": _reduction_bars(r for r in report.rows if r.scope == "all"),
+            "plot_languages.csv": (["language", "conversations", "reduction_pct"], languages),
+        }
     elif report.experiment == "exp3":
-        path = out / "plot_documents_change.csv"
-        rows = [[r.filter, f"{r.reduction_pct:.1f}"] for r in report.rows]
-        written.append(write_atomic(path, _csv_bytes(["filter", "reduction_pct"], rows)))
+        tables = {"plot_documents_change.csv": _reduction_bars(report.rows)}
     else:
         raise ValueError(f"unknown experiment id: {report.experiment!r}")
-    return written
+    out = Path(output_dir)
+    return [write_atomic(out / name, _csv_bytes(*table)) for name, table in tables.items()]

@@ -104,13 +104,19 @@ def test_experiment_commands_write_files(data, tmp_path, capsys):
 
 def test_report_regeneration(data, tmp_path, capsys):
     out_dir = tmp_path / "runs"
-    run(capsys, "exp1", "--conversations", data["convs"], "--documents", data["docs"],
-        "--vocab-size", "380", "--threshold", "3", "--out", str(out_dir))
-    original = (out_dir / "exp1" / "report.csv").read_bytes()
-    code, _, _ = run(capsys, "report", "--report", str(out_dir / "exp1" / "report.json"),
-                     "--out", str(tmp_path / "regen"))
-    assert code == 0
-    assert (tmp_path / "regen" / "report.csv").read_bytes() == original
+    for experiment in ("exp1", "exp2", "exp3"):
+        code, out, _ = run(capsys, experiment, "--conversations", data["convs"],
+                           "--documents", data["docs"], "--vocab-size", "380",
+                           "--threshold", "3", "--out", str(out_dir))
+        assert code == 0
+        written = json.loads(out)["files"]
+        regen = tmp_path / "regen" / experiment
+        code, out, _ = run(capsys, "report", "--report", str(out_dir / experiment / "report.json"),
+                           "--out", str(regen))
+        assert code == 0
+        assert [Path(p).name for p in json.loads(out)["files"]] == [Path(p).name for p in written]
+        original = {p.name: p.read_bytes() for p in (out_dir / experiment).iterdir()}
+        assert {p.name: p.read_bytes() for p in regen.iterdir()} == original
 
 
 def test_samples_deterministic(tmp_path, capsys):
@@ -516,6 +522,9 @@ def _bad_invocation(case, data, tmp):
     return {
         "ingest": (["ingest", "--conversations", str(latin1)], "InvalidEncoding"),
         "ingest-nothing": (["ingest"], "ConvtokError"),
+        "ingest-out-without-conversations": (
+            ["ingest", "--documents", data["docs"], "--out", str(tmp / "runs" / "c.jsonl")],
+            "UsageError"),
         "train": (["train", "--corpus", data["docs"], "--vocab-size", "100",
                    "--out", str(tmp / "m.json")], "ConfigError"),
         "train-min-pair-frequency-0": (["train", "--corpus", data["docs"], "--vocab-size", "300",
@@ -539,7 +548,8 @@ def _bad_invocation(case, data, tmp):
 
 
 @pytest.mark.parametrize("case", [
-    "ingest", "ingest-nothing", "train", "train-min-pair-frequency-0", "encode", "fertility",
+    "ingest", "ingest-nothing", "ingest-out-without-conversations", "train",
+    "train-min-pair-frequency-0", "encode", "fertility",
     "exp1", "exp1-negative-doc-sample-bytes", "exp2", "exp2-negative-threshold", "exp3",
     "report", "samples",
 ])
@@ -551,7 +561,7 @@ def test_every_subcommand_fails_with_one_json_line(case, data, tmp_path, capsys)
     payload = one_json_error(err)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == error
-    assert not (tmp_path / "runs").exists()  # an experiment that fails writes nothing
+    assert not (tmp_path / "runs").exists()  # a command that fails writes no --out
 
 
 @pytest.mark.parametrize("argv", [

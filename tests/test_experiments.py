@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from dataclasses import replace
 from functools import partial
@@ -430,6 +431,45 @@ class TestReportFiles:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + len(tiny.spec.role_filters)
+
+
+# sha256 of every file that write_report and then emit_plot_data write for the
+# tiny run, in the order they return the paths
+_TINY_OUTPUT_SHA256 = {
+    "exp1": [
+        ("report.json", "adbe36feff0153f1c406d22d8754164d51555591f710f3e2811214a635b22722"),
+        ("report.csv", "0300e45a36783acbfd300caca0d17beedde78c2e74aed6d9d16bb11b239dbb98"),
+        ("plot_fertility.csv", "c5098366b25f97a219622b6562c779de6e322d1737f710b01eb5be7f59cbcf05"),
+    ],
+    "exp2": [
+        ("report.json", "6fcc9a6135a017cc8bf29f32b100706ee6d412b39d08d5e5813dbcb21af45aeb"),
+        ("report_user.csv", "dc12cffa06d2a86520ac0d851c99996008f34cd3e1e5ee9bc05e720fe7eb5ad8"),
+        ("report_assistant.csv",
+         "d63cd159e019db4ebd2bdbe3fee738c88c1ca45a7fdbf82ac33f50a64c9e0c54"),
+        ("report_both.csv", "6fd0ab8eef9f58b4ab6c962ed2b4e50bff02cad0d100eb718ab973149830530b"),
+        ("plot_reduction.csv", "aa21a604edde1bf98d6d5f248bbd20ec882e6c97ca06e96edc1e4d0fdc0b61b9"),
+        ("plot_languages.csv", "c8a48240f6d28b01eecec678d6edbbf7cd375c354d173915d72731324a30b316"),
+    ],
+    "exp3": [
+        ("report.json", "3c027e93a239751d5930269cdfaac037488490ac17c06d3d486277d963b07bb0"),
+        ("report_user.csv", "fbc84f3480ce70c3b39e090b0aec95deec8d230860da94ea4f7157ab8cea44fd"),
+        ("report_assistant.csv",
+         "60ccf7858c780307aef0bfe8d8f457d0a16f0242f71e625f3b6d8a7b1ff25275"),
+        ("report_both.csv", "c622566902c9de7387cdb623866924e51f13a39e04197464a55e40d1c5b0dc18"),
+        ("plot_documents_change.csv",
+         "0a7267ec620980dbaf87d7607a1910dcd3be4ded60558992f7eb08bdda6c2a73"),
+    ],
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("experiment", sorted(_TINY_OUTPUT_SHA256))
+    def test_every_output_file_is_pinned(self, experiment, tiny, tmp_path):
+        report = getattr(tiny, experiment)
+        paths = write_report(report, tmp_path) + emit_plot_data(report, tmp_path)
+        digests = [(p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in paths]
+        assert digests == _TINY_OUTPUT_SHA256[experiment]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(n for n, _ in digests)
 
 
 class TestSampleDocuments:
