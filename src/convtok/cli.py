@@ -19,6 +19,7 @@ from .corpus import (
     conversation_line,
     corpus_format,
     extract_text,
+    language_counts,
     load_conversations,
     load_documents,
 )
@@ -32,14 +33,15 @@ from .experiments import (
     load_report,
     write_report,
 )
-from .metrics import fertility, language_groups
+from .metrics import fertility
 from .samples import DEFAULT_CONV_BYTES, DEFAULT_DOC_BYTES, DEFAULT_SEED, write_sample_corpora
 from .tokenizer import PieceTable, PretokenScheme, TokenizerMode, encode, load_model, save_model
 from .trainer import TrainConfig, train_bpe
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, ensure_ascii=False))
+def _emit(obj, stream=None) -> None:
+    """One ASCII JSON line on ``stream`` (stdout by default), whatever its encoding."""
+    print(json.dumps(obj), file=stream)
 
 
 def _load_corpus_texts(path: str, fmt: str, role_filter: str) -> list[str]:
@@ -62,9 +64,7 @@ def _cmd_ingest(args) -> None:
     if args.conversations:
         conversations = load_conversations(args.conversations)
         summary["conversations"] = len(conversations)
-        summary["languages"] = {
-            language: len(subset) for language, subset in language_groups(conversations, 0)
-        }
+        summary["languages"] = dict(language_counts(conversations, 0))
         if args.out:
             lines = "".join(conversation_line(r) + "\n" for r in conversations.records)
             summary["out"] = str(write_atomic(args.out, lines.encode("utf-8")))
@@ -99,7 +99,7 @@ def _cmd_encode(args) -> None:
     if args.count_only:
         _emit({"n_tokens": len(ids)})
     else:
-        print(json.dumps(ids))
+        _emit(ids)
 
 
 def _cmd_fertility(args) -> None:
@@ -262,8 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         args.func(args)
     except (ConvtokError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        _emit({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         return 1
     return 0
 

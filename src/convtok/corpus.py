@@ -1,4 +1,4 @@
-"""Conversation and document corpora: loading, filtering, deterministic splits.
+"""Conversation and document corpora: loading, splits, role filters, language counts.
 
 Conversation files are JSONL, one object per line:
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -84,6 +85,18 @@ def _read_lines(path: str | Path) -> list[str]:
     # and the other breaks str.splitlines() knows are content, as they are
     # inside a JSON string.
     return [line.removesuffix("\r") for line in read_utf8(path).split("\n")]
+
+
+def _json_objects(lines: list[str]):
+    """``(line number, object)`` for each non-blank line; a line that is not
+    a JSON object is MalformedRecord naming it."""
+    for line_number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        obj = parse_json(line, partial(MalformedRecord, line_number))
+        if not isinstance(obj, dict):
+            raise MalformedRecord(line_number, "each line must hold a JSON object")
+        yield line_number, obj
 
 
 def _require(obj: dict, key: str, line_number: int):
@@ -179,12 +192,7 @@ def load_conversations(path: str | Path) -> ConversationSet:
     """
     records: list[ConversationRecord] = []
     seen_ids: set[str] = set()
-    for line_number, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        obj = parse_json(line, partial(MalformedRecord, line_number))
-        if not isinstance(obj, dict):
-            raise MalformedRecord(line_number, "each line must hold a JSON object")
+    for line_number, obj in _json_objects(_read_lines(path)):
         record = _parse_record(obj, line_number)
         if record.id in seen_ids:
             raise MalformedRecord(line_number, f"duplicate record id {record.id!r}")
@@ -202,11 +210,8 @@ def load_documents(path: str | Path) -> tuple[str, ...]:
         documents = [line for line in lines if line.strip()]
     else:
         documents = []
-        for line_number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            obj = parse_json(line, partial(MalformedRecord, line_number))
-            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+        for line_number, obj in _json_objects(lines):
+            if not isinstance(obj.get("text"), str):
                 raise MalformedRecord(line_number, "expected an object with a string 'text' field")
             text = utf8_str(obj["text"], f"line {line_number}")
             if text.strip():
@@ -218,7 +223,7 @@ def load_documents(path: str | Path) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Splitting and filtering
+# Splitting, filtering and language counts
 # ---------------------------------------------------------------------------
 
 def _keyed_hash(key: str, seed: int) -> int:
@@ -228,25 +233,35 @@ def _keyed_hash(key: str, seed: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def train_id_set(ids: list[str], spec: SplitSpec) -> set[str]:
-    """Ids assigned to the train side: the round(fraction * N) ids with the
-    smallest keyed hashes. Exact sizes, platform-independent, order-stable."""
+def partition(items, ids: list[str], spec: SplitSpec) -> tuple[list, list]:
+    """Split ``items`` into (train, test) by their distinct ``ids``, one per
+    item: the train side holds the round(fraction * N) items whose ids have
+    the smallest keyed hashes. Both sides keep input order. Exact sizes,
+    platform-independent, stable under re-ordering."""
     n_train = int(round(Fraction(spec.train_fraction) * len(ids)))
-    ranked = sorted(ids, key=lambda i: (_keyed_hash(i, spec.seed), i))
-    return set(ranked[:n_train])
+    train_ids = set(sorted(ids, key=lambda i: (_keyed_hash(i, spec.seed), i))[:n_train])
+    train, test = [], []
+    for item, item_id in zip(items, ids, strict=True):
+        (train if item_id in train_ids else test).append(item)
+    return train, test
 
 
 def split(conversations: ConversationSet, spec: SplitSpec) -> tuple[ConversationSet, ConversationSet]:
-    """Partition a conversation set into train and test, per conversation.
-
-    Deterministic in (record ids, seed); both sides preserve input order.
-    """
-    if not conversations.records:
+    """Partition a conversation set into train and test, per conversation,
+    keyed on record ids; both sides preserve input order."""
+    records = conversations.records
+    if not records:
         raise EmptyCorpus("cannot split an empty conversation set")
-    train_ids = train_id_set([r.id for r in conversations.records], spec)
-    train = tuple(r for r in conversations.records if r.id in train_ids)
-    test = tuple(r for r in conversations.records if r.id not in train_ids)
-    return ConversationSet(records=train), ConversationSet(records=test)
+    train, test = partition(records, [r.id for r in records], spec)
+    return ConversationSet(records=tuple(train)), ConversationSet(records=tuple(test))
+
+
+def language_counts(conversations: ConversationSet, threshold: int) -> list[tuple[str, int]]:
+    """``(tag, conversation count)`` of each language with strictly more than
+    ``threshold`` conversations, by count descending, then tag ascending."""
+    counts = Counter(r.language for r in conversations.records)
+    return sorted(((tag, n) for tag, n in counts.items() if n > threshold),
+                  key=lambda tag_n: (-tag_n[1], tag_n[0]))
 
 
 def extract_text(conversations: ConversationSet, role_filter: RoleFilter) -> list[str]:

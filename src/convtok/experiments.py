@@ -31,10 +31,11 @@ from .corpus import (
     RoleFilter,
     SplitSpec,
     extract_text,
+    language_counts,
     load_conversations,
     load_documents,
+    partition,
     split,
-    train_id_set,
 )
 from .errors import (
     ConfigError,
@@ -46,7 +47,7 @@ from .errors import (
     sha256_file,
     write_atomic,
 )
-from .metrics import FertilityResult, language_groups, reduction, token_count
+from .metrics import FertilityResult, reduction, token_count
 from .tokenizer import (
     PieceTable,
     PretokenScheme,
@@ -152,8 +153,8 @@ def load_report(path: str | Path) -> ExperimentReport:
         raise IntegrityError(f"not a report file: {path}: {exc!r}") from exc
     if report.experiment not in EXPERIMENTS:
         raise IntegrityError(f"unknown experiment id in {path}: {report.experiment!r}")
-    if report.experiment == "exp2" and not report.rows:
-        raise IntegrityError(f"exp2 report without rows: {path}")
+    if not report.rows:
+        raise IntegrityError(f"{report.experiment} report without rows: {path}")
     # the report files format every comparison row's filter and reduction
     required = () if report.experiment == "exp1" else ("filter", "reduction_pct")
     _check_types(report.provenance, (), f"provenance of {path}")
@@ -206,10 +207,8 @@ class Workspace:
         self.conversations = load_conversations(spec.conversations_path)
         self.documents = load_documents(spec.documents_path)
         self.conv_train, self.conv_test = split(self.conversations, spec.split)
-        doc_ids = [str(i) for i in range(len(self.documents))]
-        train_ids = train_id_set(doc_ids, spec.split)
-        self.docs_train = [d for i, d in enumerate(self.documents) if str(i) in train_ids]
-        self.docs_test = [d for i, d in enumerate(self.documents) if str(i) not in train_ids]
+        self.docs_train, self.docs_test = partition(
+            self.documents, [str(i) for i in range(len(self.documents))], spec.split)
         self._models: dict[str, TokenizerModel] = {}
         self._tables: dict[str, PieceTable] = {}
         base = load_model(spec.base_model_path) if spec.base_model_path else None
@@ -383,10 +382,8 @@ def run_experiment2(spec: ExperimentSpec, workspace: Workspace | None = None) ->
     test_ids = {r.id for r in ws.conv_test.records}
     if train_ids & test_ids:
         raise ConvtokError("train/test split integrity violated")
-    languages = language_groups(ws.conv_test, spec.language_threshold)
-    return _compare("exp2", ws, [("all", None)] + [
-        (f"language:{language}", len(subset)) for language, subset in languages
-    ])
+    languages = language_counts(ws.conv_test, spec.language_threshold)
+    return _compare("exp2", ws, [("all", None)] + [(f"language:{tag}", n) for tag, n in languages])
 
 
 def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:

@@ -1,4 +1,4 @@
-"""Fertility, token counts, reductions, and per-language groups.
+"""Fertility, token counts and reductions.
 
 All counting is exact integer arithmetic; ratios are formed only at the
 reporting boundary. A word is a maximal run of non-whitespace characters
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import ConversationSet
 from .errors import EmptyText, NoWords
 from .tokenizer import PieceTable, TokenizerModel, encode_piece
 
@@ -69,22 +68,3 @@ def reduction(
     if tokens_base == 0 or tokens_opt == 0:
         raise EmptyText("reduction is undefined on empty text")
     return ReductionResult(tokens_base=tokens_base, tokens_opt=tokens_opt)
-
-
-def language_groups(
-    conversations: ConversationSet, threshold: int
-) -> list[tuple[str, ConversationSet]]:
-    """Languages with strictly more than ``threshold`` conversations, with
-    their record subsets, sorted by count descending then tag ascending."""
-    by_language: dict[str, list] = {}
-    for record in conversations.records:
-        by_language.setdefault(record.language, []).append(record)
-    kept = [
-        (language, records)
-        for language, records in by_language.items()
-        if len(records) > threshold
-    ]
-    kept.sort(key=lambda lr: (-len(lr[1]), lr[0]))
-    return [
-        (language, ConversationSet(records=tuple(records))) for language, records in kept
-    ]

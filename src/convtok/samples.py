@@ -117,31 +117,27 @@ def _zipf_idx(rng: random.Random, n: int) -> int:
     return min(n - 1, int(math.exp(rng.random() * math.log(n))) - 1)
 
 
+def _distinct(n: int, draw) -> list[str]:
+    """The first ``n`` distinct values of ``draw()``, in draw order."""
+    words: dict[str, None] = {}
+    while len(words) < n:
+        words[draw()] = None
+    return list(words)
+
+
 def _make_lexicon(rng, n_words, onsets, vowels, codas, suffixes) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    while len(out) < n_words:
-        word = "".join(
-            rng.choice(onsets) + rng.choice(vowels)
-            + (rng.choice(codas) if rng.random() < 0.6 else "")
-            for _ in range(rng.randint(1, 3))
-        ) + rng.choice(suffixes)
-        if word and word not in seen:
-            seen.add(word)
-            out.append(word)
-    return out
+    return _distinct(n_words, lambda: "".join(
+        rng.choice(onsets) + rng.choice(vowels)
+        + (rng.choice(codas) if rng.random() < 0.6 else "")
+        for _ in range(rng.randint(1, 3))
+    ) + rng.choice(suffixes))
 
 
 def _make_cjk_lexicon(rng, n_words, pool_size=350) -> list[str]:
     pool = [chr(0x4E00 + rng.randrange(0x2000)) for _ in range(pool_size)]
-    seen: set[str] = set()
-    out: list[str] = []
-    while len(out) < n_words:
-        word = "".join(rng.choice(pool) for _ in range(rng.choice([1, 2, 2, 2, 3])))
-        if word not in seen:
-            seen.add(word)
-            out.append(word)
-    return out
+    return _distinct(n_words, lambda: "".join(
+        rng.choice(pool) for _ in range(rng.choice([1, 2, 2, 2, 3]))
+    ))
 
 
 class _Lang:
@@ -152,8 +148,9 @@ class _Lang:
         self.spaceless = spaceless
         self.hot: list[str] = []  # conversation-favored topical words
 
-    def word(self, rng: random.Random) -> str:
-        if not self.spaceless and rng.random() < 0.45:
+    def word(self, rng: random.Random, function_p: float = 0.45) -> str:
+        # function_p is 0.45 in chat and 0.50 in web documents; spaceless text has none
+        if not self.spaceless and rng.random() < function_p:
             return rng.choice(self.function)
         return self.lexicon[_zipf_idx(rng, len(self.lexicon))]
 
@@ -193,12 +190,6 @@ class _World:
 # Web-style documents
 # ---------------------------------------------------------------------------
 
-def _doc_word(rng, en: _Lang) -> str:
-    if rng.random() < 0.50:
-        return rng.choice(en.function)
-    return en.lexicon[_zipf_idx(rng, len(en.lexicon))]
-
-
 def _url(rng, en: _Lang) -> str:
     return (
         f"https://www.{rng.choice(en.lexicon[:300])}"
@@ -210,7 +201,7 @@ def _web_sentence(rng, world: _World) -> str:
     en = world.en
     n = rng.randint(7, 22)
     words = [
-        rng.choice(world.sprinkle) if rng.random() < 0.04 else _doc_word(rng, en)
+        rng.choice(world.sprinkle) if rng.random() < 0.04 else en.word(rng, 0.50)
         for _ in range(n)
     ]
     if rng.random() < 0.15:
@@ -226,7 +217,7 @@ def _web_document(rng, world: _World) -> str:
         parts.append(f"Read more at {_url(rng, world.en)}.")
     if rng.random() < 0.08:
         parts.insert(0, " ".join(
-            w.capitalize() for w in (_doc_word(rng, world.en), _doc_word(rng, world.en))
+            w.capitalize() for w in (world.en.word(rng, 0.50), world.en.word(rng, 0.50))
         ) + " -")
     return " ".join(parts)
 

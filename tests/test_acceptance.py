@@ -218,10 +218,10 @@ def test_split_integrity(record_criterion, tmp_path):
     # a fresh interpreter must agree (no dependence on hash randomization)
     script = (
         "import hashlib\n"
-        "from convtok.corpus import train_id_set, SplitSpec\n"
+        "from convtok.corpus import partition, SplitSpec\n"
         "ids = [f'rec-{i:04d}' for i in range(1000)]\n"
-        "train = sorted(train_id_set(ids, SplitSpec(train_fraction=0.8, seed=123)))\n"
-        "print(hashlib.sha256(','.join(train).encode()).hexdigest())\n"
+        "train, _ = partition(ids, ids, SplitSpec(train_fraction=0.8, seed=123))\n"
+        "print(hashlib.sha256(','.join(sorted(train)).encode()).hexdigest())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True

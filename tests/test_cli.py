@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -310,6 +312,26 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert "error" in payload and "message" in payload
 
 
+def test_output_lines_are_ascii_json(tmp_path):
+    # a stream that can only take ASCII still gets every line, summary and
+    # error alike, with non-ASCII text escaped
+    record = {"id": "ñ", "model": "m", "language": "español",
+              "turns": [{"role": "user", "content": "hola"}]}
+    good = tmp_path / "good.jsonl"
+    good.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    duplicate = tmp_path / "duplicate.jsonl"
+    duplicate.write_text(2 * (json.dumps(record) + "\n"), encoding="utf-8")
+    env = {**os.environ, "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": str(Path(convtok.cli.__file__).parents[1])}
+    runs = [subprocess.run([sys.executable, "-m", "convtok.cli", "ingest", "--conversations",
+                            str(path)], capture_output=True, env=env)
+            for path in (good, duplicate)]
+    assert [r.returncode for r in runs] == [0, 1]
+    assert runs[0].stdout.isascii() and runs[1].stderr.isascii()
+    assert json.loads(runs[0].stdout)["languages"] == {"español": 1}
+    assert json.loads(runs[1].stderr)["message"] == "line 2: duplicate record id 'ñ'"
+
+
 def test_malformed_corpus_fails_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a", "model": "m", "language": "en", "turns": []}\n',
@@ -451,6 +473,8 @@ _PROVENANCE = (b'"provenance":{"tool_version":"0","config_hash":"",'
      b'"tokens_opt":null,"reduction_pct":null,"n_words":3,"fertility_base":"x",'
      b'"fertility_opt":null,"conversation_count":null}],' + _PROVENANCE + b'}', "IntegrityError"),
     (b'{"experiment":"exp2","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
+    (b'{"experiment":"exp1","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
+    (b'{"experiment":"exp3","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
 ])
 def test_bad_report_fails_cleanly(tmp_path, capsys, content, error):
     report = tmp_path / "report.json"

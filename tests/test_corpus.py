@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -12,12 +13,13 @@ from convtok.corpus import (
     conversation_line,
     corpus_format,
     extract_text,
+    language_counts,
     load_conversations,
     load_documents,
+    partition,
     split,
 )
 from convtok.errors import EmptyCorpus, InvalidEncoding, MalformedRecord
-from convtok.metrics import language_groups
 from convtok.samples import generate_corpora
 
 # valid JSON nested deeper than the decoder's recursion limit
@@ -222,6 +224,18 @@ class TestConversationLine:
         assert load_conversations(native).records == (record,)
 
 
+class TestSampleCorpora:
+    def test_default_files_are_pinned(self, bundle):
+        # the default `convtok samples` bytes; any change to a draw moves them
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (bundle.docs, bundle.convs)}
+        assert digests == {
+            "documents.txt": "3d8b83a7022d03e6b836820d83432595bad64ef6580c129f351db25f4240f3e8",
+            "conversations.jsonl":
+                "7af925d319a4a043ec6ac1811c9abbd8aca272591c243d3230c5db6c9b85e94b",
+        }
+
+
 # ---------------------------------------------------------------------------
 # load_documents
 # ---------------------------------------------------------------------------
@@ -365,6 +379,16 @@ class TestSplit:
             indices = [ordering[r.id] for r in side]
             assert indices == sorted(indices)
 
+    def test_partition_of_plain_items_keeps_input_order(self):
+        items = [f"doc {i}" for i in range(40)]
+        ids = [str(i) for i in range(40)]
+        train, test = partition(items, ids, SplitSpec(train_fraction=0.8, seed=5))
+        assert len(train) == 32 and len(test) == 8
+        assert sorted(train + test) == sorted(items)
+        for side in (train, test):
+            indices = [items.index(item) for item in side]
+            assert indices == sorted(indices)
+
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyCorpus):
             split(ConversationSet(records=()), SplitSpec())
@@ -415,7 +439,7 @@ class TestExtractText:
 
 def language_histogram(conversations):
     """Conversation counts per language tag, as ``ingest`` reports them."""
-    return {language: len(subset) for language, subset in language_groups(conversations, 0)}
+    return dict(language_counts(conversations, 0))
 
 
 class TestLanguageHistogram:
@@ -431,6 +455,12 @@ class TestLanguageHistogram:
         conversations = make_set(97, languages=("en", "es", "zh", "fr"))
         histogram = language_histogram(conversations)
         assert sum(histogram.values()) == 97
+
+    def test_equal_counts_sort_by_tag(self):
+        conversations = make_set(7, languages=("zh", "en", "fr", "de", "en", "zh", "fr"))
+        assert language_counts(conversations, 0) == [
+            ("en", 2), ("fr", 2), ("zh", 2), ("de", 1)]
+        assert language_counts(conversations, 1) == [("en", 2), ("fr", 2), ("zh", 2)]
 
     def test_chinese_share_fixture(self):
         # 24 of 1,000 conversations tagged zh -> 2.4% share

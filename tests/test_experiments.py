@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import convtok
-from convtok.corpus import RoleFilter, SplitSpec, extract_text
+from convtok.corpus import ConversationSet, RoleFilter, SplitSpec, extract_text, language_counts
 from convtok.errors import ConfigError
 from convtok.experiments import (
     ExperimentSpec,
@@ -22,7 +22,7 @@ from convtok.experiments import (
     sample_documents,
     write_report,
 )
-from convtok.metrics import fertility, language_groups, reduction
+from convtok.metrics import fertility, reduction
 from convtok.samples import write_sample_corpora
 from convtok.tokenizer import (
     PieceTable,
@@ -95,10 +95,7 @@ class TestExperiment2:
         assert len(train_ids) + len(test_ids) == len(tiny.ws.conversations)
 
     def test_language_rows_only_over_threshold(self, tiny):
-        groups = dict(
-            (language, len(subset))
-            for language, subset in language_groups(tiny.ws.conv_test, tiny.spec.language_threshold)
-        )
+        groups = dict(language_counts(tiny.ws.conv_test, tiny.spec.language_threshold))
         language_rows = [r for r in tiny.exp2.rows if r.scope.startswith("language:")]
         assert language_rows
         for row in language_rows:
@@ -118,15 +115,16 @@ class TestExperiment2:
 
     def test_language_rows_are_reductions_over_language_groups(self, tiny):
         base = tiny.ws.base_model()
-        groups = language_groups(tiny.ws.conv_test, tiny.spec.language_threshold)
+        groups = language_counts(tiny.ws.conv_test, tiny.spec.language_threshold)
         for role_filter in tiny.spec.role_filters:
             opt = tiny.ws.retrained(role_filter)
             rows = [r for r in tiny.exp2.rows
                     if r.filter == role_filter.value and r.scope.startswith("language:")]
             assert [r.scope for r in rows] == [f"language:{tag}" for tag, _ in groups]
-            for row, (_, subset) in zip(rows, groups):
+            for row, (tag, n) in zip(rows, groups):
+                subset = ConversationSet(tuple(r for r in tiny.ws.conv_test if r.language == tag))
                 recomputed = reduction(base, opt, extract_text(subset, RoleFilter.BOTH))
-                assert row.conversation_count == len(subset)
+                assert row.conversation_count == n == len(subset)
                 assert row.tokens_base == recomputed.tokens_base
                 assert row.tokens_opt == recomputed.tokens_opt
                 assert row.reduction_pct == round(recomputed.reduction_pct, 1)
@@ -146,8 +144,9 @@ class TestExperiment2:
         report = run_experiment2(tiny.spec, ws)
         assert report == tiny.exp2
         test_texts = extract_text(ws.conv_test, RoleFilter.BOTH)
-        kept = language_groups(ws.conv_test, tiny.spec.language_threshold)
-        language_texts = sum(len(extract_text(subset, RoleFilter.BOTH)) for _, subset in kept)
+        kept = {tag for tag, _ in language_counts(ws.conv_test, tiny.spec.language_threshold)}
+        language_texts = len(extract_text(
+            ConversationSet(tuple(r for r in ws.conv_test if r.language in kept)), RoleFilter.BOTH))
         assert calls
         assert len(calls) <= len(test_texts) + language_texts
         test_ids = {id(t) for t in test_texts}
@@ -423,7 +422,7 @@ class TestReportFiles:
         assert len(rows) == 1 + len(tiny.spec.role_filters)
         with open(by_name["plot_languages.csv"], newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        n_languages = len(language_groups(tiny.ws.conv_test, tiny.spec.language_threshold))
+        n_languages = len(language_counts(tiny.ws.conv_test, tiny.spec.language_threshold))
         assert len(rows) == 1 + n_languages
 
     def test_plot_data_exp3(self, tiny, tmp_path):

@@ -2,13 +2,18 @@ import re
 
 import pytest
 
-from convtok.corpus import ConversationRecord, ConversationSet, RoleFilter, extract_text
+from convtok.corpus import (
+    ConversationRecord,
+    ConversationSet,
+    RoleFilter,
+    extract_text,
+    language_counts,
+)
 from convtok.errors import ConfigError, EmptyText, NoWords
 from convtok.metrics import (
     FertilityResult,
     ReductionResult,
     fertility,
-    language_groups,
     reduction,
     token_count,
 )
@@ -32,14 +37,18 @@ def conversations_of(texts_by_language):
     return ConversationSet(records=tuple(records))
 
 
+def language_subset(conversations, tag):
+    return ConversationSet(tuple(r for r in conversations.records if r.language == tag))
+
+
 def language_reductions(base, opt, conversations, threshold):
     """(language, conversation count, reduction %) per kept language, computed
-    as experiment 2's language rows are: language_groups, then reduction over
-    both roles of each group."""
+    as experiment 2's language rows are: language_counts, then reduction over
+    both roles of each language's records."""
     return [
-        (language, len(subset),
-         reduction(base, opt, extract_text(subset, RoleFilter.BOTH)).reduction_pct)
-        for language, subset in language_groups(conversations, threshold)
+        (tag, n, reduction(base, opt, extract_text(language_subset(conversations, tag),
+                                                    RoleFilter.BOTH)).reduction_pct)
+        for tag, n in language_counts(conversations, threshold)
     ]
 
 
