@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .corpus import (
     ConversationRecord,
-    ConversationSet,
     RoleFilter,
     SplitSpec,
     extract_text,

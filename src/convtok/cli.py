@@ -66,7 +66,7 @@ def _cmd_ingest(args) -> None:
         summary["conversations"] = len(conversations)
         summary["languages"] = dict(language_counts(conversations, 0))
         if args.out:
-            lines = "".join(conversation_line(r) + "\n" for r in conversations.records)
+            lines = "".join(conversation_line(r) + "\n" for r in conversations)
             summary["out"] = str(write_atomic(args.out, lines.encode("utf-8")))
     if args.documents:
         summary["documents"] = len(load_documents(args.documents))
@@ -167,7 +167,11 @@ def _cmd_samples(args) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a UsageError, so that it leaves as one JSON
-    line like every other failure; subparsers inherit the class."""
+    line like every other failure, and takes no flag by a prefix of its name;
+    subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")

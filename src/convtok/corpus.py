@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, EmptyCorpus, MalformedRecord, parse_json, read_utf8, utf8_str
-
-logger = logging.getLogger(__name__)
 
 _ROLES = ("user", "assistant")
 
@@ -44,21 +42,6 @@ class ConversationRecord:
     model_name: str
     turns: tuple[tuple[str, str], ...]  # (role, content), in conversation order
     language: str
-
-
-@dataclass(frozen=True)
-class ConversationSet:
-    records: tuple[ConversationRecord, ...]
-
-    def __post_init__(self):
-        if len({r.id for r in self.records}) != len(self.records):
-            raise ValueError("record ids must be unique within a set")
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 @dataclass(frozen=True)
@@ -184,8 +167,9 @@ def corpus_format(path: str | Path) -> str:
     return _sniff_format(_read_lines(path))
 
 
-def load_conversations(path: str | Path) -> ConversationSet:
-    """Parse a conversation corpus, aborting on the first malformed line.
+def load_conversations(path: str | Path) -> tuple[ConversationRecord, ...]:
+    """Parse a conversation corpus, aborting on the first malformed line or
+    the first repeated id.
 
     Language tags are lowercased but otherwise taken verbatim from the file
     (no language detection). Blank lines are ignored.
@@ -198,8 +182,7 @@ def load_conversations(path: str | Path) -> ConversationSet:
             raise MalformedRecord(line_number, f"duplicate record id {record.id!r}")
         seen_ids.add(record.id)
         records.append(record)
-    logger.info("loaded %d conversations from %s", len(records), path)
-    return ConversationSet(records=tuple(records))
+    return tuple(records)
 
 
 def load_documents(path: str | Path) -> tuple[str, ...]:
@@ -218,7 +201,6 @@ def load_documents(path: str | Path) -> tuple[str, ...]:
                 documents.append(text)
     if not documents:
         raise EmptyCorpus(f"no documents in {path}")
-    logger.info("loaded %d documents from %s", len(documents), path)
     return tuple(documents)
 
 
@@ -234,10 +216,13 @@ def _keyed_hash(key: str, seed: int) -> int:
 
 
 def partition(items, ids: list[str], spec: SplitSpec) -> tuple[list, list]:
-    """Split ``items`` into (train, test) by their distinct ``ids``, one per
-    item: the train side holds the round(fraction * N) items whose ids have
-    the smallest keyed hashes. Both sides keep input order. Exact sizes,
-    platform-independent, stable under re-ordering."""
+    """Split ``items`` into (train, test) by their ``ids``, one per item:
+    the train side holds the round(fraction * N) items whose ids have the
+    smallest keyed hashes. Both sides keep input order. Exact sizes,
+    platform-independent, stable under re-ordering. A repeated id is a
+    ValueError, raised before any item is assigned."""
+    if len(set(ids)) != len(ids):
+        raise ValueError("ids must be distinct to partition by them")
     n_train = int(round(Fraction(spec.train_fraction) * len(ids)))
     train_ids = set(sorted(ids, key=lambda i: (_keyed_hash(i, spec.seed), i))[:n_train])
     train, test = [], []
@@ -246,31 +231,33 @@ def partition(items, ids: list[str], spec: SplitSpec) -> tuple[list, list]:
     return train, test
 
 
-def split(conversations: ConversationSet, spec: SplitSpec) -> tuple[ConversationSet, ConversationSet]:
-    """Partition a conversation set into train and test, per conversation,
-    keyed on record ids; both sides preserve input order."""
-    records = conversations.records
-    if not records:
+def split(
+    conversations: Sequence[ConversationRecord], spec: SplitSpec
+) -> tuple[list[ConversationRecord], list[ConversationRecord]]:
+    """Partition records into train and test, per conversation, keyed on
+    their distinct ids; both sides preserve input order."""
+    if not conversations:
         raise EmptyCorpus("cannot split an empty conversation set")
-    train, test = partition(records, [r.id for r in records], spec)
-    return ConversationSet(records=tuple(train)), ConversationSet(records=tuple(test))
+    return partition(conversations, [r.id for r in conversations], spec)
 
 
-def language_counts(conversations: ConversationSet, threshold: int) -> list[tuple[str, int]]:
+def language_counts(
+    conversations: Iterable[ConversationRecord], threshold: int
+) -> list[tuple[str, int]]:
     """``(tag, conversation count)`` of each language with strictly more than
     ``threshold`` conversations, by count descending, then tag ascending."""
-    counts = Counter(r.language for r in conversations.records)
+    counts = Counter(r.language for r in conversations)
     return sorted(((tag, n) for tag, n in counts.items() if n > threshold),
                   key=lambda tag_n: (-tag_n[1], tag_n[0]))
 
 
-def extract_text(conversations: ConversationSet, role_filter: RoleFilter) -> list[str]:
+def extract_text(conversations: Iterable[ConversationRecord], role_filter: RoleFilter) -> list[str]:
     """Turn contents matching the filter, in record order then turn order.
 
     Contents are used as-is: no normalization, no lowercasing.
     """
     texts: list[str] = []
-    for record in conversations.records:
+    for record in conversations:
         for role, content in record.turns:
             if role_filter is RoleFilter.BOTH or role == role_filter.value:
                 texts.append(content)

@@ -20,14 +20,12 @@ import csv
 import hashlib
 import io
 import json
-import logging
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import __version__ as _tool_version
 from .corpus import (
-    ConversationSet,
     RoleFilter,
     SplitSpec,
     extract_text,
@@ -57,8 +55,6 @@ from .tokenizer import (
     save_model,
 )
 from .trainer import TrainConfig, train_bpe
-
-logger = logging.getLogger(__name__)
 
 ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
@@ -277,11 +273,9 @@ class Workspace:
             path = self.models_dir / f"{name}.json"
             if path.exists():
                 model = load_model(path)
-                logger.info("loaded cached model %s", path)
             else:
                 model = train_bpe(self.table(scope), config)
                 save_model(model, path)
-                logger.info("trained model %s (vocab %d)", name, len(model.vocab))
             self._models[name] = model
         return model
 
@@ -310,8 +304,8 @@ class Workspace:
         elif scope == "train:documents":
             texts = sample_documents(self.docs_train, self.spec.doc_sample_bytes)
         elif scope.startswith("language:"):
-            subset = tuple(r for r in self.conv_test if scope == f"language:{r.language}")
-            texts = extract_text(ConversationSet(subset), RoleFilter.BOTH)
+            subset = (r for r in self.conv_test if scope == f"language:{r.language}")
+            texts = extract_text(subset, RoleFilter.BOTH)
         else:
             side, _, role = scope.rpartition(":")
             texts = extract_text(self.conv_train if side == "train" else self.conv_test, RoleFilter(role))
@@ -378,8 +372,8 @@ def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) ->
 def run_experiment2(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
     """Retrain per role filter; reduction on the held-out conversation split."""
     ws = _workspace(spec, workspace)
-    train_ids = {r.id for r in ws.conv_train.records}
-    test_ids = {r.id for r in ws.conv_test.records}
+    train_ids = {r.id for r in ws.conv_train}
+    test_ids = {r.id for r in ws.conv_test}
     if train_ids & test_ids:
         raise ConvtokError("train/test split integrity violated")
     languages = language_counts(ws.conv_test, spec.language_threshold)

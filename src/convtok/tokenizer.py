@@ -143,11 +143,14 @@ class PieceTable:
 
     @classmethod
     def of(cls, corpus: PieceTable | Iterable[str], scheme: PretokenScheme) -> PieceTable:
-        """``corpus`` itself if it is a table, else the table of its texts."""
+        """``corpus`` itself if it is a table, else the table of its texts. A
+        bare ``str`` is a TypeError, not a corpus of one-character texts."""
         if isinstance(corpus, PieceTable):
             if corpus.scheme is not scheme:
                 raise ConfigError(f"piece table is {corpus.scheme.value}, not {scheme.value}")
             return corpus
+        if isinstance(corpus, str):
+            raise TypeError("a corpus is an iterable of texts, not one str")
         pieces: Counter[str] = Counter()
         n_words = 0
         for text in corpus:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from convtok.corpus import ConversationRecord, ConversationSet, RoleFilter, SplitSpec, split
+from convtok.corpus import ConversationRecord, RoleFilter, SplitSpec, split
 from convtok.metrics import fertility, token_count
 from convtok.samples import generate_corpora
 from convtok.tokenizer import (
@@ -194,7 +194,7 @@ def test_experiment3_magnitude(record_criterion, exp_runs):
 
 
 def _thousand_records():
-    records = tuple(
+    return tuple(
         ConversationRecord(
             id=f"rec-{i:04d}", model_name="m",
             turns=(("user", f"question {i}"), ("assistant", f"answer {i}")),
@@ -202,7 +202,6 @@ def _thousand_records():
         )
         for i in range(1000)
     )
-    return ConversationSet(records=records)
 
 
 def test_split_integrity(record_criterion, tmp_path):
@@ -213,7 +212,7 @@ def test_split_integrity(record_criterion, tmp_path):
     test_ids = {r.id for r in test}
 
     again_train, again_test = split(conversations, spec)
-    stable = (train.records, test.records) == (again_train.records, again_test.records)
+    stable = (train, test) == (again_train, again_test)
 
     # a fresh interpreter must agree (no dependence on hash randomization)
     script = (

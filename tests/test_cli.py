@@ -554,14 +554,22 @@ def _bad_invocation(case, data, tmp):
         "train-min-pair-frequency-0": (["train", "--corpus", data["docs"], "--vocab-size", "300",
                                         "--min-pair-frequency", "0",
                                         "--out", str(tmp / "m.json")], "ConfigError"),
+        "train-abbreviated-flag": (["train", "--corpus", data["docs"], "--vocab", "300",
+                                    "--out", str(tmp / "runs" / "m.json")], "UsageError"),
         "encode": (["encode", "--model", str(tmp / "missing.json"), "--text", "x"],
                    "FileNotFoundError"),
         "fertility": (["fertility", "--model", str(not_json), "--input", data["docs"]],
                       "IntegrityError"),
         "exp1": (experiment("exp1"), "EmptyCorpus"),
+        # a prefix of a flag is not that flag: each of these runs would succeed
+        "exp1-abbreviated-flag": (["exp1", "--conv", data["convs"], "--documents", data["docs"],
+                                   "--vocab-size", "300", "--out", str(tmp / "runs")],
+                                  "UsageError"),
         "exp1-negative-doc-sample-bytes": (
             experiment("exp1", data["docs"], "--doc-sample-bytes", "-5"), "ConfigError"),
         "exp2": (experiment("exp2"), "EmptyCorpus"),
+        "exp2-abbreviated-flag": (experiment("exp2", data["docs"], "--thresh", "60"),
+                                  "UsageError"),
         "exp2-negative-threshold": (
             experiment("exp2", data["docs"], "--threshold", "-3"), "ConfigError"),
         "exp3": (experiment("exp3"), "EmptyCorpus"),
@@ -573,8 +581,9 @@ def _bad_invocation(case, data, tmp):
 
 @pytest.mark.parametrize("case", [
     "ingest", "ingest-nothing", "ingest-out-without-conversations", "train",
-    "train-min-pair-frequency-0", "encode", "fertility",
-    "exp1", "exp1-negative-doc-sample-bytes", "exp2", "exp2-negative-threshold", "exp3",
+    "train-min-pair-frequency-0", "train-abbreviated-flag", "encode", "fertility",
+    "exp1", "exp1-abbreviated-flag", "exp1-negative-doc-sample-bytes",
+    "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp3",
     "report", "samples",
 ])
 def test_every_subcommand_fails_with_one_json_line(case, data, tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from convtok.cli import main
 from convtok.corpus import (
     ConversationRecord,
-    ConversationSet,
     RoleFilter,
     SplitSpec,
     conversation_line,
@@ -45,7 +44,7 @@ def write_jsonl(path, objects):
 
 
 def make_set(n, languages=("english",)):
-    records = tuple(
+    return tuple(
         ConversationRecord(
             id=f"c{i}",
             model_name="m",
@@ -54,7 +53,6 @@ def make_set(n, languages=("english",)):
         )
         for i in range(n)
     )
-    return ConversationSet(records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +66,7 @@ class TestLoadConversations:
         loaded = load_conversations(path)
         assert len(loaded) == 3
         assert [r.id for r in loaded] == ["c0", "c1", "c2"]
-        assert loaded.records[0].turns[0] == ("user", "question 0")
+        assert loaded[0].turns[0] == ("user", "question 0")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -135,7 +133,7 @@ class TestLoadConversations:
     def test_language_lowercased(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [record_obj(0, language="English")])
-        assert load_conversations(path).records[0].language == "english"
+        assert load_conversations(path)[0].language == "english"
 
     def test_lmsys_field_names(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -150,7 +148,7 @@ class TestLoadConversations:
             "redacted": False,
         }])
         loaded = load_conversations(path)
-        record = loaded.records[0]
+        record = loaded[0]
         assert record.id == "abc123"
         assert record.language == "portuguese"
         assert record.turns == (("user", "oi"), ("assistant", "olá"))
@@ -171,7 +169,7 @@ class TestLoadConversations:
         write_jsonl(path, [record_obj(0, turns=[{"role": "user", "content": content}])])
         assert "one\u2028two\u2029three\u0085four".encode("utf-8") in path.read_bytes()
         loaded = load_conversations(path)
-        assert loaded.records[0].turns == (("user", content),)
+        assert loaded[0].turns == (("user", content),)
         normalized = tmp_path / "out" / "normalized.jsonl"
         assert main(["ingest", "--conversations", str(path), "--out", str(normalized)]) == 0
         assert main(["ingest", "--conversations", str(normalized)]) == 0
@@ -181,7 +179,7 @@ class TestLoadConversations:
     def test_native_names_win_over_lmsys_names(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{**record_obj(0), "conversation_id": "other"}])
-        assert load_conversations(path).records[0].id == "c0"
+        assert load_conversations(path)[0].id == "c0"
 
     def test_native_record_without_id_keeps_its_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -202,7 +200,7 @@ class TestConversationLine:
         _, lines = generate_corpora(seed=seed, doc_bytes=1, conv_bytes=30_000)
         path = tmp_path / "c.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        records = load_conversations(path).records
+        records = load_conversations(path)
         assert len(records) == len(lines) > 1
         assert [conversation_line(r) for r in records] == lines
 
@@ -214,14 +212,14 @@ class TestConversationLine:
                              {"role": "assistant", "content": "olá"}],
             "redacted": False,
         }])
-        record = load_conversations(lmsys).records[0]
+        record = load_conversations(lmsys)[0]
         line = conversation_line(record)
         assert line == ('{"id":"x1","model":"vicuna-13b","language":"english",'
                         '"turns":[{"role":"user","content":"hi\u2028"},'
                         '{"role":"assistant","content":"olá"}]}')
         native = tmp_path / "native.jsonl"
         native.write_text(line + "\n", encoding="utf-8")
-        assert load_conversations(native).records == (record,)
+        assert load_conversations(native) == (record,)
 
 
 class TestSampleCorpora:
@@ -360,9 +358,9 @@ class TestSplit:
         conversations = make_set(60)
         spec = SplitSpec(train_fraction=0.8, seed=3)
         train_ids = {r.id for r in split(conversations, spec)[0]}
-        shuffled = list(conversations.records)
+        shuffled = list(conversations)
         random.Random(9).shuffle(shuffled)
-        train_ids_shuffled = {r.id for r in split(ConversationSet(tuple(shuffled)), spec)[0]}
+        train_ids_shuffled = {r.id for r in split(shuffled, spec)[0]}
         assert train_ids == train_ids_shuffled
 
     def test_different_seeds_differ(self):
@@ -389,18 +387,23 @@ class TestSplit:
             indices = [items.index(item) for item in side]
             assert indices == sorted(indices)
 
+    def test_partition_rejects_duplicate_ids(self):
+        items = ["a", "b", "c"]
+        with pytest.raises(ValueError, match="distinct"):
+            partition(items, ["1", "2", "1"], SplitSpec())
+
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyCorpus):
-            split(ConversationSet(records=()), SplitSpec())
+            split((), SplitSpec())
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             SplitSpec(train_fraction=1.0)
 
     def test_duplicate_ids_rejected(self):
-        record = make_set(1).records[0]
+        record = make_set(1)[0]
         with pytest.raises(ValueError):
-            ConversationSet(records=(record, record))
+            split((record, record), SplitSpec())
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +412,13 @@ class TestSplit:
 
 class TestExtractText:
     def test_single_record_filters(self):
-        conversations = ConversationSet(records=(
+        conversations = (
             ConversationRecord(
                 id="a", model_name="m",
                 turns=(("user", "hi"), ("assistant", "hello")),
                 language="english",
             ),
-        ))
+        )
         assert extract_text(conversations, RoleFilter.USER_ONLY) == ["hi"]
         assert extract_text(conversations, RoleFilter.ASSISTANT_ONLY) == ["hello"]
         assert extract_text(conversations, RoleFilter.BOTH) == ["hi", "hello"]
@@ -428,12 +431,12 @@ class TestExtractText:
         assert n_user + n_assistant == n_both
 
     def test_order_is_record_then_turn(self):
-        conversations = ConversationSet(records=(
+        conversations = (
             ConversationRecord(id="a", model_name="m",
                                turns=(("user", "1"), ("assistant", "2")), language="english"),
             ConversationRecord(id="b", model_name="m",
                                turns=(("user", "3"),), language="english"),
-        ))
+        )
         assert extract_text(conversations, RoleFilter.BOTH) == ["1", "2", "3"]
 
 
@@ -449,7 +452,7 @@ class TestLanguageHistogram:
         assert language_histogram(conversations) == {"en": 2, "zh": 1}
 
     def test_empty(self):
-        assert language_histogram(ConversationSet(records=())) == {}
+        assert language_histogram(()) == {}
 
     def test_totals_match_set_size(self):
         conversations = make_set(97, languages=("en", "es", "zh", "fr"))
@@ -470,6 +473,6 @@ class TestLanguageHistogram:
                                turns=(("user", "x"),), language=languages[i])
             for i in range(1000)
         )
-        histogram = language_histogram(ConversationSet(records=records))
+        histogram = language_histogram(records)
         assert histogram["zh"] == 24
         assert histogram["zh"] / sum(histogram.values()) == pytest.approx(0.024)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import convtok
-from convtok.corpus import ConversationSet, RoleFilter, SplitSpec, extract_text, language_counts
+from convtok.corpus import RoleFilter, SplitSpec, extract_text, language_counts
 from convtok.errors import ConfigError
 from convtok.experiments import (
     ExperimentSpec,
@@ -89,8 +89,8 @@ class TestExperiment2:
         assert [r.filter for r in all_rows] == ["user", "assistant", "both"]
 
     def test_split_is_disjoint(self, tiny):
-        train_ids = {r.id for r in tiny.ws.conv_train.records}
-        test_ids = {r.id for r in tiny.ws.conv_test.records}
+        train_ids = {r.id for r in tiny.ws.conv_train}
+        test_ids = {r.id for r in tiny.ws.conv_test}
         assert not train_ids & test_ids
         assert len(train_ids) + len(test_ids) == len(tiny.ws.conversations)
 
@@ -122,7 +122,7 @@ class TestExperiment2:
                     if r.filter == role_filter.value and r.scope.startswith("language:")]
             assert [r.scope for r in rows] == [f"language:{tag}" for tag, _ in groups]
             for row, (tag, n) in zip(rows, groups):
-                subset = ConversationSet(tuple(r for r in tiny.ws.conv_test if r.language == tag))
+                subset = [r for r in tiny.ws.conv_test if r.language == tag]
                 recomputed = reduction(base, opt, extract_text(subset, RoleFilter.BOTH))
                 assert row.conversation_count == n == len(subset)
                 assert row.tokens_base == recomputed.tokens_base
@@ -146,7 +146,7 @@ class TestExperiment2:
         test_texts = extract_text(ws.conv_test, RoleFilter.BOTH)
         kept = {tag for tag, _ in language_counts(ws.conv_test, tiny.spec.language_threshold)}
         language_texts = len(extract_text(
-            ConversationSet(tuple(r for r in ws.conv_test if r.language in kept)), RoleFilter.BOTH))
+            [r for r in ws.conv_test if r.language in kept], RoleFilter.BOTH))
         assert calls
         assert len(calls) <= len(test_texts) + language_texts
         test_ids = {id(t) for t in test_texts}

@@ -4,7 +4,6 @@ import pytest
 
 from convtok.corpus import (
     ConversationRecord,
-    ConversationSet,
     RoleFilter,
     extract_text,
     language_counts,
@@ -34,11 +33,11 @@ def conversations_of(texts_by_language):
                 turns=(("user", text), ("assistant", text[::-1])),
                 language=language,
             ))
-    return ConversationSet(records=tuple(records))
+    return tuple(records)
 
 
 def language_subset(conversations, tag):
-    return ConversationSet(tuple(r for r in conversations.records if r.language == tag))
+    return [r for r in conversations if r.language == tag]
 
 
 def language_reductions(base, opt, conversations, threshold):
@@ -128,6 +127,17 @@ class TestReduction:
                 reduction(cat, ws, corpus)
 
 
+def test_a_bare_str_is_not_a_corpus():
+    # iterated, "the cat sat" would count as eleven one-character texts
+    model = train_bpe(PieceTable.of(["the cat sat"] * 3, CAT), TrainConfig(vocab_size=300))
+    assert token_count(model, ["the cat sat"]) == 3
+    for measure in (lambda: token_count(model, "the cat sat"),
+                    lambda: fertility(model, "the cat sat"),
+                    lambda: reduction(model, model, "the cat sat")):
+        with pytest.raises(TypeError, match="not one str"):
+            measure()
+
+
 class TestPerLanguageReduction:
     def test_single_language_matches_global(self):
         texts = [f"hello question number {i} thanks" for i in range(30)]
@@ -192,9 +202,7 @@ class TestPerLanguageReduction:
         per_language_opt = 0
         rest_opt = 0
         for language in ("english", "spanish", "russian"):
-            subset = ConversationSet(tuple(
-                r for r in conversations.records if r.language == language
-            ))
+            subset = [r for r in conversations if r.language == language]
             tokens = token_count(opt, extract_text(subset, RoleFilter.BOTH))
             if language in covered:
                 per_language_opt += tokens
