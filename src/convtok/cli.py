@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: ingest, train, encode, fertility, exp1, exp2, exp3, report,
-samples. Successful runs exit 0 and print a JSON summary line; failures exit
-nonzero with a machine-readable JSON error line on stderr.
+Subcommands: ingest, train, encode, fertility, one per experiment in
+``experiments.EXPERIMENTS``, report and samples. Successful runs exit 0 and
+print a JSON summary line; failures exit nonzero with a machine-readable JSON
+error line on stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .experiments import (
     DEFAULT_VOCAB_SIZE,
     EXPERIMENTS,
     ExperimentSpec,
-    emit_plot_data,
     load_report,
     write_report,
 )
@@ -137,8 +137,7 @@ def _cmd_experiment(args) -> None:
     report = EXPERIMENTS[args.command](spec)
     # models live under <out>/models and are shared by exp1/exp2/exp3;
     # report files get a subdirectory per experiment so they never clobber
-    out = Path(args.out) / report.experiment
-    files = write_report(report, out) + emit_plot_data(report, out)
+    files = write_report(report, Path(args.out) / report.experiment)
     _emit({
         "experiment": report.experiment,
         "rows": len(report.rows),
@@ -149,8 +148,7 @@ def _cmd_experiment(args) -> None:
 
 def _cmd_report(args) -> None:
     report = load_report(args.report)
-    out = Path(args.out)
-    files = write_report(report, out) + emit_plot_data(report, out)
+    files = write_report(report, Path(args.out))
     _emit({"experiment": report.experiment, "files": [str(p) for p in files]})
 
 
@@ -225,12 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role-filter", choices=[f.value for f in RoleFilter], default="both")
     p.set_defaults(func=_cmd_fertility)
 
-    for name, help_text in (
-        ("exp1", "baseline fertility: documents vs conversations"),
-        ("exp2", "retrain on conversations, measure reduction on held-out split"),
-        ("exp3", "retrained tokenizers back on the document corpus"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, run in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=run.__doc__)
         p.add_argument("--conversations", required=True)
         p.add_argument("--documents", required=True)
         p.add_argument("--base-model")

@@ -125,26 +125,23 @@ class ExperimentReport:
     def to_json_bytes(self) -> bytes:
         return json.dumps(asdict(self), ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
-    @staticmethod
-    def from_dict(obj: dict) -> "ExperimentReport":
-        """Inverse of :meth:`to_json_bytes`; keys that name no field are ignored."""
-        return ExperimentReport(
-            experiment=obj["experiment"],
-            rows=tuple(_from_fields(ScopeRow, r) for r in obj["rows"]),
-            provenance=_from_fields(Provenance, obj["provenance"]),
-        )
-
 
 def _from_fields(cls, obj: dict):
+    # keys that name no field are ignored
     return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 def load_report(path: str | Path) -> ExperimentReport:
-    """Parse a report.json. Raises InvalidEncoding for bytes that are not
-    UTF-8 and IntegrityError for anything that is not a report."""
+    """Parse a report.json, the inverse of ``ExperimentReport.to_json_bytes``.
+    Raises InvalidEncoding for bytes that are not UTF-8 and IntegrityError for
+    anything that is not a report."""
     obj = parse_json(read_utf8(path), lambda msg: IntegrityError(f"not a report file: {path}: {msg}"))
     try:
-        report = ExperimentReport.from_dict(obj)
+        report = ExperimentReport(
+            experiment=obj["experiment"],
+            rows=tuple(_from_fields(ScopeRow, r) for r in obj["rows"]),
+            provenance=_from_fields(Provenance, obj["provenance"]),
+        )
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"not a report file: {path}: {exc!r}") from exc
     if report.experiment not in EXPERIMENTS:
@@ -200,13 +197,7 @@ class Workspace:
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
-        self.conversations = load_conversations(spec.conversations_path)
-        self.documents = load_documents(spec.documents_path)
-        self.conv_train, self.conv_test = split(self.conversations, spec.split)
-        self.docs_train, self.docs_test = partition(
-            self.documents, [str(i) for i in range(len(self.documents))], spec.split)
-        self._models: dict[str, TokenizerModel] = {}
-        self._tables: dict[str, PieceTable] = {}
+        # a bad flag or base model file fails before any corpus is read
         base = load_model(spec.base_model_path) if spec.base_model_path else None
         self.config = TrainConfig(
             vocab_size=len(base.vocab) if base else spec.vocab_size,
@@ -214,6 +205,13 @@ class Workspace:
             min_pair_frequency=spec.min_pair_frequency,
         )
         self.scheme = base.scheme if base else spec.scheme
+        self.conversations = load_conversations(spec.conversations_path)
+        self.documents = load_documents(spec.documents_path)
+        self.conv_train, self.conv_test = split(self.conversations, spec.split)
+        self.docs_train, self.docs_test = partition(
+            self.documents, [str(i) for i in range(len(self.documents))], spec.split)
+        self._models: dict[str, TokenizerModel] = {}
+        self._tables: dict[str, PieceTable] = {}
         corpus_digests = {
             "conversations_sha256": sha256_file(spec.conversations_path),
             "documents_sha256": sha256_file(spec.documents_path),
@@ -385,7 +383,8 @@ def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) ->
     return _compare("exp3", _workspace(spec, workspace), [("documents", None)])
 
 
-# every experiment by id: the CLI's subcommands and the ids a report may carry
+# every experiment by id: the CLI's subcommands (each run function's docstring
+# is its help line) and the ids a report may carry
 EXPERIMENTS = {"exp1": run_experiment1, "exp2": run_experiment2, "exp3": run_experiment3}
 
 
@@ -417,15 +416,17 @@ def _filters(report: ExperimentReport) -> list[str]:
 
 
 def write_report(report: ExperimentReport, output_dir: str | Path) -> list[Path]:
-    """Write report.json plus one metrics CSV per base/optimized comparison,
-    ``report_<filter>.csv``, or ``report.csv`` when no row has a filter."""
+    """Write every file of a report and return their paths in this order:
+    report.json, one metrics CSV per base/optimized comparison,
+    ``report_<filter>.csv`` (``report.csv`` when no row has a filter), then
+    the plot CSVs of :func:`emit_plot_data`."""
     out = Path(output_dir)
     written = [write_atomic(out / "report.json", report.to_json_bytes())]
     for name in _filters(report) or [None]:
         rows = [_metrics_cells(r) for r in report.rows if r.filter == name]
         csv_name = "report.csv" if name is None else f"report_{name}.csv"
         written.append(write_atomic(out / csv_name, _csv_bytes(list(_CSV_COLUMNS), rows)))
-    return written
+    return written + emit_plot_data(report, out)
 
 
 def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Path]:

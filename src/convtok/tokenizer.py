@@ -364,7 +364,8 @@ def load_model(path: str | Path) -> TokenizerModel:
     if not isinstance(obj, dict):
         raise IntegrityError("model file must contain a JSON object")
     version = obj.get("version")
-    if version != MODEL_FORMAT_VERSION:
+    # an int, not a bool or a float that compares equal to one
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"unsupported model format version: {version!r} (expected {MODEL_FORMAT_VERSION})"
         )

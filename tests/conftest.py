@@ -7,7 +7,6 @@ from convtok.corpus import SplitSpec
 from convtok.experiments import (
     ExperimentSpec,
     Workspace,
-    emit_plot_data,
     run_experiment1,
     run_experiment2,
     run_experiment3,
@@ -72,7 +71,6 @@ def exp_runs(bundle, tmp_path_factory):
     exp2 = run_experiment2(ws1.spec, ws1)
     exp2_seconds = time.monotonic() - t0
     write_report(exp2, run1 / "exp2")
-    emit_plot_data(exp2, run1 / "exp2")
 
     t0 = time.monotonic()
     ws2 = Workspace(_bundle_spec(bundle, run2))
@@ -82,10 +80,8 @@ def exp_runs(bundle, tmp_path_factory):
 
     exp1 = run_experiment1(ws1.spec, ws1)
     write_report(exp1, run1 / "exp1")
-    emit_plot_data(exp1, run1 / "exp1")
     exp3 = run_experiment3(ws1.spec, ws1)
     write_report(exp3, run1 / "exp3")
-    emit_plot_data(exp3, run1 / "exp3")
 
     return SimpleNamespace(
         run1=run1,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import convtok.cli
+import convtok.experiments
 import convtok.samples
 from convtok.cli import _experiment_spec, build_parser, main
 from convtok.experiments import DEFAULT_SCHEME, DEFAULT_VOCAB_SIZE, ExperimentSpec
@@ -413,6 +414,22 @@ def test_out_of_range_train_fraction_fails_cleanly(data, tmp_path, capsys):
     payload = one_json_error(err)
     assert payload["error"] == "ConfigError"
     assert "train_fraction" in payload["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--vocab-size", "10"), ("--min-pair-frequency", "0")])
+def test_bad_training_flag_fails_before_any_corpus_is_read(flag, value, data, tmp_path, capsys,
+                                                          monkeypatch):
+    loads = []
+    real_load = convtok.experiments.load_conversations
+    monkeypatch.setattr(convtok.experiments, "load_conversations",
+                        lambda path: loads.append(path) or real_load(path))
+    code, out, err = run(capsys, "exp1", "--conversations", data["convs"],
+                         "--documents", data["docs"], flag, value,
+                         "--out", str(tmp_path / "runs"))
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == "ConfigError"
+    assert loads == []
 
 
 @pytest.fixture(scope="module")

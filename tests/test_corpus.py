@@ -97,6 +97,12 @@ class TestLoadConversations:
             load_conversations(path)
         assert err.value.line_number == 2
 
+    def test_line_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("[1]\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord, match="^line 1: each line must hold a JSON object$"):
+            load_conversations(path)
+
     def test_bad_role(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [record_obj(0, turns=[{"role": "system", "content": "x"}])])
@@ -269,6 +275,12 @@ class TestLoadDocuments:
         path = tmp_path / "d.jsonl"
         path.write_text('{"text": "ok"}\n{"no_text": 1}\n', encoding="utf-8")
         with pytest.raises(MalformedRecord):
+            load_documents(path)
+
+    def test_jsonl_line_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "ok"}\n5\n', encoding="utf-8")
+        with pytest.raises(MalformedRecord, match="^line 2: each line must hold a JSON object$"):
             load_documents(path)
 
     def test_non_utf8(self, tmp_path):

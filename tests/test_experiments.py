@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import json
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -129,7 +128,7 @@ class TestExperiment2:
                 assert row.tokens_opt == recomputed.tokens_opt
                 assert row.reduction_pct == round(recomputed.reduction_pct, 1)
 
-    def test_warm_run_pretokenizes_each_test_text_once(self, tiny, monkeypatch):
+    def test_warm_run_pretokenizes_only_test_texts(self, tiny, monkeypatch):
         ws = Workspace(tiny.spec)  # every model is cached on disk by now
         calls = []
         real = convtok.tokenizer.pretokenize
@@ -431,9 +430,14 @@ class TestReportFiles:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + len(tiny.spec.role_filters)
 
+    def test_plot_data_of_an_unknown_experiment_writes_nothing(self, tiny, tmp_path):
+        with pytest.raises(ValueError, match="unknown experiment id: 'exp9'"):
+            emit_plot_data(replace(tiny.exp3, experiment="exp9"), tmp_path)
+        assert not list(tmp_path.iterdir())
 
-# sha256 of every file that write_report and then emit_plot_data write for the
-# tiny run, in the order they return the paths
+
+# sha256 of every file that write_report writes for the tiny run, in the order
+# it returns the paths
 _TINY_OUTPUT_SHA256 = {
     "exp1": [
         ("report.json", "adbe36feff0153f1c406d22d8754164d51555591f710f3e2811214a635b22722"),
@@ -465,7 +469,7 @@ class TestOutputBytes:
     @pytest.mark.parametrize("experiment", sorted(_TINY_OUTPUT_SHA256))
     def test_every_output_file_is_pinned(self, experiment, tiny, tmp_path):
         report = getattr(tiny, experiment)
-        paths = write_report(report, tmp_path) + emit_plot_data(report, tmp_path)
+        paths = write_report(report, tmp_path)
         digests = [(p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in paths]
         assert digests == _TINY_OUTPUT_SHA256[experiment]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(n for n, _ in digests)

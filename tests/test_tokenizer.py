@@ -501,6 +501,17 @@ class TestModel:
         with pytest.raises(FormatVersionMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_version_must_be_the_int(self, version, tmp_path, byte_model):
+        # True and 1.0 both compare equal to 1
+        path = tmp_path / "model.json"
+        save_model(byte_model, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["version"] = version
+        path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("not a model", encoding="utf-8")
