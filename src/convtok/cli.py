@@ -4,6 +4,10 @@ Subcommands: ingest, train, encode, fertility, one per experiment in
 ``experiments.EXPERIMENTS``, report and samples. Successful runs exit 0 and
 print a JSON summary line; failures exit nonzero with a machine-readable JSON
 error line on stderr.
+
+Each subcommand's parser and handler import the modules they use, and
+``main`` builds only the parser of the subcommand it runs, so a command
+imports no module it does not need.
 """
 
 from __future__ import annotations
@@ -14,29 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import (
-    RoleFilter,
-    SplitSpec,
-    conversation_line,
-    corpus_format,
-    extract_text,
-    language_counts,
-    load_conversations,
-    load_documents,
-)
 from .errors import ConvtokError, UsageError, read_utf8, utf8_str, write_atomic
-from .experiments import (
-    DEFAULT_SCHEME,
-    DEFAULT_VOCAB_SIZE,
-    EXPERIMENTS,
-    ExperimentSpec,
-    load_report,
-    write_report,
-)
-from .metrics import fertility
-from .samples import DEFAULT_CONV_BYTES, DEFAULT_DOC_BYTES, DEFAULT_SEED, write_sample_corpora
-from .tokenizer import PieceTable, PretokenScheme, TokenizerMode, encode, load_model, save_model
-from .trainer import TrainConfig, train_bpe
 
 
 def _emit(obj, stream=None) -> None:
@@ -46,6 +28,8 @@ def _emit(obj, stream=None) -> None:
 
 def _load_corpus_texts(path: str, fmt: str, role_filter: str) -> list[str]:
     """Texts from a corpus path that is either conversations or documents."""
+    from .corpus import RoleFilter, corpus_format, extract_text, load_conversations, load_documents
+
     if fmt == "auto":
         fmt = corpus_format(path)
     if fmt == "conversations":
@@ -58,6 +42,8 @@ def _load_corpus_texts(path: str, fmt: str, role_filter: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args) -> None:
+    from .corpus import conversation_line, language_counts, load_conversations, load_documents
+
     if args.out and not args.conversations:
         raise UsageError("convtok ingest: --out writes conversations and needs --conversations")
     summary: dict = {}
@@ -76,20 +62,26 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    # fail on an unusable --out before the corpus is loaded and trained on
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    texts = _load_corpus_texts(args.corpus, args.format, args.role_filter)
+    from .tokenizer import PieceTable, PretokenScheme, TokenizerMode, save_model
+    from .trainer import TrainConfig, train_bpe
+
+    # fail on a bad flag, then on an unusable --out, before the corpus is read
     config = TrainConfig(
         vocab_size=args.vocab_size,
         mode=TokenizerMode(args.mode),
         min_pair_frequency=args.min_pair_frequency,
     )
-    model = train_bpe(PieceTable.of(texts, PretokenScheme(args.scheme)), config)
+    scheme = PretokenScheme(args.scheme)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    texts = _load_corpus_texts(args.corpus, args.format, args.role_filter)
+    model = train_bpe(PieceTable.of(texts, scheme), config)
     save_model(model, args.out)
     _emit({"out": args.out, "vocab_size": len(model.vocab), "merges": len(model.merges)})
 
 
 def _cmd_encode(args) -> None:
+    from .tokenizer import encode, load_model
+
     model = load_model(args.model)
     if args.text is not None:
         text = utf8_str(args.text, "--text")
@@ -103,6 +95,9 @@ def _cmd_encode(args) -> None:
 
 
 def _cmd_fertility(args) -> None:
+    from .metrics import fertility
+    from .tokenizer import load_model
+
     model = load_model(args.model)
     texts = _load_corpus_texts(args.input, args.format, args.role_filter)
     result = fertility(model, texts)
@@ -113,7 +108,11 @@ def _cmd_fertility(args) -> None:
     })
 
 
-def _experiment_spec(args) -> ExperimentSpec:
+def _experiment_spec(args):
+    from .corpus import RoleFilter, SplitSpec
+    from .experiments import ExperimentSpec
+    from .tokenizer import PretokenScheme, TokenizerMode
+
     return ExperimentSpec(
         conversations_path=Path(args.conversations),
         documents_path=Path(args.documents),
@@ -133,6 +132,8 @@ def _experiment_spec(args) -> ExperimentSpec:
 
 
 def _cmd_experiment(args) -> None:
+    from .experiments import EXPERIMENTS, write_report
+
     spec = _experiment_spec(args)
     report = EXPERIMENTS[args.command](spec)
     # models live under <out>/models and are shared by exp1/exp2/exp3;
@@ -147,12 +148,16 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    from .experiments import load_report, write_report
+
     report = load_report(args.report)
     files = write_report(report, Path(args.out))
     _emit({"experiment": report.experiment, "files": [str(p) for p in files]})
 
 
 def _cmd_samples(args) -> None:
+    from .samples import write_sample_corpora
+
     docs_path, convs_path = write_sample_corpora(
         args.out, seed=args.seed, doc_bytes=args.doc_bytes, conv_bytes=args.conv_bytes
     )
@@ -176,6 +181,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_model_config_args(parser: argparse.ArgumentParser) -> None:
+    from .tokenizer import DEFAULT_SCHEME, PretokenScheme, TokenizerMode
+    from .trainer import DEFAULT_VOCAB_SIZE, TrainConfig
+
     # the defaults are ExperimentSpec's, which shares TrainConfig's mode and
     # min_pair_frequency
     parser.add_argument("--mode", choices=[m.value for m in TokenizerMode],
@@ -186,19 +194,16 @@ def _add_model_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-pair-frequency", type=int, default=TrainConfig.min_pair_frequency)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="convtok",
-        description="Train and evaluate conversation-optimized BPE tokenizers.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_ingest(sub) -> None:
     p = sub.add_parser("ingest", help="validate corpora and report statistics")
     p.add_argument("--conversations")
     p.add_argument("--documents")
     p.add_argument("--out", help="write normalized conversation JSONL here")
     p.set_defaults(func=_cmd_ingest)
+
+
+def _add_train(sub) -> None:
+    from .corpus import RoleFilter
 
     p = sub.add_parser("train", help="train a tokenizer on a corpus")
     p.add_argument("--corpus", required=True)
@@ -208,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
+
+def _add_encode(sub) -> None:
     p = sub.add_parser("encode", help="encode text with a saved model")
     p.add_argument("--model", required=True)
     source = p.add_mutually_exclusive_group()
@@ -216,12 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_encode)
 
+
+def _add_fertility(sub) -> None:
+    from .corpus import RoleFilter
+
     p = sub.add_parser("fertility", help="tokens per word of a model on a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["auto", "conversations", "documents"], default="auto")
     p.add_argument("--role-filter", choices=[f.value for f in RoleFilter], default="both")
     p.set_defaults(func=_cmd_fertility)
+
+
+def _add_experiments(sub) -> None:
+    from .corpus import RoleFilter, SplitSpec
+    from .experiments import EXPERIMENTS, ExperimentSpec
 
     for name, run in EXPERIMENTS.items():
         p = sub.add_parser(name, help=run.__doc__)
@@ -240,10 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_experiment)
 
+
+def _add_report(sub) -> None:
     p = sub.add_parser("report", help="regenerate CSV and plot files from report.json")
     p.add_argument("--report", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
+
+
+def _add_samples(sub) -> None:
+    from .samples import DEFAULT_CONV_BYTES, DEFAULT_DOC_BYTES, DEFAULT_SEED
 
     p = sub.add_parser("samples", help="write deterministic sample corpora")
     p.add_argument("--out", required=True)
@@ -252,12 +274,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conv-bytes", type=int, default=DEFAULT_CONV_BYTES)
     p.set_defaults(func=_cmd_samples)
 
+
+# the subcommands other than the experiments, each with the function that adds its parser
+_SUBCOMMANDS = {"ingest": _add_ingest, "train": _add_train, "encode": _add_encode,
+                "fertility": _add_fertility, "report": _add_report, "samples": _add_samples}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The convtok parser. When ``command`` names a subcommand it holds only
+    that subcommand's parser (every experiment's for an experiment id), so
+    parsing imports only that subcommand's modules; otherwise, as for
+    ``--help``, ``--version`` or an unknown word, it holds them all."""
+    parser = _Parser(
+        prog="convtok",
+        description="Train and evaluate conversation-optimized BPE tokenizers.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _SUBCOMMANDS:
+        _SUBCOMMANDS[command](sub)
+        return parser
+    from .experiments import EXPERIMENTS
+
+    if command in EXPERIMENTS:
+        _add_experiments(sub)
+        return parser
+    for add in (_add_ingest, _add_train, _add_encode, _add_fertility, _add_experiments,
+                _add_report, _add_samples):
+        add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         args.func(args)
     except (ConvtokError, OSError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

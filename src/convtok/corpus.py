@@ -15,12 +15,10 @@ apart from the file itself.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -208,23 +206,25 @@ def load_documents(path: str | Path) -> tuple[str, ...]:
 # Splitting, filtering and language counts
 # ---------------------------------------------------------------------------
 
-def _keyed_hash(key: str, seed: int) -> int:
-    digest = hashlib.blake2b(
-        key.encode("utf-8"), key=seed.to_bytes(8, "little"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
 def partition(items, ids: list[str], spec: SplitSpec) -> tuple[list, list]:
     """Split ``items`` into (train, test) by their ``ids``, one per item:
     the train side holds the round(fraction * N) items whose ids have the
     smallest keyed hashes. Both sides keep input order. Exact sizes,
     platform-independent, stable under re-ordering. A repeated id is a
     ValueError, raised before any item is assigned."""
+    from fractions import Fraction
+    from hashlib import blake2b
+
     if len(set(ids)) != len(ids):
         raise ValueError("ids must be distinct to partition by them")
+    seed_key = spec.seed.to_bytes(8, "little")
+
+    def keyed_hash(item_id: str) -> tuple[int, str]:
+        digest = blake2b(item_id.encode("utf-8"), key=seed_key, digest_size=8).digest()
+        return int.from_bytes(digest, "big"), item_id
+
     n_train = int(round(Fraction(spec.train_fraction) * len(ids)))
-    train_ids = set(sorted(ids, key=lambda i: (_keyed_hash(i, spec.seed), i))[:n_train])
+    train_ids = set(sorted(ids, key=keyed_hash)[:n_train])
     train, test = [], []
     for item, item_id in zip(items, ids, strict=True):
         (train if item_id in train_ids else test).append(item)

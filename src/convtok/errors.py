@@ -4,7 +4,6 @@ digest and the atomic write."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -32,6 +31,8 @@ def read_utf8(source: str | Path | BinaryIO) -> str:
 
 def sha256_file(path: str | Path) -> str:
     """The hex sha256 digest of a file's bytes."""
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -16,7 +16,6 @@ report files, and every number is recomputable from the inputs.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -47,6 +46,7 @@ from .errors import (
 )
 from .metrics import FertilityResult, reduction, token_count
 from .tokenizer import (
+    DEFAULT_SCHEME,
     PieceTable,
     PretokenScheme,
     TokenizerMode,
@@ -54,12 +54,10 @@ from .tokenizer import (
     load_model,
     save_model,
 )
-from .trainer import TrainConfig, train_bpe
+from .trainer import DEFAULT_VOCAB_SIZE, TrainConfig, train_bpe
 
 ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
-DEFAULT_SCHEME = PretokenScheme.CATEGORY_SPLIT
-DEFAULT_VOCAB_SIZE = 8192
 
 # the metrics CSV's columns, each a ScopeRow field, with the format of its cells
 _CSV_COLUMNS = {"scope": "", "tokens_base": "", "tokens_opt": "", "reduction_pct": ".1f",
@@ -393,6 +391,8 @@ EXPERIMENTS = {"exp1": run_experiment1, "exp2": run_experiment2, "exp3": run_exp
 # ---------------------------------------------------------------------------
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -419,14 +419,17 @@ def write_report(report: ExperimentReport, output_dir: str | Path) -> list[Path]
     """Write every file of a report and return their paths in this order:
     report.json, one metrics CSV per base/optimized comparison,
     ``report_<filter>.csv`` (``report.csv`` when no row has a filter), then
-    the plot CSVs of :func:`emit_plot_data`."""
-    out = Path(output_dir)
-    written = [write_atomic(out / "report.json", report.to_json_bytes())]
+    the plot CSVs of :func:`emit_plot_data`. Every file's bytes are built
+    before the first is written, so a report that cannot be written, such as
+    one with an unknown experiment id, leaves no file behind."""
+    files = {"report.json": report.to_json_bytes()}
     for name in _filters(report) or [None]:
         rows = [_metrics_cells(r) for r in report.rows if r.filter == name]
         csv_name = "report.csv" if name is None else f"report_{name}.csv"
-        written.append(write_atomic(out / csv_name, _csv_bytes(list(_CSV_COLUMNS), rows)))
-    return written + emit_plot_data(report, out)
+        files[csv_name] = _csv_bytes(list(_CSV_COLUMNS), rows)
+    files |= _plot_files(report)
+    out = Path(output_dir)
+    return [write_atomic(out / name, data) for name, data in files.items()]
 
 
 def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Path]:
@@ -434,6 +437,13 @@ def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Pat
     bars per role filter and per-language bars (exp2), and document-change
     bars (exp3). The language bars are the ``both`` filter's, or the first
     filter's when ``both`` is absent."""
+    out = Path(output_dir)
+    return [write_atomic(out / name, data) for name, data in _plot_files(report).items()]
+
+
+def _plot_files(report: ExperimentReport) -> dict[str, bytes]:
+    """The bytes of each plot CSV of :func:`emit_plot_data` by file name;
+    ValueError for an unknown experiment id."""
     if report.experiment == "exp1":
         fertilities = [[r.scope, f"{r.fertility_base:.6f}"] for r in report.rows]
         tables = {"plot_fertility.csv": (["scope", "fertility"], fertilities)}
@@ -453,5 +463,4 @@ def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Pat
         tables = {"plot_documents_change.csv": _reduction_bars(report.rows)}
     else:
         raise ValueError(f"unknown experiment id: {report.experiment!r}")
-    out = Path(output_dir)
-    return [write_atomic(out / name, _csv_bytes(*table)) for name, table in tables.items()]
+    return {name: _csv_bytes(*table) for name, table in tables.items()}

@@ -53,6 +53,8 @@ class PretokenScheme(str, Enum):
     WHITESPACE_SPLIT = "whitespace_split"
 
 
+DEFAULT_SCHEME = PretokenScheme.CATEGORY_SPLIT
+
 # ---------------------------------------------------------------------------
 # Byte <-> symbol mapping (byte_level mode)
 # ---------------------------------------------------------------------------

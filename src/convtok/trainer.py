@@ -45,6 +45,8 @@ from .tokenizer import (
 
 Pair = tuple[str, str]
 
+DEFAULT_VOCAB_SIZE = 8192
+
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import convtok.cli
+import convtok.corpus
 import convtok.experiments
 import convtok.samples
+import convtok.trainer
 from convtok.cli import _experiment_spec, build_parser, main
 from convtok.experiments import DEFAULT_SCHEME, DEFAULT_VOCAB_SIZE, ExperimentSpec
 from convtok.samples import write_sample_corpora
@@ -162,7 +164,7 @@ def test_train_under_a_file_fails_before_training(data, tmp_path, capsys, monkey
     def must_not_run(*args, **kwargs):
         pytest.fail("trained for an output path that cannot exist")
 
-    monkeypatch.setattr(convtok.cli, "train_bpe", must_not_run)
+    monkeypatch.setattr(convtok.trainer, "train_bpe", must_not_run)
     code, out, err = run(capsys, "train", "--corpus", data["docs"], "--vocab-size", "300",
                          "--out", str(tmp_path / "f" / "sub" / "m.json"))
     assert code == 1
@@ -432,6 +434,23 @@ def test_bad_training_flag_fails_before_any_corpus_is_read(flag, value, data, tm
     assert loads == []
 
 
+@pytest.mark.parametrize("flag, value", [("--vocab-size", "10"), ("--min-pair-frequency", "0")])
+def test_bad_train_flag_fails_before_the_corpus_is_read(flag, value, data, tmp_path, capsys,
+                                                        monkeypatch):
+    loads = []
+    real_load = convtok.corpus.load_conversations
+    monkeypatch.setattr(convtok.corpus, "load_conversations",
+                        lambda path: loads.append(path) or real_load(path))
+    out_dir = tmp_path / "models"
+    code, out, err = run(capsys, "train", "--corpus", data["convs"], flag, value,
+                         "--out", str(out_dir / "m.json"))
+    assert code == 1
+    assert out == ""
+    assert one_json_error(err)["error"] == "ConfigError"
+    assert loads == []
+    assert not out_dir.exists()
+
+
 @pytest.fixture(scope="module")
 def small_model(data, tmp_path_factory):
     path = tmp_path_factory.mktemp("small_model") / "model.json"
@@ -687,3 +706,86 @@ def test_deeply_nested_json_is_one_json_line(command, flag, error, data, tmp_pat
     assert code == 1
     assert out == ""
     assert one_json_error(err)["error"] == error
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """stdout of ``script`` run with ``args`` in a new interpreter that
+    imports convtok from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(convtok.cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# the modules of the package, beside convtok and convtok.cli, that each command imports
+_COMMAND_MODULES = {
+    "encode": {"errors", "tokenizer"},
+    "fertility": {"errors", "tokenizer", "corpus", "metrics"},
+    "samples": {"errors", "corpus", "samples"},
+    "exp1": {"errors", "corpus", "tokenizer", "trainer", "metrics", "experiments"},
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_MODULES))
+def test_each_command_imports_only_its_modules(command, data, small_model, tmp_path):
+    argv = {
+        "encode": ["encode", "--model", small_model, "--text", "hello", "--count-only"],
+        "fertility": ["fertility", "--model", small_model, "--input", data["convs"]],
+        "samples": ["samples", "--out", str(tmp_path), "--doc-bytes", "2000",
+                    "--conv-bytes", "2000"],
+        "exp1": ["exp1", "--conversations", data["convs"], "--documents", data["docs"],
+                 "--vocab-size", "300", "--out", str(tmp_path)],
+    }[command]
+    out = _fresh_python(
+        "import json, sys\n"
+        "from convtok.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('convtok'))]))\n",
+        *argv)
+    code, modules = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert modules == sorted({"convtok", "convtok.cli"}
+                             | {f"convtok.{m}" for m in _COMMAND_MODULES[command]})
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "encode", "fertility", "exp1", "exp2",
+                                     "exp3", "report", "samples"])
+def test_a_lone_subcommand_parser_keeps_its_help(command):
+    out = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from convtok.cli import build_parser\n"
+        "texts = []\n"
+        "for parser in (build_parser(sys.argv[1]), build_parser()):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf), contextlib.suppress(SystemExit):\n"
+        "        parser.parse_args([sys.argv[1], '--help'])\n"
+        "    texts.append(buf.getvalue())\n"
+        "print(json.dumps(texts))\n",
+        command)
+    lone, full = json.loads(out)
+    assert lone.startswith(f"usage: convtok {command} ")
+    assert lone == full
+
+
+def test_package_exports_are_lazy_and_are_their_modules_objects():
+    out = _fresh_python(
+        "import importlib, json, sys\n"
+        "import convtok\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('convtok.'))\n"
+        "undisplayed = sorted(set(convtok.__all__) - set(dir(convtok)))\n"
+        "homes = {name: getattr(convtok, name).__module__ for name in convtok.__all__}\n"
+        "strays = [name for name, home in homes.items()\n"
+        "          if getattr(importlib.import_module(home), name) is not getattr(convtok, name)]\n"
+        "try:\n"
+        "    convtok.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "print(json.dumps([loaded, undisplayed, sorted(set(homes.values())), strays, unknown]))\n")
+    loaded, undisplayed, homes, strays, unknown = json.loads(out)
+    assert loaded == []  # import convtok imports none of its modules
+    assert undisplayed == []
+    assert homes == ["convtok.corpus", "convtok.errors", "convtok.experiments", "convtok.metrics",
+                     "convtok.samples", "convtok.tokenizer", "convtok.trainer"]
+    assert strays == []
+    assert unknown == "module 'convtok' has no attribute 'no_such_name'"

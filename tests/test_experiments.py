@@ -435,6 +435,11 @@ class TestReportFiles:
             emit_plot_data(replace(tiny.exp3, experiment="exp9"), tmp_path)
         assert not list(tmp_path.iterdir())
 
+    def test_report_of_an_unknown_experiment_writes_nothing(self, tiny, tmp_path):
+        with pytest.raises(ValueError, match="unknown experiment id: 'exp9'"):
+            write_report(replace(tiny.exp3, experiment="exp9"), tmp_path)
+        assert not list(tmp_path.iterdir())
+
 
 # sha256 of every file that write_report writes for the tiny run, in the order
 # it returns the paths
