@@ -19,12 +19,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import __version__ as _tool_version
 from .corpus import (
+    ConversationRecord,
     RoleFilter,
     SplitSpec,
     extract_text,
@@ -185,13 +188,16 @@ def sample_documents(documents: list[str], max_bytes: int) -> list[str]:
 
 
 class Workspace:
-    """Loads corpora, derives splits, pretokenizes each text scope once and
-    trains or loads the models a spec needs. Every model is ``train_bpe`` on
-    a scope's piece table under one ``TrainConfig``; the config and the
-    tables' scheme are taken from the spec or, with ``base_model_path``, from
-    that file. Models are cached under ``<output_dir>/models`` keyed by a
-    config hash, so experiments reuse them; a cache whose manifest records
-    another hash is emptied on construction."""
+    """Loads corpora, derives splits, pretokenizes each text scope once per
+    cache and trains or loads the models a spec needs. Every model is
+    ``train_bpe`` on a scope's piece table under one ``TrainConfig``; the
+    config and the tables' scheme are taken from the spec or, with
+    ``base_model_path``, from that file. Models and test-side piece tables
+    are cached under ``<output_dir>/models`` keyed by a config hash, so
+    experiments reuse them; a cache whose manifest records another hash is
+    emptied on construction. A corpus is parsed on first use only: a valid
+    manifest is written only after both corpora loaded and split, and the
+    hash covers their bytes."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -203,32 +209,61 @@ class Workspace:
             min_pair_frequency=spec.min_pair_frequency,
         )
         self.scheme = base.scheme if base else spec.scheme
-        self.conversations = load_conversations(spec.conversations_path)
-        self.documents = load_documents(spec.documents_path)
-        self.conv_train, self.conv_test = split(self.conversations, spec.split)
-        self.docs_train, self.docs_test = partition(
-            self.documents, [str(i) for i in range(len(self.documents))], spec.split)
         self._models: dict[str, TokenizerModel] = {}
         self._tables: dict[str, PieceTable] = {}
-        corpus_digests = {
-            "conversations_sha256": sha256_file(spec.conversations_path),
-            "documents_sha256": sha256_file(spec.documents_path),
-        }
+        try:
+            corpus_digests = {
+                "conversations_sha256": sha256_file(spec.conversations_path),
+                "documents_sha256": sha256_file(spec.documents_path),
+            }
+        except OSError:
+            # an unreadable corpus fails with the error parsing gives it
+            self._load_corpora()
+            raise
         self.provenance = Provenance(
             tool_version=_tool_version,
             config_hash=self._config_hash(corpus_digests),
             **corpus_digests,
         )
         if not self._cache_valid():
-            # no model of another configuration may outlive the manifest update
-            for stale in self.models_dir.glob("*.json"):
-                stale.unlink()
+            self._load_corpora()
+            # no model or table of another configuration may outlive the manifest update
+            for pattern in ("*.json", "tables/*.json"):
+                for stale in self.models_dir.glob(pattern):
+                    stale.unlink()
             manifest = json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":"))
             write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
         if base is not None:
             self._models["base"] = base
             if not (self.models_dir / "base.json").exists():
                 save_model(base, self.models_dir / "base.json")
+
+    def _load_corpora(self) -> None:
+        # every bad input fails with its own error, in this order
+        for name in ("conversations", "documents", "_conv_split", "_docs_split"):
+            getattr(self, name)
+
+    @cached_property
+    def conversations(self) -> tuple[ConversationRecord, ...]:
+        return load_conversations(self.spec.conversations_path)
+
+    @cached_property
+    def documents(self) -> tuple[str, ...]:
+        return load_documents(self.spec.documents_path)
+
+    @cached_property
+    def _conv_split(self) -> tuple[list[ConversationRecord], list[ConversationRecord]]:
+        return split(self.conversations, self.spec.split)
+
+    @cached_property
+    def _docs_split(self) -> tuple[list[str], list[str]]:
+        ids = [str(i) for i in range(len(self.documents))]
+        return partition(self.documents, ids, self.spec.split)
+
+    conv_train = property(lambda self: self._conv_split[0])
+    conv_test = property(lambda self: self._conv_split[1])
+    docs_train = property(lambda self: self._docs_split[0])
+    docs_test = property(lambda self: self._docs_split[1])
 
     def _config_hash(self, corpus_digests: dict[str, str]) -> str:
         # the settled values: with a base model file, the spec's unused
@@ -286,10 +321,23 @@ class Workspace:
     def table(self, scope: str) -> PieceTable:
         """Piece table of a scope in the run's scheme: ``train:documents``,
         ``train:<role>``, or on the test side ``documents``, ``all``,
-        ``<role>``, ``language:<tag>``."""
-        if scope not in self._tables:
-            self._tables[scope] = self._build_table(scope)
-        return self._tables[scope]
+        ``<role>``, ``language:<tag>``. Test-side tables but ``all`` (the
+        sum of ``user`` and ``assistant``) are read from the cache when it
+        holds a valid file, else built and written there."""
+        table = self._tables.get(scope)
+        if table is None:
+            if scope == "all" or scope.startswith("train:"):
+                table = self._build_table(scope)
+            else:
+                # a language tag comes from the corpus, so it never names the file
+                name = hashlib.sha256(scope.encode("utf-8")).hexdigest()
+                path = self.models_dir / "tables" / f"{name}.json"
+                table = _read_table(path, scope, self.scheme)
+                if table is None:
+                    table = self._build_table(scope)
+                    write_atomic(path, _table_bytes(scope, table))
+            self._tables[scope] = table
+        return table
 
     def _build_table(self, scope: str) -> PieceTable:
         if scope in ("all", "train:both"):
@@ -306,6 +354,36 @@ class Workspace:
             side, _, role = scope.rpartition(":")
             texts = extract_text(self.conv_train if side == "train" else self.conv_test, RoleFilter(role))
         return PieceTable.of(texts, self.scheme)
+
+
+def _table_bytes(scope: str, table: PieceTable) -> bytes:
+    """A cached table file: compact UTF-8 JSON of the scope, the scheme, the
+    word count and the ``[piece, count]`` pairs in the table's order."""
+    obj = {"scope": scope, "scheme": table.scheme.value, "n_words": table.n_words,
+           "pieces": list(table.pieces.items())}
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _read_table(path: Path, scope: str, scheme: PretokenScheme) -> PieceTable | None:
+    """The table of a file that ``_table_bytes`` wrote for ``scope`` and
+    ``scheme``; None for a missing file or one that is not such a table."""
+    try:
+        obj = parse_json(read_utf8(path), IntegrityError)
+    except (FileNotFoundError, InvalidEncoding, IntegrityError):
+        return None
+    if not (isinstance(obj, dict) and obj.get("scope") == scope
+            and obj.get("scheme") == scheme.value and isinstance(obj.get("pieces"), list)):
+        return None
+    n_words, entries = obj.get("n_words"), obj["pieces"]
+    try:
+        pieces = dict(entries)
+    except (TypeError, ValueError):  # an entry that is not a pair, or a list as a piece
+        return None
+    if not (type(n_words) is int and n_words >= 0 and len(pieces) == len(entries)
+            and all(type(p) is str for p in pieces)
+            and all(type(n) is int and n > 0 for n in pieces.values())):
+        return None
+    return PieceTable(Counter(pieces), n_words, scheme)
 
 
 # ---------------------------------------------------------------------------

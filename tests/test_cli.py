@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -683,6 +685,87 @@ def test_damaged_manifest_is_a_cache_miss(manifest, data, tmp_path, capsys):
     assert (tmp_path / "exp1" / "report.json").read_bytes() == clean
     recorded = json.loads((tmp_path / "models" / "manifest.json").read_bytes())
     assert recorded == {"config_hash": json.loads(clean)["provenance"]["config_hash"]}
+
+
+def _table_file(out, scope):
+    return out / "models" / "tables" / f"{hashlib.sha256(scope.encode('utf-8')).hexdigest()}.json"
+
+
+def _edit_pieces(table: bytes, edit) -> bytes:
+    """A table file whose ``[piece, count]`` list is ``edit`` of its own."""
+    obj = json.loads(table)
+    obj["pieces"] = edit(obj["pieces"])
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+_TABLE_DAMAGE = {
+    "not-utf8": lambda clean, other: b"\xff\xfe",
+    "truncated": lambda clean, other: clean[: len(clean) // 2],
+    "list": lambda clean, other: b"[1]",
+    "deeply-nested": lambda clean, other: b"[" * 100_000 + b"]" * 100_000,
+    "other-scheme": lambda clean, other: clean.replace(b'"scheme":"category_split"',
+                                                       b'"scheme":"whitespace_split"'),
+    "other-scope": lambda clean, other: other,
+    "count-negative": lambda clean, other: _edit_pieces(clean, lambda p: [[p[0][0], -1], *p[1:]]),
+    "count-zero": lambda clean, other: _edit_pieces(clean, lambda p: [[p[0][0], 0], *p[1:]]),
+    "count-bool": lambda clean, other: _edit_pieces(clean, lambda p: [[p[0][0], True], *p[1:]]),
+    "duplicate-piece": lambda clean, other: _edit_pieces(clean, lambda p: p + p[:1]),
+}
+
+
+@pytest.mark.parametrize("damage", list(_TABLE_DAMAGE))
+def test_damaged_table_file_is_a_cache_miss(damage, data, tmp_path, capsys):
+    argv = ["exp1", "--conversations", data["convs"], "--documents", data["docs"],
+            "--vocab-size", "300", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    report = (tmp_path / "exp1" / "report.json").read_bytes()
+    table = _table_file(tmp_path, "documents")
+    clean = table.read_bytes()
+    damaged = _TABLE_DAMAGE[damage](clean, _table_file(tmp_path, "user").read_bytes())
+    assert damaged != clean
+    table.write_bytes(damaged)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (tmp_path / "exp1" / "report.json").read_bytes() == report
+    assert table.read_bytes() == clean  # rebuilt and rewritten
+
+
+def test_language_tags_never_name_a_path(data, tmp_path, capsys):
+    tags = ["../../outside", "a/b", "x" * 300]
+    convs = tmp_path / "in" / "conversations.jsonl"
+    convs.parent.mkdir()
+    with open(data["convs"], encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    for i, record in enumerate(records):
+        record["language"] = tags[i % len(tags)]
+    convs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "out" / "runs"
+    code, _, err = run(capsys, "exp2", "--conversations", str(convs),
+                       "--documents", data["docs"], "--vocab-size", "300", "--threshold", "0",
+                       "--out", str(out))
+    assert code == 0, err
+    rows = json.loads((out / "exp2" / "report.json").read_bytes())["rows"]
+    assert {r["scope"] for r in rows} == {"all", *(f"language:{tag}" for tag in tags)}
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and p != convs]
+    assert written and all(out in p.parents for p in written)
+    names = [p.name for p in (out / "models" / "tables").iterdir()]
+    assert len(names) == 2 + len(tags)  # user, assistant and one per language
+    assert all(re.fullmatch(r"[0-9a-f]{64}\.json", name) for name in names)
+
+
+def test_malformed_conversations_fail_before_missing_documents(data, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", broken\n', encoding="utf-8")
+    code, out, err = run(capsys, "exp1", "--conversations", str(bad),
+                         "--documents", str(tmp_path / "missing.txt"), "--vocab-size", "300",
+                         "--out", str(tmp_path / "runs"))
+    assert code == 1
+    assert out == ""
+    payload = one_json_error(err)
+    assert payload["error"] == "MalformedRecord"
+    assert payload["message"].startswith("line 1: ")
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command, flag, error", [

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -11,6 +12,7 @@ import convtok
 from convtok.corpus import RoleFilter, SplitSpec, extract_text, language_counts
 from convtok.errors import ConfigError
 from convtok.experiments import (
+    EXPERIMENTS,
     ExperimentSpec,
     Workspace,
     emit_plot_data,
@@ -129,7 +131,7 @@ class TestExperiment2:
                 assert row.reduction_pct == round(recomputed.reduction_pct, 1)
 
     def test_warm_run_pretokenizes_only_test_texts(self, tiny, monkeypatch):
-        ws = Workspace(tiny.spec)  # every model is cached on disk by now
+        ws = Workspace(tiny.spec)  # every model and test table is cached on disk by now
         calls = []
         real = convtok.tokenizer.pretokenize
 
@@ -142,14 +144,7 @@ class TestExperiment2:
                 monkeypatch.setattr(module, "pretokenize", counting)
         report = run_experiment2(tiny.spec, ws)
         assert report == tiny.exp2
-        test_texts = extract_text(ws.conv_test, RoleFilter.BOTH)
-        kept = {tag for tag, _ in language_counts(ws.conv_test, tiny.spec.language_threshold)}
-        language_texts = len(extract_text(
-            [r for r in ws.conv_test if r.language in kept], RoleFilter.BOTH))
-        assert calls
-        assert len(calls) <= len(test_texts) + language_texts
-        test_ids = {id(t) for t in test_texts}
-        assert all(id(t) in test_ids for t in calls)  # no train text is pretokenized
+        assert calls == []
 
 
 class TestExperiment3:
@@ -186,7 +181,7 @@ class TestDeterminism:
         names = {p.name for p in models_dir.iterdir()}
         assert names == {
             "base.json", "retrained_user.json", "retrained_assistant.json",
-            "retrained_both.json", "manifest.json",
+            "retrained_both.json", "manifest.json", "tables",
         }
 
     def test_config_change_invalidates_cached_models(self, tiny, tmp_path):
@@ -339,7 +334,7 @@ class TestModelCache:
         assert written.count("manifest.json") == 1
         names = {p.name for p in (tmp_path / "cold" / "models").iterdir()}
         assert names == {"manifest.json", "base.json", "retrained_user.json",
-                         "retrained_assistant.json", "retrained_both.json"}
+                         "retrained_assistant.json", "retrained_both.json", "tables"}
 
     def test_unused_flags_keep_the_base_model_cache(self, tiny, tmp_path, monkeypatch):
         # with a base model file its vocab size, mode and scheme govern the
@@ -359,6 +354,44 @@ class TestModelCache:
         assert second.provenance.config_hash == first.provenance.config_hash
         assert second.rows == first.rows
         assert trained == []
+
+    def test_warm_experiments_parse_only_the_corpora_they_use(self, tiny, tmp_path, monkeypatch):
+        spec = replace(tiny.spec, output_dir=tmp_path / "out")
+        cold = {name: run(spec) for name, run in EXPERIMENTS.items()}  # a workspace each
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+        spy(convtok.experiments, "load_conversations")
+        spy(convtok.experiments, "load_documents")
+        spy(convtok.tokenizer, "pretokenize")
+        ws = Workspace(spec)
+        assert run_experiment1(spec, ws) == cold["exp1"]
+        assert run_experiment3(spec, ws) == cold["exp3"]
+        assert calls == []
+        assert run_experiment2(spec, Workspace(spec)) == cold["exp2"]
+        assert calls == ["load_conversations"]
+
+    def test_a_changed_corpus_clears_models_and_tables(self, tiny, tmp_path):
+        convs = tmp_path / "conversations.jsonl"
+        lines = tiny.spec.conversations_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[-1])
+        record["turns"][0]["content"] += " and one more sentence"
+        lines[-1] = json.dumps(record) + "\n"
+        spec = replace(tiny.spec, output_dir=tmp_path / "out")
+        warm = run_experiment2(spec)  # fills the cache for the original corpus
+        models = spec.output_dir / "models"
+        assert list(models.glob("tables/*.json"))
+        convs.write_text("".join(lines), encoding="utf-8")
+        edited = replace(spec, conversations_path=convs)
+        ws = Workspace(edited)
+        assert ws.provenance.config_hash != warm.provenance.config_hash
+        assert [p.name for p in models.glob("*.json")] == ["manifest.json"]
+        assert list(models.glob("tables/*.json")) == []
+        cold = run_experiment2(replace(edited, output_dir=tmp_path / "cold"))
+        assert run_experiment2(edited, ws) == cold
 
 
 class TestSpecValidation:
