@@ -55,11 +55,15 @@ def write_atomic(path: str | Path, data: bytes) -> Path:
 
     The bytes go to a temp file in the same directory, which is then renamed
     over ``path``: an interrupted write leaves the old file or none, never a
-    truncated one.
+    truncated one. Each call creates its own temp file, so writers of one
+    path, in this process or another, never write to or rename each
+    other's.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL: the name is this call's alone, or the call fails
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)

@@ -47,7 +47,7 @@ from .errors import (
     sha256_file,
     write_atomic,
 )
-from .metrics import FertilityResult, reduction, token_count
+from .metrics import FertilityResult, ReductionResult, token_count
 from .tokenizer import (
     DEFAULT_SCHEME,
     PieceTable,
@@ -189,15 +189,17 @@ def sample_documents(documents: list[str], max_bytes: int) -> list[str]:
 
 class Workspace:
     """Loads corpora, derives splits, pretokenizes each text scope once per
-    cache and trains or loads the models a spec needs. Every model is
-    ``train_bpe`` on a scope's piece table under one ``TrainConfig``; the
-    config and the tables' scheme are taken from the spec or, with
-    ``base_model_path``, from that file. Models and test-side piece tables
-    are cached under ``<output_dir>/models`` keyed by a config hash, so
-    experiments reuse them; a cache whose manifest records another hash is
-    emptied on construction. A corpus is parsed on first use only: a valid
-    manifest is written only after both corpora loaded and split, and the
-    hash covers their bytes."""
+    cache, trains or loads the models a spec needs and encodes each test
+    piece once per model and cache. Every model is ``train_bpe`` on a
+    scope's piece table under one ``TrainConfig``; the config and the
+    tables' scheme are taken from the spec or, with ``base_model_path``,
+    from that file. Models, test-side piece tables and each model's token
+    lengths of the test pieces it has counted are cached under
+    ``<output_dir>/models`` keyed by a config hash, so experiments reuse
+    them; a cache whose manifest records another hash is emptied on
+    construction. A corpus is parsed on first use only: a valid manifest is
+    written only after both corpora loaded and split, and the hash covers
+    their bytes."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -210,7 +212,16 @@ class Workspace:
         )
         self.scheme = base.scheme if base else spec.scheme
         self._models: dict[str, TokenizerModel] = {}
+        # by model name: the digest of the file the model was loaded from or
+        # saved to, its map of test piece to token length, and the size of
+        # that map in its lengths file
+        self._model_sha256: dict[str, str] = {}
+        self._lengths: dict[str, dict[str, int]] = {}
+        self._lengths_stored: dict[str, int] = {}
         self._tables: dict[str, PieceTable] = {}
+        if base is not None:
+            self._models["base"] = base
+            self._model_sha256["base"] = sha256_file(spec.base_model_path)
         try:
             corpus_digests = {
                 "conversations_sha256": sha256_file(spec.conversations_path),
@@ -227,16 +238,15 @@ class Workspace:
         )
         if not self._cache_valid():
             self._load_corpora()
-            # no model or table of another configuration may outlive the manifest update
-            for pattern in ("*.json", "tables/*.json"):
+            # no model, table or lengths of another configuration may outlive
+            # the manifest update
+            for pattern in ("*.json", "tables/*.json", "lengths/*.json"):
                 for stale in self.models_dir.glob(pattern):
                     stale.unlink()
             manifest = json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":"))
             write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
-        if base is not None:
-            self._models["base"] = base
-            if not (self.models_dir / "base.json").exists():
-                save_model(base, self.models_dir / "base.json")
+        if base is not None and not (self.models_dir / "base.json").exists():
+            save_model(base, self.models_dir / "base.json")
 
     def _load_corpora(self) -> None:
         # every bad input fails with its own error, in this order
@@ -271,9 +281,7 @@ class Workspace:
         spec = self.spec
         payload = {
             **corpus_digests,
-            "base_model_sha256": (
-                sha256_file(spec.base_model_path) if spec.base_model_path else None
-            ),
+            "base_model_sha256": self._model_sha256.get("base"),
             "train_fraction": repr(spec.split.train_fraction),
             "seed": spec.split.seed,
             "role_filters": [f.value for f in spec.role_filters],
@@ -308,6 +316,7 @@ class Workspace:
                 model = train_bpe(self.table(scope), config)
                 save_model(model, path)
             self._models[name] = model
+            self._model_sha256[name] = sha256_file(path)
         return model
 
     def base_model(self) -> TokenizerModel:
@@ -338,6 +347,31 @@ class Workspace:
                     write_atomic(path, _table_bytes(scope, table))
             self._tables[scope] = table
         return table
+
+    def token_count(self, name: str, table: PieceTable) -> int:
+        """``metrics.token_count`` of the loaded model ``name`` (``base`` or
+        ``retrained_<role>``) on a test-side table. Each piece's length is
+        read from the model's lengths map, which is loaded from the cache on
+        first use; the pieces it lacks are encoded and added to it."""
+        lengths = self._lengths.get(name)
+        if lengths is None:
+            lengths = _read_lengths(self._lengths_path(name), self._model_sha256[name])
+            self._lengths[name] = lengths
+            self._lengths_stored[name] = len(lengths)
+        return token_count(self._models[name], table, lengths)
+
+    def save_lengths(self) -> None:
+        """Rewrite the lengths file of each model whose map grew since it
+        was read or last written."""
+        for name, lengths in self._lengths.items():
+            if len(lengths) != self._lengths_stored[name]:
+                data = _lengths_bytes(self._model_sha256[name], lengths)
+                write_atomic(self._lengths_path(name), data)
+                self._lengths_stored[name] = len(lengths)
+
+    def _lengths_path(self, name: str) -> Path:
+        # model names are fixed words, never a string from a corpus
+        return self.models_dir / "lengths" / f"{name}.json"
 
     def _build_table(self, scope: str) -> PieceTable:
         if scope in ("all", "train:both"):
@@ -386,6 +420,30 @@ def _read_table(path: Path, scope: str, scheme: PretokenScheme) -> PieceTable | 
     return PieceTable(Counter(pieces), n_words, scheme)
 
 
+def _lengths_bytes(model_sha256: str, lengths: dict[str, int]) -> bytes:
+    """A cached lengths file: compact UTF-8 JSON of the model file's digest
+    and the ``piece: length`` map, its pieces sorted so that the bytes
+    depend only on the set of pieces."""
+    obj = {"model_sha256": model_sha256, "lengths": dict(sorted(lengths.items()))}
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _read_lengths(path: Path, model_sha256: str) -> dict[str, int]:
+    """The map of a file that ``_lengths_bytes`` wrote for the model file of
+    digest ``model_sha256``; an empty map for a missing file or one that is
+    not such a map."""
+    try:
+        obj = parse_json(read_utf8(path), IntegrityError)
+    except (FileNotFoundError, InvalidEncoding, IntegrityError):
+        return {}
+    if not (isinstance(obj, dict) and obj.get("model_sha256") == model_sha256):
+        return {}
+    lengths = obj.get("lengths")
+    if isinstance(lengths, dict) and all(type(n) is int and n > 0 for n in lengths.values()):
+        return lengths
+    return {}
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -398,15 +456,18 @@ def _workspace(spec: ExperimentSpec, workspace: Workspace | None) -> Workspace:
 
 
 def _row(
-    table: PieceTable, scope: str, base: TokenizerModel, opt: TokenizerModel | None = None,
-    filter: str | None = None, conversation_count: int | None = None,
+    ws: Workspace, scope: str, filter: str | None = None, conversation_count: int | None = None
 ) -> ScopeRow:
-    """The metrics of ``base`` on a scope's table and, given ``opt``, of the
-    optimized model against it. Reductions are rounded to one decimal place
-    and fertilities to six; EmptyText from the reduction comes before
-    NoWords."""
-    red = reduction(base, opt, table) if opt is not None else None
-    fert = FertilityResult(red.tokens_base if red else token_count(base, table), table.n_words)
+    """The metrics of the base model on a scope's table and, given a role
+    ``filter``, of that filter's retrained model against it; the models must
+    be loaded. Reductions are rounded to one decimal place and fertilities
+    to six; EmptyText from the reduction comes before NoWords."""
+    table = ws.table(scope)
+    tokens_base = ws.token_count("base", table)
+    red = None
+    if filter is not None:
+        red = ReductionResult(tokens_base, ws.token_count(f"retrained_{filter}", table))
+    fert = FertilityResult(tokens_base, table.n_words)
     return ScopeRow(
         scope=scope,
         filter=filter,
@@ -425,22 +486,25 @@ def _compare(
 ) -> ExperimentReport:
     """Each role filter's retrained model against the base on every
     ``(scope, conversation_count)``, grouped by filter."""
-    base = ws.base_model()
+    ws.base_model()
     rows: list[ScopeRow] = []
     for f in ws.spec.role_filters:
-        opt = ws.retrained(f)
-        rows += [_row(ws.table(scope), scope, base, opt, f.value, count) for scope, count in scopes]
+        ws.retrained(f)
+        rows += [_row(ws, scope, f.value, count) for scope, count in scopes]
+    return _report(experiment, ws, rows)
+
+
+def _report(experiment: str, ws: Workspace, rows: list[ScopeRow]) -> ExperimentReport:
+    ws.save_lengths()
     return ExperimentReport(experiment=experiment, rows=tuple(rows), provenance=ws.provenance)
 
 
 def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
     """Baseline fertility on documents versus conversation scopes."""
     ws = _workspace(spec, workspace)
-    base = ws.base_model()
-    rows = tuple(
-        _row(ws.table(scope), scope, base) for scope in ("documents", "all", "user", "assistant")
-    )
-    return ExperimentReport(experiment="exp1", rows=rows, provenance=ws.provenance)
+    ws.base_model()
+    rows = [_row(ws, scope) for scope in ("documents", "all", "user", "assistant")]
+    return _report("exp1", ws, rows)
 
 
 def run_experiment2(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:

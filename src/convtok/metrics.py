@@ -14,14 +14,23 @@ from .errors import EmptyText, NoWords
 from .tokenizer import PieceTable, TokenizerModel, encode_piece
 
 
-def token_count(model: TokenizerModel, texts: PieceTable | Iterable[str]) -> int:
+def token_count(
+    model: TokenizerModel, texts: PieceTable | Iterable[str], lengths: dict[str, int] | None = None
+) -> int:
     """Total tokens over a corpus.
 
     Encodes each distinct piece once and weights by multiplicity; identical
-    to summing ``len(encode(model, t))`` text by text.
+    to summing ``len(encode(model, t))`` text by text. ``lengths`` maps
+    pieces to their token length under ``model``: a piece it holds is not
+    encoded, and each piece it lacks is encoded and added to it.
     """
     table = PieceTable.of(texts, model.scheme)
-    return sum(mult * len(encode_piece(model, piece)) for piece, mult in table.pieces.items())
+    if lengths is None:
+        lengths = {}
+    for piece in table.pieces:
+        if piece not in lengths:
+            lengths[piece] = len(encode_piece(model, piece))
+    return sum(mult * lengths[piece] for piece, mult in table.pieces.items())
 
 
 @dataclass(frozen=True)
@@ -42,8 +51,14 @@ class FertilityResult:
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """Raises EmptyText when either token count is zero."""
+
     tokens_base: int
     tokens_opt: int
+
+    def __post_init__(self):
+        if self.tokens_base == 0 or self.tokens_opt == 0:
+            raise EmptyText("reduction is undefined on empty text")
 
     @property
     def reduction_pct(self) -> float:
@@ -63,8 +78,4 @@ def reduction(
     """Token-count change replacing ``base`` by ``opt`` on the same texts.
     Models of two schemes raise ConfigError: they count different pieces."""
     table = PieceTable.of(texts, base.scheme)
-    tokens_base = token_count(base, table)
-    tokens_opt = token_count(opt, table)
-    if tokens_base == 0 or tokens_opt == 0:
-        raise EmptyText("reduction is undefined on empty text")
-    return ReductionResult(tokens_base=tokens_base, tokens_opt=tokens_opt)
+    return ReductionResult(tokens_base=token_count(base, table), tokens_opt=token_count(opt, table))

@@ -296,6 +296,24 @@ def test_experiment_with_pretrained_base_model(data, tmp_path, capsys):
     assert len(cached.vocab) == 317
 
 
+def test_base_model_lengths_are_bound_to_the_given_file(data, tmp_path, capsys):
+    base_path = tmp_path / "base.json"
+    run(capsys, "train", "--corpus", data["docs"], "--vocab-size", "317",
+        "--out", str(base_path))
+    # the same model in other bytes than the cache's copy of it
+    base_path.write_text(json.dumps(json.loads(base_path.read_bytes()), indent=1),
+                         encoding="utf-8")
+    out_dir = tmp_path / "runs"
+    code, _, err = run(capsys, "exp1", "--conversations", data["convs"],
+                       "--documents", data["docs"], "--base-model", str(base_path),
+                       "--threshold", "3", "--out", str(out_dir))
+    assert code == 0, err
+    lengths = json.loads((out_dir / "models" / "lengths" / "base.json").read_bytes())
+    assert lengths["model_sha256"] == hashlib.sha256(base_path.read_bytes()).hexdigest()
+    cached = (out_dir / "models" / "base.json").read_bytes()
+    assert lengths["model_sha256"] != hashlib.sha256(cached).hexdigest()
+
+
 def test_encode_text_and_input_are_exclusive(small_model, tmp_path, capsys):
     text_file = tmp_path / "input.txt"
     text_file.write_text("from the file", encoding="utf-8")
@@ -729,6 +747,52 @@ def test_damaged_table_file_is_a_cache_miss(damage, data, tmp_path, capsys):
     assert code == 0, err
     assert (tmp_path / "exp1" / "report.json").read_bytes() == report
     assert table.read_bytes() == clean  # rebuilt and rewritten
+
+
+def _edit_lengths(lengths: bytes, edit) -> bytes:
+    """A lengths file whose ``piece: length`` map is ``edit`` of its own."""
+    obj = json.loads(lengths)
+    obj["lengths"] = edit(obj["lengths"])
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _first_length(value):
+    return lambda clean, other: _edit_lengths(clean, lambda m: {**m, next(iter(m)): value})
+
+
+_LENGTHS_DAMAGE = {
+    "not-utf8": lambda clean, other: b"\xff\xfe",
+    "truncated": lambda clean, other: clean[: len(clean) // 2],
+    "list": lambda clean, other: b"[1]",
+    "deeply-nested": lambda clean, other: b"[" * 100_000 + b"]" * 100_000,
+    "length-zero": _first_length(0),
+    "length-negative": _first_length(-1),
+    "length-bool": _first_length(True),
+    "length-float": _first_length(1.5),
+    "length-str": _first_length("2"),
+    "lengths-list": lambda clean, other: _edit_lengths(clean, lambda m: list(m.items())),
+    "other-model": lambda clean, other: other,
+}
+
+
+@pytest.mark.parametrize("damage", list(_LENGTHS_DAMAGE))
+def test_damaged_lengths_file_is_a_cache_miss(damage, data, tmp_path, capsys):
+    argv = ["exp3", "--conversations", data["convs"], "--documents", data["docs"],
+            "--vocab-size", "300", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    report = (tmp_path / "exp3" / "report.json").read_bytes()
+    lengths = tmp_path / "models" / "lengths"
+    target = lengths / "retrained_both.json"
+    clean = target.read_bytes()
+    # the user model's file holds the same pieces under another model's digest
+    damaged = _LENGTHS_DAMAGE[damage](clean, (lengths / "retrained_user.json").read_bytes())
+    assert damaged != clean
+    target.write_bytes(damaged)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (tmp_path / "exp3" / "report.json").read_bytes() == report
+    assert target.read_bytes() == clean  # recounted and rewritten
 
 
 def test_language_tags_never_name_a_path(data, tmp_path, capsys):

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import shutil
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -181,7 +184,7 @@ class TestDeterminism:
         names = {p.name for p in models_dir.iterdir()}
         assert names == {
             "base.json", "retrained_user.json", "retrained_assistant.json",
-            "retrained_both.json", "manifest.json", "tables",
+            "retrained_both.json", "manifest.json", "tables", "lengths",
         }
 
     def test_config_change_invalidates_cached_models(self, tiny, tmp_path):
@@ -240,12 +243,25 @@ class TestDeterminism:
         names = {p.name for p in spec.output_dir.joinpath("models").iterdir()}
         assert names == {"base.json", "retrained_user.json", "manifest.json"}
 
-    @pytest.mark.parametrize("writer", ["save_model", "write_report"])
+    @pytest.mark.parametrize("writer", ["save_model", "write_report", "save_lengths"])
     def test_interrupted_rewrite_keeps_the_old_file(self, writer, tiny, tmp_path, monkeypatch):
         if writer == "save_model":
             path = tmp_path / "model.json"
             old, new = tiny.ws.base_model(), tiny.ws.retrained(RoleFilter.BOTH)
             write = partial(save_model, path=path)
+        elif writer == "save_lengths":
+            # a copy of the tiny cache, whose lengths files are written anew
+            spec = replace(tiny.spec, output_dir=tmp_path / "out")
+            shutil.copytree(tiny.spec.output_dir / "models", spec.output_dir / "models")
+            shutil.rmtree(spec.output_dir / "models" / "lengths")
+            ws = Workspace(spec)
+            ws.base_model()
+            path = spec.output_dir / "models" / "lengths" / "base.json"
+            old, new = "documents", "user"
+
+            def write(scope):
+                ws.token_count("base", ws.table(scope))
+                ws.save_lengths()
         else:
             path = tmp_path / "report" / "report.json"
             old, new = tiny.exp1, tiny.exp3
@@ -264,6 +280,26 @@ class TestDeterminism:
         monkeypatch.undo()
         assert path.read_bytes() == old_bytes
         assert not list(path.parent.glob("*.tmp"))
+
+    def test_a_write_inside_another_write_of_the_path(self, tmp_path, monkeypatch):
+        # the inner write starts and finishes between the outer write's
+        # temp file and its rename
+        path = tmp_path / "file.json"
+        real_replace = os.replace
+        calls = []
+
+        def replace_after_a_second_write(src, dst):
+            calls.append(dst)
+            if len(calls) == 1:
+                assert convtok.errors.write_atomic(path, b"inner") == path
+                assert path.read_bytes() == b"inner"
+            real_replace(src, dst)
+
+        monkeypatch.setattr(convtok.errors.os, "replace", replace_after_a_second_write)
+        assert convtok.errors.write_atomic(path, b"outer") == path
+        assert calls == [path, path]
+        assert path.read_bytes() == b"outer"
+        assert [p.name for p in tmp_path.iterdir()] == ["file.json"]
 
 
 class TestWorkspaceTraining:
@@ -334,7 +370,8 @@ class TestModelCache:
         assert written.count("manifest.json") == 1
         names = {p.name for p in (tmp_path / "cold" / "models").iterdir()}
         assert names == {"manifest.json", "base.json", "retrained_user.json",
-                         "retrained_assistant.json", "retrained_both.json", "tables"}
+                         "retrained_assistant.json", "retrained_both.json", "tables",
+                         "lengths"}
 
     def test_unused_flags_keep_the_base_model_cache(self, tiny, tmp_path, monkeypatch):
         # with a base model file its vocab size, mode and scheme govern the
@@ -374,6 +411,32 @@ class TestModelCache:
         assert run_experiment2(spec, Workspace(spec)) == cold["exp2"]
         assert calls == ["load_conversations"]
 
+    def test_a_model_encodes_each_test_piece_once_per_cache(self, tiny, tmp_path, monkeypatch):
+        spec = replace(tiny.spec, output_dir=tmp_path / "out")
+        encoded = Counter()
+        real_encode_piece = convtok.metrics.encode_piece
+
+        def counting(model, piece):
+            encoded[model, piece] += 1
+            return real_encode_piece(model, piece)
+
+        monkeypatch.setattr(convtok.metrics, "encode_piece", counting)
+        cold = {name: run(spec) for name, run in EXPERIMENTS.items()}  # a workspace each
+        assert encoded and max(encoded.values()) == 1
+        monkeypatch.undo()
+
+        applied, written = [], []
+        real_apply = convtok.tokenizer._apply_merges
+        monkeypatch.setattr(convtok.tokenizer, "_apply_merges",
+                            lambda *args: applied.append(args) or real_apply(*args))
+        real_write_atomic = convtok.experiments.write_atomic
+        monkeypatch.setattr(convtok.experiments, "write_atomic",
+                            lambda *args: written.append(args[0]) or real_write_atomic(*args))
+        ws = Workspace(spec)
+        assert {name: run(spec, ws) for name, run in EXPERIMENTS.items()} == cold
+        assert applied == []
+        assert written == []
+
     def test_a_changed_corpus_clears_models_and_tables(self, tiny, tmp_path):
         convs = tmp_path / "conversations.jsonl"
         lines = tiny.spec.conversations_path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -384,12 +447,14 @@ class TestModelCache:
         warm = run_experiment2(spec)  # fills the cache for the original corpus
         models = spec.output_dir / "models"
         assert list(models.glob("tables/*.json"))
+        assert list(models.glob("lengths/*.json"))
         convs.write_text("".join(lines), encoding="utf-8")
         edited = replace(spec, conversations_path=convs)
         ws = Workspace(edited)
         assert ws.provenance.config_hash != warm.provenance.config_hash
         assert [p.name for p in models.glob("*.json")] == ["manifest.json"]
         assert list(models.glob("tables/*.json")) == []
+        assert list(models.glob("lengths/*.json")) == []
         cold = run_experiment2(replace(edited, output_dir=tmp_path / "cold"))
         assert run_experiment2(edited, ws) == cold
 

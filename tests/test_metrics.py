@@ -1,7 +1,9 @@
+import random
 import re
 
 import pytest
 
+import convtok.metrics
 from convtok.corpus import (
     ConversationRecord,
     RoleFilter,
@@ -98,6 +100,27 @@ class TestFertility:
         model = train_bpe(PieceTable.of(docs, CAT), TrainConfig(vocab_size=300))
         assert token_count(model, docs) == sum(len(encode(model, t)) for t in docs)
 
+    @pytest.mark.parametrize("mode", list(TokenizerMode))
+    def test_token_count_through_a_lengths_map(self, mode, monkeypatch):
+        docs, _ = generate_corpora(seed=407, doc_bytes=6_000, conv_bytes=1)
+        model = train_bpe(PieceTable.of(docs, CAT), TrainConfig(vocab_size=420, mode=mode))
+        rng = random.Random(f"lengths-{mode.value}")
+        words = [w for doc in docs[:20] for w in doc.split()] + ["字符", "ü", "\n", "  "]
+        for _ in range(20):
+            texts = [" ".join(rng.choices(words, k=rng.randrange(1, 30)))
+                     for _ in range(rng.randrange(1, 6))]
+            table = PieceTable.of(texts, CAT)
+            expected = token_count(model, table)
+            full: dict[str, int] = {}
+            assert token_count(model, table, full) == expected
+            assert full.keys() == table.pieces.keys()
+            partial = dict(rng.sample(sorted(full.items()), len(full) // 2))
+            assert token_count(model, table, partial) == expected
+            assert partial == full
+            with monkeypatch.context() as patch:
+                patch.setattr(convtok.metrics, "encode_piece", None)  # a full map encodes nothing
+                assert token_count(model, table, full) == expected
+
 
 class TestReduction:
     def test_formula_down(self):
@@ -105,6 +128,11 @@ class TestReduction:
 
     def test_formula_up_is_negative(self):
         assert ReductionResult(tokens_base=100, tokens_opt=102).reduction_pct == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("tokens_base, tokens_opt", [(0, 7), (7, 0)])
+    def test_a_zero_count_is_rejected(self, tokens_base, tokens_opt):
+        with pytest.raises(EmptyText):
+            ReductionResult(tokens_base=tokens_base, tokens_opt=tokens_opt)
 
     def test_identical_models_give_exact_zero(self):
         docs, _ = generate_corpora(seed=406, doc_bytes=5_000, conv_bytes=1)
