@@ -62,6 +62,8 @@ from .trainer import DEFAULT_VOCAB_SIZE, TrainConfig, train_bpe
 ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
 
+# the name of the language-count file's scope: no table scope is spelt so
+_LANGUAGES = "languages"
 # the metrics CSV's columns, each a ScopeRow field, with the format of its cells
 _CSV_COLUMNS = {"scope": "", "tokens_base": "", "tokens_opt": "", "reduction_pct": ".1f",
                 "n_words": "", "fertility_base": ".6f", "fertility_opt": ".6f"}
@@ -189,17 +191,21 @@ def sample_documents(documents: list[str], max_bytes: int) -> list[str]:
 
 class Workspace:
     """Loads corpora, derives splits, pretokenizes each text scope once per
-    cache, trains or loads the models a spec needs and encodes each test
-    piece once per model and cache. Every model is ``train_bpe`` on a
-    scope's piece table under one ``TrainConfig``; the config and the
-    tables' scheme are taken from the spec or, with ``base_model_path``,
-    from that file. Models, test-side piece tables and each model's token
-    lengths of the test pieces it has counted are cached under
+    cache, trains the models a spec needs and encodes each test piece once
+    per model and cache. Every model is ``train_bpe`` on a scope's piece
+    table under one ``TrainConfig``; the config and the tables' scheme are
+    taken from the spec or, with ``base_model_path``, from that file.
+    Models, test-side piece tables, the held-out language counts and each
+    model's token lengths of the test pieces it has counted are cached under
     ``<output_dir>/models`` keyed by a config hash, so experiments reuse
     them; a cache whose manifest records another hash is emptied on
     construction. A corpus is parsed on first use only: a valid manifest is
     written only after both corpora loaded and split, and the hash covers
-    their bytes."""
+    their bytes. A cached model file is hashed, not parsed: it is parsed
+    only to encode a piece its lengths map lacks or to train another model.
+    A lengths file is bound to the digest of the validated model file it was
+    counted with, so a damaged model file finds no lengths and is parsed,
+    and fails."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -219,6 +225,7 @@ class Workspace:
         self._lengths: dict[str, dict[str, int]] = {}
         self._lengths_stored: dict[str, int] = {}
         self._tables: dict[str, PieceTable] = {}
+        self._languages: list[tuple[str, int]] | None = None
         if base is not None:
             self._models["base"] = base
             self._model_sha256["base"] = sha256_file(spec.base_model_path)
@@ -263,7 +270,10 @@ class Workspace:
 
     @cached_property
     def _conv_split(self) -> tuple[list[ConversationRecord], list[ConversationRecord]]:
-        return split(self.conversations, self.spec.split)
+        train, test = split(self.conversations, self.spec.split)
+        if {r.id for r in train} & {r.id for r in test}:
+            raise ConvtokError("train/test split integrity violated")
+        return train, test
 
     @cached_property
     def _docs_split(self) -> tuple[list[str], list[str]]:
@@ -306,26 +316,42 @@ class Workspace:
             return False
         return isinstance(recorded, dict) and recorded.get("config_hash") == self.provenance.config_hash
 
-    def _get(self, name: str, scope: str, config: TrainConfig) -> TokenizerModel:
+    def _model_path(self, name: str) -> Path:
+        # model names are fixed words, never a string from a corpus
+        return self.models_dir / f"{name}.json"
+
+    def _model_digest(self, name: str) -> str:
+        """The sha256 of model ``name``'s cache file. A model the cache lacks
+        is trained and written first; a cached one is not parsed."""
+        digest = self._model_sha256.get(name)
+        if digest is None:
+            path = self._model_path(name)
+            if not path.exists():
+                if name == "base":
+                    model = train_bpe(self.table("train:documents"), self.config)
+                else:
+                    # a base that stopped early caps its retrained models at its own size
+                    config = replace(self.config, vocab_size=len(self._model("base").vocab))
+                    model = train_bpe(self.table(f"train:{name.removeprefix('retrained_')}"), config)
+                save_model(model, path)
+                self._models[name] = model
+            digest = self._model_sha256[name] = sha256_file(path)
+        return digest
+
+    def _model(self, name: str) -> TokenizerModel:
+        """Model ``name``: trained, or parsed and validated from its cache
+        file, on first use."""
+        self._model_digest(name)
         model = self._models.get(name)
         if model is None:
-            path = self.models_dir / f"{name}.json"
-            if path.exists():
-                model = load_model(path)
-            else:
-                model = train_bpe(self.table(scope), config)
-                save_model(model, path)
-            self._models[name] = model
-            self._model_sha256[name] = sha256_file(path)
+            model = self._models[name] = load_model(self._model_path(name))
         return model
 
     def base_model(self) -> TokenizerModel:
-        return self._get("base", "train:documents", self.config)
+        return self._model("base")
 
     def retrained(self, role_filter: RoleFilter) -> TokenizerModel:
-        # a base that stopped early caps its retrained models at its own size
-        config = replace(self.config, vocab_size=len(self.base_model().vocab))
-        return self._get(f"retrained_{role_filter.value}", f"train:{role_filter.value}", config)
+        return self._model(f"retrained_{role_filter.value}")
 
     def table(self, scope: str) -> PieceTable:
         """Piece table of a scope in the run's scheme: ``train:documents``,
@@ -338,9 +364,7 @@ class Workspace:
             if scope == "all" or scope.startswith("train:"):
                 table = self._build_table(scope)
             else:
-                # a language tag comes from the corpus, so it never names the file
-                name = hashlib.sha256(scope.encode("utf-8")).hexdigest()
-                path = self.models_dir / "tables" / f"{name}.json"
+                path = self._table_path(scope)
                 table = _read_table(path, scope, self.scheme)
                 if table is None:
                     table = self._build_table(scope)
@@ -348,17 +372,36 @@ class Workspace:
             self._tables[scope] = table
         return table
 
+    def _table_path(self, scope: str) -> Path:
+        # a language tag comes from the corpus, so it never names the file
+        name = hashlib.sha256(scope.encode("utf-8")).hexdigest()
+        return self.models_dir / "tables" / f"{name}.json"
+
+    def languages(self) -> list[tuple[str, int]]:
+        """``language_counts`` of the held-out conversations at the spec's
+        threshold. Read from the cache when it holds a valid file, else
+        counted, after the split's integrity check, and written there."""
+        if self._languages is None:
+            path = self._table_path(_LANGUAGES)
+            self._languages = _read_languages(path)
+            if self._languages is None:
+                self._languages = language_counts(self.conv_test, self.spec.language_threshold)
+                write_atomic(path, _languages_bytes(self._languages))
+        return self._languages
+
     def token_count(self, name: str, table: PieceTable) -> int:
-        """``metrics.token_count`` of the loaded model ``name`` (``base`` or
+        """``metrics.token_count`` of model ``name`` (``base`` or
         ``retrained_<role>``) on a test-side table. Each piece's length is
         read from the model's lengths map, which is loaded from the cache on
-        first use; the pieces it lacks are encoded and added to it."""
+        first use; the model is parsed only when the map lacks a piece, and
+        the pieces it lacks are encoded and added to it."""
         lengths = self._lengths.get(name)
         if lengths is None:
-            lengths = _read_lengths(self._lengths_path(name), self._model_sha256[name])
+            lengths = _read_lengths(self._lengths_path(name), self._model_digest(name))
             self._lengths[name] = lengths
             self._lengths_stored[name] = len(lengths)
-        return token_count(self._models[name], table, lengths)
+        model = None if lengths.keys() >= table.pieces.keys() else self._model(name)
+        return token_count(model, table, lengths)
 
     def save_lengths(self) -> None:
         """Rewrite the lengths file of each model whose map grew since it
@@ -370,7 +413,6 @@ class Workspace:
                 self._lengths_stored[name] = len(lengths)
 
     def _lengths_path(self, name: str) -> Path:
-        # model names are fixed words, never a string from a corpus
         return self.models_dir / "lengths" / f"{name}.json"
 
     def _build_table(self, scope: str) -> PieceTable:
@@ -408,16 +450,44 @@ def _read_table(path: Path, scope: str, scheme: PretokenScheme) -> PieceTable | 
     if not (isinstance(obj, dict) and obj.get("scope") == scope
             and obj.get("scheme") == scheme.value and isinstance(obj.get("pieces"), list)):
         return None
-    n_words, entries = obj.get("n_words"), obj["pieces"]
-    try:
-        pieces = dict(entries)
-    except (TypeError, ValueError):  # an entry that is not a pair, or a list as a piece
-        return None
-    if not (type(n_words) is int and n_words >= 0 and len(pieces) == len(entries)
-            and all(type(p) is str for p in pieces)
-            and all(type(n) is int and n > 0 for n in pieces.values())):
+    n_words, pieces = obj.get("n_words"), _counts(obj["pieces"])
+    if not (type(n_words) is int and n_words >= 0 and pieces is not None):
         return None
     return PieceTable(Counter(pieces), n_words, scheme)
+
+
+def _counts(entries: list) -> dict[str, int] | None:
+    """The map of a list of ``[str, positive int]`` pairs of distinct
+    strings, in list order; None for a list that is not one."""
+    try:
+        counts = dict(entries)
+    except (TypeError, ValueError):  # an entry that is not a pair, or a list as a key
+        return None
+    if not (len(counts) == len(entries) and all(type(k) is str for k in counts)
+            and all(type(n) is int and n > 0 for n in counts.values())):
+        return None
+    return counts
+
+
+def _languages_bytes(languages: list[tuple[str, int]]) -> bytes:
+    """The cached language counts: compact UTF-8 JSON of the
+    ``[tag, conversation count]`` pairs in ``language_counts`` order."""
+    obj = {"scope": _LANGUAGES, "languages": languages}
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _read_languages(path: Path) -> list[tuple[str, int]] | None:
+    """The pairs of a file that ``_languages_bytes`` wrote; None for a
+    missing file or one that is not such a list."""
+    try:
+        obj = parse_json(read_utf8(path), IntegrityError)
+    except (FileNotFoundError, InvalidEncoding, IntegrityError):
+        return None
+    if not (isinstance(obj, dict) and obj.get("scope") == _LANGUAGES
+            and isinstance(obj.get("languages"), list)):
+        return None
+    counts = _counts(obj["languages"])
+    return None if counts is None else list(counts.items())
 
 
 def _lengths_bytes(model_sha256: str, lengths: dict[str, int]) -> bytes:
@@ -459,9 +529,9 @@ def _row(
     ws: Workspace, scope: str, filter: str | None = None, conversation_count: int | None = None
 ) -> ScopeRow:
     """The metrics of the base model on a scope's table and, given a role
-    ``filter``, of that filter's retrained model against it; the models must
-    be loaded. Reductions are rounded to one decimal place and fertilities
-    to six; EmptyText from the reduction comes before NoWords."""
+    ``filter``, of that filter's retrained model against it. Reductions are
+    rounded to one decimal place and fertilities to six; EmptyText from the
+    reduction comes before NoWords."""
     table = ws.table(scope)
     tokens_base = ws.token_count("base", table)
     red = None
@@ -486,11 +556,7 @@ def _compare(
 ) -> ExperimentReport:
     """Each role filter's retrained model against the base on every
     ``(scope, conversation_count)``, grouped by filter."""
-    ws.base_model()
-    rows: list[ScopeRow] = []
-    for f in ws.spec.role_filters:
-        ws.retrained(f)
-        rows += [_row(ws, scope, f.value, count) for scope, count in scopes]
+    rows = [_row(ws, scope, f.value, count) for f in ws.spec.role_filters for scope, count in scopes]
     return _report(experiment, ws, rows)
 
 
@@ -502,7 +568,6 @@ def _report(experiment: str, ws: Workspace, rows: list[ScopeRow]) -> ExperimentR
 def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
     """Baseline fertility on documents versus conversation scopes."""
     ws = _workspace(spec, workspace)
-    ws.base_model()
     rows = [_row(ws, scope) for scope in ("documents", "all", "user", "assistant")]
     return _report("exp1", ws, rows)
 
@@ -510,12 +575,8 @@ def run_experiment1(spec: ExperimentSpec, workspace: Workspace | None = None) ->
 def run_experiment2(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:
     """Retrain per role filter; reduction on the held-out conversation split."""
     ws = _workspace(spec, workspace)
-    train_ids = {r.id for r in ws.conv_train}
-    test_ids = {r.id for r in ws.conv_test}
-    if train_ids & test_ids:
-        raise ConvtokError("train/test split integrity violated")
-    languages = language_counts(ws.conv_test, spec.language_threshold)
-    return _compare("exp2", ws, [("all", None)] + [(f"language:{tag}", n) for tag, n in languages])
+    languages = [(f"language:{tag}", n) for tag, n in ws.languages()]
+    return _compare("exp2", ws, [("all", None)] + languages)
 
 
 def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) -> ExperimentReport:

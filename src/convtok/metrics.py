@@ -11,25 +11,29 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyText, NoWords
-from .tokenizer import PieceTable, TokenizerModel, encode_piece
+from .tokenizer import PieceTable, TokenizerModel, encode_piece, piece_length
 
 
 def token_count(
-    model: TokenizerModel, texts: PieceTable | Iterable[str], lengths: dict[str, int] | None = None
+    model: TokenizerModel | None,
+    texts: PieceTable | Iterable[str],
+    lengths: dict[str, int] | None = None,
 ) -> int:
     """Total tokens over a corpus.
 
     Encodes each distinct piece once and weights by multiplicity; identical
     to summing ``len(encode(model, t))`` text by text. ``lengths`` maps
     pieces to their token length under ``model``: a piece it holds is not
-    encoded, and each piece it lacks is encoded and added to it.
+    encoded, and each piece it lacks is encoded and added to it, without
+    entering the model's piece cache. ``model`` may be None when ``texts``
+    is a table whose every piece ``lengths`` holds.
     """
-    table = PieceTable.of(texts, model.scheme)
+    table = texts if model is None else PieceTable.of(texts, model.scheme)
     if lengths is None:
-        lengths = {}
+        return sum(mult * len(encode_piece(model, piece)) for piece, mult in table.pieces.items())
     for piece in table.pieces:
         if piece not in lengths:
-            lengths[piece] = len(encode_piece(model, piece))
+            lengths[piece] = piece_length(model, piece)
     return sum(mult * lengths[piece] for piece, mult in table.pieces.items())
 
 

@@ -302,6 +302,11 @@ def encode_piece(model: TokenizerModel, piece: str) -> tuple[int, ...]:
     return ids
 
 
+def piece_length(model: TokenizerModel, piece: str) -> int:
+    """``len(encode_piece(model, piece))``, without entering the piece cache."""
+    return len(_apply_merges(model, _base_symbols(model, piece)))
+
+
 def encode(model: TokenizerModel, text: str) -> list[int]:
     """Encode text to token ids. Total: every valid UTF-8 string is encodable."""
     ids: list[int] = []

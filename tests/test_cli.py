@@ -710,9 +710,11 @@ def _table_file(out, scope):
 
 
 def _edit_pieces(table: bytes, edit) -> bytes:
-    """A table file whose ``[piece, count]`` list is ``edit`` of its own."""
+    """A table file whose ``[piece, count]`` list (a language-count file:
+    whose ``[tag, count]`` list) is ``edit`` of its own."""
     obj = json.loads(table)
-    obj["pieces"] = edit(obj["pieces"])
+    key = "pieces" if "pieces" in obj else "languages"
+    obj[key] = edit(obj[key])
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
@@ -747,6 +749,74 @@ def test_damaged_table_file_is_a_cache_miss(damage, data, tmp_path, capsys):
     assert code == 0, err
     assert (tmp_path / "exp1" / "report.json").read_bytes() == report
     assert table.read_bytes() == clean  # rebuilt and rewritten
+
+
+@pytest.mark.parametrize("damage", [d for d in _TABLE_DAMAGE if d != "other-scheme"])
+def test_damaged_language_counts_are_a_cache_miss(damage, data, tmp_path, capsys):
+    argv = ["exp2", "--conversations", data["convs"], "--documents", data["docs"],
+            "--vocab-size", "300", "--threshold", "3", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    report = (tmp_path / "exp2" / "report.json").read_bytes()
+    counts = _table_file(tmp_path, "languages")
+    clean = counts.read_bytes()
+    assert json.loads(clean)["languages"]  # a language row to lose
+    damaged = _TABLE_DAMAGE[damage](clean, _table_file(tmp_path, "user").read_bytes())
+    assert damaged != clean
+    counts.write_bytes(damaged)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (tmp_path / "exp2" / "report.json").read_bytes() == report
+    assert counts.read_bytes() == clean  # counted again and rewritten
+
+
+# by experiment: a cached model file it reads, and another model of its cache
+_DAMAGED_MODEL = {
+    "exp1": ("base", "retrained_user"),
+    "exp2": ("retrained_user", "retrained_assistant"),
+    "exp3": ("retrained_both", "retrained_user"),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_DAMAGED_MODEL))
+def test_damaged_cached_model_fails_or_is_recounted(experiment, data, tmp_path, capsys):
+    def argv(out):
+        return [experiment, "--conversations", data["convs"], "--documents", data["docs"],
+                "--vocab-size", "300", "--threshold", "3", "--out", str(out)]
+
+    out = tmp_path / "runs"
+    for command in ("exp1", "exp2", "exp3"):
+        code, _, err = run(capsys, command, *argv(out)[1:])
+        assert code == 0, err
+    report = out / experiment / "report.json"
+    cold = report.read_bytes()
+    target, other = (out / "models" / f"{name}.json" for name in _DAMAGED_MODEL[experiment])
+
+    # another model's valid bytes: a digest miss, so every piece is recounted
+    # with that model, as by a run whose cache holds only it and the manifest
+    swapped = other.read_bytes()
+    target.write_bytes(swapped)
+    code, _, err = run(capsys, *argv(out))
+    assert code == 0, err
+    assert report.read_bytes() != cold
+    fresh = tmp_path / "fresh"
+    (fresh / "models").mkdir(parents=True)
+    (fresh / "models" / "manifest.json").write_bytes((out / "models" / "manifest.json").read_bytes())
+    (fresh / "models" / target.name).write_bytes(swapped)
+    code, _, err = run(capsys, *argv(fresh))
+    assert code == 0, err
+    assert report.read_bytes() == (fresh / experiment / "report.json").read_bytes()
+    lengths = json.loads((out / "models" / "lengths" / target.name).read_bytes())
+    assert lengths["model_sha256"] == hashlib.sha256(swapped).hexdigest()
+
+    # a truncated model file has no lengths file, so it is parsed and fails;
+    # the cut is at a character boundary, as one through a character is
+    # InvalidEncoding, as for any file that is not UTF-8
+    target.write_bytes(swapped[: len(swapped) // 2].decode("utf-8", "ignore").encode("utf-8"))
+    code, stdout, err = run(capsys, *argv(out))
+    assert code == 1
+    assert stdout == ""
+    assert one_json_error(err)["error"] == "IntegrityError"
 
 
 def _edit_lengths(lengths: bytes, edit) -> bytes:
@@ -814,7 +884,8 @@ def test_language_tags_never_name_a_path(data, tmp_path, capsys):
     written = [p for p in tmp_path.rglob("*") if p.is_file() and p != convs]
     assert written and all(out in p.parents for p in written)
     names = [p.name for p in (out / "models" / "tables").iterdir()]
-    assert len(names) == 2 + len(tags)  # user, assistant and one per language
+    # user, assistant, one per language and the language counts
+    assert len(names) == 2 + len(tags) + 1
     assert all(re.fullmatch(r"[0-9a-f]{64}\.json", name) for name in names)
 
 

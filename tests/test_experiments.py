@@ -403,26 +403,28 @@ class TestModelCache:
 
         spy(convtok.experiments, "load_conversations")
         spy(convtok.experiments, "load_documents")
+        spy(convtok.experiments, "load_model")
         spy(convtok.tokenizer, "pretokenize")
         ws = Workspace(spec)
         assert run_experiment1(spec, ws) == cold["exp1"]
         assert run_experiment3(spec, ws) == cold["exp3"]
-        assert calls == []
         assert run_experiment2(spec, Workspace(spec)) == cold["exp2"]
-        assert calls == ["load_conversations"]
+        assert calls == []  # not even a model file is parsed
 
     def test_a_model_encodes_each_test_piece_once_per_cache(self, tiny, tmp_path, monkeypatch):
         spec = replace(tiny.spec, output_dir=tmp_path / "out")
         encoded = Counter()
-        real_encode_piece = convtok.metrics.encode_piece
+        real_piece_length = convtok.metrics.piece_length
 
         def counting(model, piece):
             encoded[model, piece] += 1
-            return real_encode_piece(model, piece)
+            return real_piece_length(model, piece)
 
-        monkeypatch.setattr(convtok.metrics, "encode_piece", counting)
+        monkeypatch.setattr(convtok.metrics, "piece_length", counting)
         cold = {name: run(spec) for name, run in EXPERIMENTS.items()}  # a workspace each
         assert encoded and max(encoded.values()) == 1
+        # the lengths maps hold the counts, so no model keeps the pieces' ids
+        assert all(model._piece_cache == {} for model, _ in encoded)
         monkeypatch.undo()
 
         applied, written = [], []

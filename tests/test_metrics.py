@@ -19,7 +19,14 @@ from convtok.metrics import (
     token_count,
 )
 from convtok.samples import generate_corpora
-from convtok.tokenizer import PieceTable, PretokenScheme, TokenizerMode, count_words, encode
+from convtok.tokenizer import (
+    PieceTable,
+    PretokenScheme,
+    TokenizerMode,
+    count_words,
+    encode,
+    encode_piece,
+)
 from convtok.trainer import TrainConfig, train_bpe
 
 CAT = PretokenScheme.CATEGORY_SPLIT
@@ -118,8 +125,22 @@ class TestFertility:
             assert token_count(model, table, partial) == expected
             assert partial == full
             with monkeypatch.context() as patch:
-                patch.setattr(convtok.metrics, "encode_piece", None)  # a full map encodes nothing
+                # a full map encodes nothing and needs no model
+                patch.setattr(convtok.metrics, "encode_piece", None)
+                patch.setattr(convtok.metrics, "piece_length", None)
                 assert token_count(model, table, full) == expected
+                assert token_count(None, table, full) == expected
+
+    def test_counting_into_a_lengths_map_keeps_no_ids(self):
+        docs, _ = generate_corpora(seed=409, doc_bytes=6_000, conv_bytes=1)
+        table = PieceTable.of(docs, CAT)
+        model = train_bpe(table, TrainConfig(vocab_size=300))
+        lengths: dict[str, int] = {}
+        total = token_count(model, table, lengths)
+        assert lengths.keys() == table.pieces.keys()
+        assert model._piece_cache == {}  # the map holds the counts, not the model
+        assert total == token_count(model, docs)
+        assert lengths == {p: len(encode_piece(model, p)) for p in table.pieces}
 
 
 class TestReduction:
