@@ -121,7 +121,7 @@ def _experiment_spec(args):
         base_model_path=Path(args.base_model) if args.base_model else None,
         role_filters=tuple(dict.fromkeys(RoleFilter(f) for f in args.role_filter))
         if args.role_filter
-        else ExperimentSpec.role_filters,
+        else ExperimentSpec._field_defaults["role_filters"],
         vocab_size=args.vocab_size,
         mode=TokenizerMode(args.mode),
         scheme=PretokenScheme(args.scheme),
@@ -186,12 +186,13 @@ def _add_model_config_args(parser: argparse.ArgumentParser) -> None:
 
     # the defaults are ExperimentSpec's, which shares TrainConfig's mode and
     # min_pair_frequency
+    defaults = TrainConfig._field_defaults
     parser.add_argument("--mode", choices=[m.value for m in TokenizerMode],
-                        default=TrainConfig.mode.value)
+                        default=defaults["mode"].value)
     parser.add_argument("--scheme", choices=[s.value for s in PretokenScheme],
                         default=DEFAULT_SCHEME.value)
     parser.add_argument("--vocab-size", type=int, default=DEFAULT_VOCAB_SIZE)
-    parser.add_argument("--min-pair-frequency", type=int, default=TrainConfig.min_pair_frequency)
+    parser.add_argument("--min-pair-frequency", type=int, default=defaults["min_pair_frequency"])
 
 
 def _add_ingest(sub) -> None:
@@ -239,16 +240,17 @@ def _add_experiments(sub) -> None:
     from .corpus import RoleFilter, SplitSpec
     from .experiments import EXPERIMENTS, ExperimentSpec
 
+    split_defaults, spec_defaults = SplitSpec._field_defaults, ExperimentSpec._field_defaults
     for name, run in EXPERIMENTS.items():
         p = sub.add_parser(name, help=run.__doc__)
         p.add_argument("--conversations", required=True)
         p.add_argument("--documents", required=True)
         p.add_argument("--base-model")
-        p.add_argument("--seed", type=int, default=SplitSpec.seed)
-        p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
-        p.add_argument("--threshold", type=int, default=ExperimentSpec.language_threshold,
+        p.add_argument("--seed", type=int, default=split_defaults["seed"])
+        p.add_argument("--train-fraction", type=float, default=split_defaults["train_fraction"])
+        p.add_argument("--threshold", type=int, default=spec_defaults["language_threshold"],
                        help="per-language rows need more conversations than this")
-        p.add_argument("--doc-sample-bytes", type=int, default=ExperimentSpec.doc_sample_bytes)
+        p.add_argument("--doc-sample-bytes", type=int, default=spec_defaults["doc_sample_bytes"])
         p.add_argument("--role-filter", action="append",
                        choices=[f.value for f in RoleFilter],
                        help="repeatable; default: user, assistant, both")

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, EmptyCorpus, MalformedRecord, parse_json, read_utf8, utf8_str
+from .errors import ConfigError, EmptyCorpus, MalformedRecord, checked, parse_json, read_utf8, utf8_str
 
 _ROLES = ("user", "assistant")
 
@@ -34,27 +33,27 @@ class RoleFilter(str, Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class ConversationRecord:
+class ConversationRecord(NamedTuple):
     id: str
     model_name: str
     turns: tuple[tuple[str, str], ...]  # (role, content), in conversation order
     language: str
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+@checked
+class SplitSpec(NamedTuple):
     """Train/test split parameters. Assignment is keyed on record ids, so a
     split is stable under re-ordering of the input file."""
 
     train_fraction: float = 0.8
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self) -> SplitSpec:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
+        return self
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Exception types shared across the toolkit, and the file boundary that
-raises them: the JSON parse, the strict UTF-8 read and check, the file
-digest and the atomic write."""
+"""Exception types shared across the toolkit, the file boundary that
+raises them (the JSON parse, the strict UTF-8 read and check, the file
+digest and the atomic write), and :func:`checked`, which makes a value type
+raise them on construction."""
 
 from __future__ import annotations
 
 import json
 import os
+from functools import wraps
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
@@ -88,6 +90,16 @@ def parse_json(text: str, error: Callable[[str], Exception], default: Any = _RAI
         raise error(f"invalid JSON: {exc.msg} at character {exc.pos}") from exc
     except RecursionError as exc:
         raise error("JSON nested deeper than the decoder's recursion limit") from exc
+
+
+def checked(cls):
+    """Class decorator for a named tuple whose ``_check`` method raises on a
+    bad value and returns a good one: each value that ``cls(...)``,
+    ``_make`` or ``_replace`` builds is checked."""
+    new, make = cls.__new__, cls._make.__func__
+    cls.__new__ = staticmethod(wraps(new)(lambda cls, *args, **kw: new(cls, *args, **kw)._check()))
+    cls._make = classmethod(wraps(make)(lambda cls, iterable: make(cls, iterable)._check()))
+    return cls
 
 
 class ConvtokError(Exception):

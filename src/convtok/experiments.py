@@ -20,10 +20,9 @@ import hashlib
 import io
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from . import __version__ as _tool_version
 from .corpus import (
@@ -42,6 +41,7 @@ from .errors import (
     ConvtokError,
     IntegrityError,
     InvalidEncoding,
+    checked,
     parse_json,
     read_utf8,
     sha256_file,
@@ -69,8 +69,8 @@ _CSV_COLUMNS = {"scope": "", "tokens_base": "", "tokens_opt": "", "reduction_pct
                 "n_words": "", "fertility_base": ".6f", "fertility_opt": ".6f"}
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+@checked
+class ExperimentSpec(NamedTuple):
     conversations_path: Path
     documents_path: Path
     output_dir: Path
@@ -78,13 +78,13 @@ class ExperimentSpec:
     base_model_path: Path | None = None
     role_filters: tuple[RoleFilter, ...] = ALL_FILTERS
     vocab_size: int = DEFAULT_VOCAB_SIZE
-    mode: TokenizerMode = TrainConfig.mode
+    mode: TokenizerMode = TrainConfig._field_defaults["mode"]
     scheme: PretokenScheme = DEFAULT_SCHEME
-    min_pair_frequency: int = TrainConfig.min_pair_frequency
+    min_pair_frequency: int = TrainConfig._field_defaults["min_pair_frequency"]
     language_threshold: int = 1000
     doc_sample_bytes: int = DEFAULT_DOC_SAMPLE_BYTES
 
-    def __post_init__(self):
+    def _check(self) -> ExperimentSpec:
         if not self.role_filters:
             raise ConfigError("at least one role filter is required")
         if self.doc_sample_bytes < 1:
@@ -92,46 +92,48 @@ class ExperimentSpec:
         if self.language_threshold < 0:
             raise ConfigError(
                 f"language_threshold must be at least 0, got {self.language_threshold}")
+        return self
 
 
-@dataclass(frozen=True, kw_only=True)
-class ScopeRow:
+class ScopeRow(NamedTuple):
     """One line of a metrics table, its fields in report.json key order.
     ``filter`` names the optimized model's role filter; base-only rows
-    (experiment 1) leave it and the opt fields unset."""
+    (experiment 1) leave it and the opt fields None."""
 
     scope: str
-    filter: str | None = None
+    filter: str | None
     tokens_base: int
-    tokens_opt: int | None = None
-    reduction_pct: float | None = None
+    tokens_opt: int | None
+    reduction_pct: float | None
     n_words: int
     fertility_base: float
     fertility_opt: float | None = None
     conversation_count: int | None = None
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     tool_version: str
     config_hash: str
     conversations_sha256: str
     documents_sha256: str
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     experiment: str
     rows: tuple[ScopeRow, ...]
     provenance: Provenance
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(asdict(self), ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        obj = {"experiment": self.experiment, "rows": [row._asdict() for row in self.rows],
+               "provenance": self.provenance._asdict()}
+        return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
 def _from_fields(cls, obj: dict):
-    # keys that name no field are ignored
-    return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+    # keys that name no field are ignored, and a missing key reads as None,
+    # which only a nullable field may hold; an obj that is no dict raises
+    # AttributeError
+    return cls._make(map(obj.get, cls._fields))
 
 
 def load_report(path: str | Path) -> ExperimentReport:
@@ -145,7 +147,7 @@ def load_report(path: str | Path) -> ExperimentReport:
             rows=tuple(_from_fields(ScopeRow, r) for r in obj["rows"]),
             provenance=_from_fields(Provenance, obj["provenance"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise IntegrityError(f"not a report file: {path}: {exc!r}") from exc
     if report.experiment not in EXPERIMENTS:
         raise IntegrityError(f"unknown experiment id in {path}: {report.experiment!r}")
@@ -160,7 +162,7 @@ def load_report(path: str | Path) -> ExperimentReport:
 
 
 def _check_types(record, required: tuple[str, ...], where: str) -> None:
-    """IntegrityError unless each field of a parsed dataclass holds a value of
+    """IntegrityError unless each field of a parsed record holds a value of
     its declared type (an int counts as a float, a bool as neither) and the
     ``required`` fields are not None."""
     for name, hint in get_type_hints(type(record)).items():
@@ -331,7 +333,7 @@ class Workspace:
                     model = train_bpe(self.table("train:documents"), self.config)
                 else:
                     # a base that stopped early caps its retrained models at its own size
-                    config = replace(self.config, vocab_size=len(self._model("base").vocab))
+                    config = self.config._replace(vocab_size=len(self._model("base").vocab))
                     model = train_bpe(self.table(f"train:{name.removeprefix('retrained_')}"), config)
                 save_model(model, path)
                 self._models[name] = model

@@ -7,10 +7,9 @@ reporting boundary. A word is a maximal run of non-whitespace characters
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import EmptyText, NoWords
+from .errors import EmptyText, NoWords, checked
 from .tokenizer import PieceTable, TokenizerModel, encode_piece, piece_length
 
 
@@ -37,32 +36,34 @@ def token_count(
     return sum(mult * lengths[piece] for piece, mult in table.pieces.items())
 
 
-@dataclass(frozen=True)
-class FertilityResult:
+@checked
+class FertilityResult(NamedTuple):
     """Raises NoWords when there are no words to divide by."""
 
     n_tokens: int
     n_words: int
 
-    def __post_init__(self):
+    def _check(self) -> FertilityResult:
         if self.n_words == 0:
             raise NoWords("fertility is undefined on text without words")
+        return self
 
     @property
     def fertility(self) -> float:
         return self.n_tokens / self.n_words
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+@checked
+class ReductionResult(NamedTuple):
     """Raises EmptyText when either token count is zero."""
 
     tokens_base: int
     tokens_opt: int
 
-    def __post_init__(self):
+    def _check(self) -> ReductionResult:
         if self.tokens_base == 0 or self.tokens_opt == 0:
             raise EmptyText("reduction is undefined on empty text")
+        return self
 
     @property
     def reduction_pct(self) -> float:

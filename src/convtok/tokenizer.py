@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     ConfigError,
@@ -31,6 +30,7 @@ from .errors import (
     IdOutOfRange,
     IntegrityError,
     InvalidByteSequence,
+    checked,
     parse_json,
     read_utf8,
     write_atomic,
@@ -135,8 +135,7 @@ def count_words(text: str) -> int:
     return len(text.split())
 
 
-@dataclass(frozen=True)
-class PieceTable:
+class PieceTable(NamedTuple):
     """Piece counts and word count of some texts: what training and metrics read."""
 
     pieces: Counter[str]
@@ -171,28 +170,26 @@ class PieceTable:
 # Model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TokenizerModel:
-    """Immutable tokenizer: vocabulary (index = token id) plus ranked merges.
-
-    Safe for unlimited concurrent readers; encode/decode are pure.
-    """
-
+class _ModelFields(NamedTuple):
     mode: TokenizerMode
     scheme: PretokenScheme
     vocab: tuple[str, ...]
     merges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        token_ids = {tok: i for i, tok in enumerate(self.vocab)}
-        object.__setattr__(self, "_token_ids", token_ids)
-        object.__setattr__(
-            self, "_merge_ranks", {pair: r for r, pair in enumerate(self.merges)}
-        )
-        object.__setattr__(self, "_piece_cache", {})
-        self._validate(token_ids)
 
-    def _validate(self, token_ids: dict[str, int]) -> None:
+@checked
+class TokenizerModel(_ModelFields):
+    """Immutable tokenizer: vocabulary (index = token id) plus ranked merges.
+
+    Safe for unlimited concurrent readers; encode/decode are pure.
+    """
+
+    def _check(self) -> TokenizerModel:
+        # the lookup tables that encoding reads live in the instance dict,
+        # which a subclass of a named tuple without __slots__ has
+        token_ids = self._token_ids = {tok: i for i, tok in enumerate(self.vocab)}
+        self._merge_ranks = {pair: r for r, pair in enumerate(self.merges)}
+        self._piece_cache = {}
         if len(token_ids) != len(self.vocab):
             raise IntegrityError("vocabulary contains duplicate tokens")
         if len(self.vocab) < N_BYTE_SYMBOLS:
@@ -211,6 +208,7 @@ class TokenizerModel:
             for tok in self.vocab[N_BYTE_SYMBOLS:]:
                 if any(ch not in _CHAR_TO_BYTE for ch in tok):
                     raise IntegrityError(f"token contains unmapped characters: {tok!r}")
+        return self
 
 
 def _base_symbols(model: TokenizerModel, piece: str) -> list[str]:
@@ -364,8 +362,10 @@ def save_model(model: TokenizerModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TokenizerModel:
     """Load and fully validate a model file.
 
-    Raises FormatVersionMismatch for unknown versions and IntegrityError for
-    structural damage (dangling merges, duplicate or reordered vocab, ...).
+    Raises InvalidEncoding for bytes that are not UTF-8, such as a file cut
+    inside a multi-byte character, FormatVersionMismatch for unknown versions
+    and IntegrityError for structural damage (dangling merges, duplicate or
+    reordered vocab, a file cut at a character boundary, ...).
     """
     obj = parse_json(read_utf8(path), lambda msg: IntegrityError(f"model file {path}: {msg}"))
     if not isinstance(obj, dict):

@@ -31,9 +31,9 @@ selection stays exact (see :func:`train_bpe`).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, checked
 from .tokenizer import (
     N_BYTE_SYMBOLS,
     PieceTable,
@@ -48,19 +48,20 @@ Pair = tuple[str, str]
 DEFAULT_VOCAB_SIZE = 8192
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+@checked
+class TrainConfig(NamedTuple):
     vocab_size: int
     mode: TokenizerMode = TokenizerMode.BYTE_LEVEL
     min_pair_frequency: int = 2
 
-    def __post_init__(self):
+    def _check(self) -> TrainConfig:
         if self.vocab_size < N_BYTE_SYMBOLS:
             raise ConfigError(
                 f"vocab_size {self.vocab_size} is below the base alphabet size {N_BYTE_SYMBOLS}"
             )
         if self.min_pair_frequency < 1:
             raise ConfigError("min_pair_frequency must be at least 1")
+        return self
 
 
 # ---------------------------------------------------------------------------

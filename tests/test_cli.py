@@ -685,7 +685,7 @@ def test_train_flag_defaults_are_the_config_defaults():
     config = TrainConfig(vocab_size=args.vocab_size, mode=TokenizerMode(args.mode),
                          min_pair_frequency=args.min_pair_frequency)
     assert config == TrainConfig(vocab_size=DEFAULT_VOCAB_SIZE)
-    assert PretokenScheme(args.scheme) is DEFAULT_SCHEME is ExperimentSpec.scheme
+    assert PretokenScheme(args.scheme) is DEFAULT_SCHEME is ExperimentSpec._field_defaults["scheme"]
 
 
 @pytest.mark.parametrize("manifest", [
@@ -809,14 +809,18 @@ def test_damaged_cached_model_fails_or_is_recounted(experiment, data, tmp_path, 
     lengths = json.loads((out / "models" / "lengths" / target.name).read_bytes())
     assert lengths["model_sha256"] == hashlib.sha256(swapped).hexdigest()
 
-    # a truncated model file has no lengths file, so it is parsed and fails;
-    # the cut is at a character boundary, as one through a character is
-    # InvalidEncoding, as for any file that is not UTF-8
-    target.write_bytes(swapped[: len(swapped) // 2].decode("utf-8", "ignore").encode("utf-8"))
-    code, stdout, err = run(capsys, *argv(out))
-    assert code == 1
-    assert stdout == ""
-    assert one_json_error(err)["error"] == "IntegrityError"
+    # a truncated model file has no lengths file, so it is parsed and fails:
+    # cut at a character boundary with IntegrityError, and cut through a
+    # character with InvalidEncoding, as any file that is not UTF-8
+    half = len(swapped) // 2
+    inside = next(i for i in range(half, len(swapped)) if swapped[i] & 0xC0 == 0x80)
+    for cut, error in [(swapped[:half].decode("utf-8", "ignore").encode("utf-8"), "IntegrityError"),
+                       (swapped[:inside], "InvalidEncoding")]:
+        target.write_bytes(cut)
+        code, stdout, err = run(capsys, *argv(out))
+        assert code == 1
+        assert stdout == ""
+        assert one_json_error(err)["error"] == error
 
 
 def _edit_lengths(lengths: bytes, edit) -> bytes:
@@ -959,12 +963,16 @@ def test_each_command_imports_only_its_modules(command, data, small_model, tmp_p
         "import json, sys\n"
         "from convtok.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('convtok'))]))\n",
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('convtok')),\n"
+        "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n",
         *argv)
-    code, modules = json.loads(out.splitlines()[-1])
+    code, modules, slow_imports = json.loads(out.splitlines()[-1])
     assert code == 0
     assert modules == sorted({"convtok", "convtok.cli"}
                              | {f"convtok.{m}" for m in _COMMAND_MODULES[command]})
+    # the value types are named tuples: no command pays for dataclasses and
+    # the inspect module it imports
+    assert slow_imports == []
 
 
 @pytest.mark.parametrize("command", ["ingest", "train", "encode", "fertility", "exp1", "exp2",

@@ -4,7 +4,6 @@ import json
 import os
 import shutil
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +12,7 @@ import pytest
 
 import convtok
 from convtok.corpus import RoleFilter, SplitSpec, extract_text, language_counts
-from convtok.errors import ConfigError
+from convtok.errors import ConfigError, IntegrityError
 from convtok.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -251,7 +250,7 @@ class TestDeterminism:
             write = partial(save_model, path=path)
         elif writer == "save_lengths":
             # a copy of the tiny cache, whose lengths files are written anew
-            spec = replace(tiny.spec, output_dir=tmp_path / "out")
+            spec = tiny.spec._replace(output_dir=tmp_path / "out")
             shutil.copytree(tiny.spec.output_dir / "models", spec.output_dir / "models")
             shutil.rmtree(spec.output_dir / "models" / "lengths")
             ws = Workspace(spec)
@@ -320,8 +319,8 @@ class TestWorkspaceTraining:
         docs = tmp_path / "docs.txt"
         docs.write_text("".join(f"a short document, number {i}\n" for i in range(20)),
                         encoding="utf-8")
-        spec = replace(tiny.spec, documents_path=docs, output_dir=tmp_path / "out",
-                       vocab_size=5000)
+        spec = tiny.spec._replace(documents_path=docs, output_dir=tmp_path / "out",
+                                  vocab_size=5000)
         ws = Workspace(spec)
         run_experiment2(spec, ws)
         base = ws.base_model()
@@ -336,8 +335,8 @@ class TestWorkspaceTraining:
         config = TrainConfig(vocab_size=1500, mode=TokenizerMode.CHAR_LEVEL_FALLBACK)
         save_model(train_bpe(table, config), base_path)
         # the spec's own mode, scheme and vocab_size are the defaults, and unused
-        spec = replace(tiny.spec, output_dir=tmp_path / "out", base_model_path=base_path,
-                       vocab_size=ExperimentSpec.vocab_size)
+        spec = tiny.spec._replace(output_dir=tmp_path / "out", base_model_path=base_path,
+                                  vocab_size=ExperimentSpec._field_defaults["vocab_size"])
         ws = Workspace(spec)
         run_experiment2(spec, ws)
         base = load_model(base_path)
@@ -380,20 +379,20 @@ class TestModelCache:
         texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
         table = PieceTable.of(texts, tiny.spec.scheme)
         save_model(train_bpe(table, TrainConfig(vocab_size=300)), base_path)
-        spec = replace(tiny.spec, output_dir=tmp_path / "out", base_model_path=base_path)
-        first = run_experiment2(replace(spec, vocab_size=8192))
+        spec = tiny.spec._replace(output_dir=tmp_path / "out", base_model_path=base_path)
+        first = run_experiment2(spec._replace(vocab_size=8192))
         trained = []
         monkeypatch.setattr(convtok.experiments, "train_bpe",
                             lambda *args: trained.append(args) or train_bpe(*args))
-        second = run_experiment2(replace(spec, vocab_size=4096,
-                                         mode=TokenizerMode.CHAR_LEVEL_FALLBACK,
-                                         scheme=PretokenScheme.WHITESPACE_SPLIT))
+        second = run_experiment2(spec._replace(vocab_size=4096,
+                                               mode=TokenizerMode.CHAR_LEVEL_FALLBACK,
+                                               scheme=PretokenScheme.WHITESPACE_SPLIT))
         assert second.provenance.config_hash == first.provenance.config_hash
         assert second.rows == first.rows
         assert trained == []
 
     def test_warm_experiments_parse_only_the_corpora_they_use(self, tiny, tmp_path, monkeypatch):
-        spec = replace(tiny.spec, output_dir=tmp_path / "out")
+        spec = tiny.spec._replace(output_dir=tmp_path / "out")
         cold = {name: run(spec) for name, run in EXPERIMENTS.items()}  # a workspace each
         calls = []
 
@@ -412,7 +411,7 @@ class TestModelCache:
         assert calls == []  # not even a model file is parsed
 
     def test_a_model_encodes_each_test_piece_once_per_cache(self, tiny, tmp_path, monkeypatch):
-        spec = replace(tiny.spec, output_dir=tmp_path / "out")
+        spec = tiny.spec._replace(output_dir=tmp_path / "out")
         encoded = Counter()
         real_piece_length = convtok.metrics.piece_length
 
@@ -445,19 +444,19 @@ class TestModelCache:
         record = json.loads(lines[-1])
         record["turns"][0]["content"] += " and one more sentence"
         lines[-1] = json.dumps(record) + "\n"
-        spec = replace(tiny.spec, output_dir=tmp_path / "out")
+        spec = tiny.spec._replace(output_dir=tmp_path / "out")
         warm = run_experiment2(spec)  # fills the cache for the original corpus
         models = spec.output_dir / "models"
         assert list(models.glob("tables/*.json"))
         assert list(models.glob("lengths/*.json"))
         convs.write_text("".join(lines), encoding="utf-8")
-        edited = replace(spec, conversations_path=convs)
+        edited = spec._replace(conversations_path=convs)
         ws = Workspace(edited)
         assert ws.provenance.config_hash != warm.provenance.config_hash
         assert [p.name for p in models.glob("*.json")] == ["manifest.json"]
         assert list(models.glob("tables/*.json")) == []
         assert list(models.glob("lengths/*.json")) == []
-        cold = run_experiment2(replace(edited, output_dir=tmp_path / "cold"))
+        cold = run_experiment2(edited._replace(output_dir=tmp_path / "cold"))
         assert run_experiment2(edited, ws) == cold
 
 
@@ -465,7 +464,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("run", [run_experiment1, run_experiment2, run_experiment3])
     def test_workspace_of_another_spec_is_rejected(self, run, tiny):
         # rows would follow one spec while the provenance hashed the other
-        other = replace(tiny.spec, language_threshold=tiny.spec.language_threshold + 1)
+        other = tiny.spec._replace(language_threshold=tiny.spec.language_threshold + 1)
         with pytest.raises(ConfigError):
             run(other, tiny.ws)
         assert run(tiny.spec, tiny.ws).provenance == tiny.ws.provenance
@@ -481,6 +480,8 @@ class TestSpecValidation:
                     {"doc_sample_bytes": -5}, {"language_threshold": -3}):
             with pytest.raises(ConfigError):
                 ExperimentSpec(**paths, **bad)
+            with pytest.raises(ConfigError):  # _replace checks as the constructor does
+                ExperimentSpec(**paths)._replace(**bad)
         ExperimentSpec(**paths, doc_sample_bytes=1, language_threshold=0)
 
 
@@ -507,6 +508,24 @@ class TestReportFiles:
         loaded = load_report(tmp_path / "report.json")
         assert loaded == tiny.exp2
 
+    def _without(self, report, key, tmp_path):
+        obj = json.loads(report.to_json_bytes())
+        for row in obj["rows"]:
+            del row[key]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return path
+
+    def test_a_row_without_a_nullable_key_loads_it_as_none(self, tiny, tmp_path):
+        loaded = load_report(self._without(tiny.exp2, "conversation_count", tmp_path))
+        assert any(row.conversation_count is not None for row in tiny.exp2.rows)
+        assert loaded.rows == tuple(row._replace(conversation_count=None) for row in tiny.exp2.rows)
+        assert load_report(self._without(tiny.exp1, "filter", tmp_path)) == tiny.exp1
+
+    def test_a_row_without_tokens_base_is_not_a_report(self, tiny, tmp_path):
+        with pytest.raises(IntegrityError, match="tokens_base"):
+            load_report(self._without(tiny.exp1, "tokens_base", tmp_path))
+
     def test_plot_data_exp1(self, tiny, tmp_path):
         (path,) = emit_plot_data(tiny.exp1, tmp_path)
         with open(path, newline="", encoding="utf-8") as fh:
@@ -532,12 +551,12 @@ class TestReportFiles:
 
     def test_plot_data_of_an_unknown_experiment_writes_nothing(self, tiny, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment id: 'exp9'"):
-            emit_plot_data(replace(tiny.exp3, experiment="exp9"), tmp_path)
+            emit_plot_data(tiny.exp3._replace(experiment="exp9"), tmp_path)
         assert not list(tmp_path.iterdir())
 
     def test_report_of_an_unknown_experiment_writes_nothing(self, tiny, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment id: 'exp9'"):
-            write_report(replace(tiny.exp3, experiment="exp9"), tmp_path)
+            write_report(tiny.exp3._replace(experiment="exp9"), tmp_path)
         assert not list(tmp_path.iterdir())
 
 

@@ -466,6 +466,11 @@ class TestModel:
     def test_dangling_merge_rejected(self):
         with pytest.raises(IntegrityError):
             toy_char_model(extra_vocab=("a", "b"), merges=(("a", "b"),))
+        # _replace builds a model as the constructor does: checked, with its tables
+        model = toy_char_model(extra_vocab=("a", "b", "ab"), merges=(("a", "b"),))
+        with pytest.raises(IntegrityError):
+            model._replace(vocab=model.vocab[:-1])
+        assert encode(model._replace(merges=()), "ab") == [model.vocab.index(c) for c in "ab"]
 
     def test_save_load_roundtrip(self, tmp_path, byte_model):
         path = tmp_path / "model.json"
