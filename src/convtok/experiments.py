@@ -62,8 +62,6 @@ from .trainer import DEFAULT_VOCAB_SIZE, TrainConfig, train_bpe
 ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
 
-# the name of the language-count file's scope: no table scope is spelt so
-_LANGUAGES = "languages"
 # the metrics CSV's columns, each a ScopeRow field, with the format of its cells
 _CSV_COLUMNS = {"scope": "", "tokens_base": "", "tokens_opt": "", "reduction_pct": ".1f",
                 "n_words": "", "fertility_base": ".6f", "fertility_opt": ".6f"}
@@ -126,7 +124,7 @@ class ExperimentReport(NamedTuple):
     def to_json_bytes(self) -> bytes:
         obj = {"experiment": self.experiment, "rows": [row._asdict() for row in self.rows],
                "provenance": self.provenance._asdict()}
-        return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        return _json_bytes(obj)
 
 
 def _from_fields(cls, obj: dict):
@@ -175,6 +173,40 @@ def _check_types(record, required: tuple[str, ...], where: str) -> None:
             raise IntegrityError(f"bad {name} in {where}: {value!r}")
 
 
+def _json_bytes(obj) -> bytes:
+    """Compact UTF-8 JSON: the bytes of report.json and of every cache file."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _read_cache(path: Path, **header) -> dict | None:
+    """The object of a cache file whose ``header`` fields hold the given
+    values. None for a missing file, bytes that are not UTF-8, text that is
+    not JSON or is nested too deep, a value that is not an object, or a
+    header field that does not match."""
+    try:
+        obj = parse_json(read_utf8(path), IntegrityError)
+    except (FileNotFoundError, InvalidEncoding, IntegrityError):
+        return None
+    if isinstance(obj, dict) and all(obj.get(key) == value for key, value in header.items()):
+        return obj
+    return None
+
+
+def _counts(entries) -> dict[str, int] | None:
+    """The map of a list of ``[str, positive int]`` pairs of distinct
+    strings, in list order; None for a value that is not such a list."""
+    if not isinstance(entries, list):
+        return None
+    try:
+        counts = dict(entries)
+    except (TypeError, ValueError):  # an entry that is not a pair, or a list as a key
+        return None
+    if not (len(counts) == len(entries) and all(type(k) is str for k in counts)
+            and all(type(n) is int and n > 0 for n in counts.values())):
+        return None
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # Workspace: corpora, splits, and cached models for one spec
 # ---------------------------------------------------------------------------
@@ -197,17 +229,19 @@ class Workspace:
     per model and cache. Every model is ``train_bpe`` on a scope's piece
     table under one ``TrainConfig``; the config and the tables' scheme are
     taken from the spec or, with ``base_model_path``, from that file.
-    Models, test-side piece tables, the held-out language counts and each
-    model's token lengths of the test pieces it has counted are cached under
-    ``<output_dir>/models`` keyed by a config hash, so experiments reuse
-    them; a cache whose manifest records another hash is emptied on
-    construction. A corpus is parsed on first use only: a valid manifest is
-    written only after both corpora loaded and split, and the hash covers
-    their bytes. A cached model file is hashed, not parsed: it is parsed
-    only to encode a piece its lengths map lacks or to train another model.
-    A lengths file is bound to the digest of the validated model file it was
-    counted with, so a damaged model file finds no lengths and is parsed,
-    and fails."""
+    Models, one test-split file and each model's token lengths of the test
+    pieces it has counted are cached under ``<output_dir>/models`` keyed by
+    a config hash, so experiments reuse them; a cache whose manifest records
+    another hash is emptied on construction. A corpus is parsed on first use
+    only: a valid manifest is written only after both corpora loaded and
+    split, and the hash covers their bytes. The test-split file holds the
+    held-out language counts and every test-side table but ``all``; the
+    first test-side request of a workspace without a valid file builds all
+    of it, and every other reads all of it. A cached model file is hashed,
+    not parsed: it is parsed only to encode a piece its lengths map lacks or
+    to train another model. A lengths file is bound to the digest of the
+    validated model file it was counted with, so a damaged model file finds
+    no lengths and is parsed, and fails."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -245,15 +279,15 @@ class Workspace:
             config_hash=self._config_hash(corpus_digests),
             **corpus_digests,
         )
-        if not self._cache_valid():
+        manifest = self.models_dir / "manifest.json"
+        if _read_cache(manifest, config_hash=self.provenance.config_hash) is None:
             self._load_corpora()
-            # no model, table or lengths of another configuration may outlive
-            # the manifest update
-            for pattern in ("*.json", "tables/*.json", "lengths/*.json"):
+            # no model, test split or lengths of another configuration may
+            # outlive the manifest update
+            for pattern in ("*.json", "lengths/*.json"):
                 for stale in self.models_dir.glob(pattern):
                     stale.unlink()
-            manifest = json.dumps({"config_hash": self.provenance.config_hash}, separators=(",", ":"))
-            write_atomic(self.models_dir / "manifest.json", manifest.encode("utf-8"))
+            write_atomic(manifest, _json_bytes({"config_hash": self.provenance.config_hash}))
         if base is not None and not (self.models_dir / "base.json").exists():
             save_model(base, self.models_dir / "base.json")
 
@@ -311,13 +345,6 @@ class Workspace:
     def models_dir(self) -> Path:
         return Path(self.spec.output_dir) / "models"
 
-    def _cache_valid(self) -> bool:
-        try:
-            recorded = parse_json(read_utf8(self.models_dir / "manifest.json"), IntegrityError)
-        except (FileNotFoundError, InvalidEncoding, IntegrityError):
-            return False
-        return isinstance(recorded, dict) and recorded.get("config_hash") == self.provenance.config_hash
-
     def _model_path(self, name: str) -> Path:
         # model names are fixed words, never a string from a corpus
         return self.models_dir / f"{name}.json"
@@ -358,38 +385,61 @@ class Workspace:
     def table(self, scope: str) -> PieceTable:
         """Piece table of a scope in the run's scheme: ``train:documents``,
         ``train:<role>``, or on the test side ``documents``, ``all``,
-        ``<role>``, ``language:<tag>``. Test-side tables but ``all`` (the
-        sum of ``user`` and ``assistant``) are read from the cache when it
-        holds a valid file, else built and written there."""
+        ``<role>``, and ``language:<tag>`` of each counted language. The
+        train tables and ``all`` (the sum of ``user`` and ``assistant``) are
+        built; every other test table comes from the test-split file, and
+        any other test scope is a KeyError."""
         table = self._tables.get(scope)
         if table is None:
             if scope == "all" or scope.startswith("train:"):
-                table = self._build_table(scope)
+                table = self._tables[scope] = self._build_table(scope)
             else:
-                path = self._table_path(scope)
-                table = _read_table(path, scope, self.scheme)
-                if table is None:
-                    table = self._build_table(scope)
-                    write_atomic(path, _table_bytes(scope, table))
-            self._tables[scope] = table
+                self._load_test_split()
+                table = self._tables[scope]
         return table
-
-    def _table_path(self, scope: str) -> Path:
-        # a language tag comes from the corpus, so it never names the file
-        name = hashlib.sha256(scope.encode("utf-8")).hexdigest()
-        return self.models_dir / "tables" / f"{name}.json"
 
     def languages(self) -> list[tuple[str, int]]:
         """``language_counts`` of the held-out conversations at the spec's
-        threshold. Read from the cache when it holds a valid file, else
-        counted, after the split's integrity check, and written there."""
-        if self._languages is None:
-            path = self._table_path(_LANGUAGES)
-            self._languages = _read_languages(path)
-            if self._languages is None:
-                self._languages = language_counts(self.conv_test, self.spec.language_threshold)
-                write_atomic(path, _languages_bytes(self._languages))
+        threshold, taken after the split's integrity check, from the
+        test-split file."""
+        self._load_test_split()
         return self._languages
+
+    def _load_test_split(self) -> None:
+        """Read the language counts and test tables from the test-split file
+        on first use; when it holds no valid split, build all of it and
+        write it."""
+        if self._languages is not None:
+            return
+        path = self.models_dir / "test.json"
+        split = _test_split(_read_cache(path, config_hash=self.provenance.config_hash), self.scheme)
+        if split is None:
+            languages, tables = split = self._build_test_split()
+            write_atomic(path, _json_bytes({
+                "config_hash": self.provenance.config_hash,
+                "languages": languages,
+                "tables": {scope: {"n_words": t.n_words, "pieces": list(t.pieces.items())}
+                           for scope, t in tables.items()},
+            }))
+        self._languages, tables = split
+        self._tables.update(tables)
+
+    def _build_test_split(self) -> tuple[list[tuple[str, int]], dict[str, PieceTable]]:
+        languages = language_counts(self.conv_test, self.spec.language_threshold)
+        # one pass groups the held-out records by counted language, so the
+        # build is linear in the held-out records whatever the number of tags
+        groups: dict[str, list[ConversationRecord]] = {tag: [] for tag, _ in languages}
+        for record in self.conv_test:
+            if record.language in groups:
+                groups[record.language].append(record)
+        texts = {
+            "documents": self.docs_test,
+            "user": extract_text(self.conv_test, RoleFilter.USER_ONLY),
+            "assistant": extract_text(self.conv_test, RoleFilter.ASSISTANT_ONLY),
+        }
+        for tag, records in groups.items():
+            texts[f"language:{tag}"] = extract_text(records, RoleFilter.BOTH)
+        return languages, {scope: PieceTable.of(t, self.scheme) for scope, t in texts.items()}
 
     def token_count(self, name: str, table: PieceTable) -> int:
         """``metrics.token_count`` of model ``name`` (``base`` or
@@ -399,8 +449,8 @@ class Workspace:
         the pieces it lacks are encoded and added to it."""
         lengths = self._lengths.get(name)
         if lengths is None:
-            lengths = _read_lengths(self._lengths_path(name), self._model_digest(name))
-            self._lengths[name] = lengths
+            cached = _read_cache(self._lengths_path(name), model_sha256=self._model_digest(name))
+            lengths = self._lengths[name] = _counts((cached or {}).get("lengths")) or {}
             self._lengths_stored[name] = len(lengths)
         model = None if lengths.keys() >= table.pieces.keys() else self._model(name)
         return token_count(model, table, lengths)
@@ -410,8 +460,9 @@ class Workspace:
         was read or last written."""
         for name, lengths in self._lengths.items():
             if len(lengths) != self._lengths_stored[name]:
-                data = _lengths_bytes(self._model_sha256[name], lengths)
-                write_atomic(self._lengths_path(name), data)
+                # sorted, so that the bytes depend only on the set of pieces
+                data = {"model_sha256": self._model_sha256[name], "lengths": sorted(lengths.items())}
+                write_atomic(self._lengths_path(name), _json_bytes(data))
                 self._lengths_stored[name] = len(lengths)
 
     def _lengths_path(self, name: str) -> Path:
@@ -421,99 +472,32 @@ class Workspace:
         if scope in ("all", "train:both"):
             prefix = scope.removesuffix("all").removesuffix("both")
             return self.table(f"{prefix}user") + self.table(f"{prefix}assistant")
-        if scope == "documents":
-            texts = self.docs_test
-        elif scope == "train:documents":
+        if scope == "train:documents":
             texts = sample_documents(self.docs_train, self.spec.doc_sample_bytes)
-        elif scope.startswith("language:"):
-            subset = (r for r in self.conv_test if scope == f"language:{r.language}")
-            texts = extract_text(subset, RoleFilter.BOTH)
         else:
-            side, _, role = scope.rpartition(":")
-            texts = extract_text(self.conv_train if side == "train" else self.conv_test, RoleFilter(role))
+            texts = extract_text(self.conv_train, RoleFilter(scope.removeprefix("train:")))
         return PieceTable.of(texts, self.scheme)
 
 
-def _table_bytes(scope: str, table: PieceTable) -> bytes:
-    """A cached table file: compact UTF-8 JSON of the scope, the scheme, the
-    word count and the ``[piece, count]`` pairs in the table's order."""
-    obj = {"scope": scope, "scheme": table.scheme.value, "n_words": table.n_words,
-           "pieces": list(table.pieces.items())}
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-
-
-def _read_table(path: Path, scope: str, scheme: PretokenScheme) -> PieceTable | None:
-    """The table of a file that ``_table_bytes`` wrote for ``scope`` and
-    ``scheme``; None for a missing file or one that is not such a table."""
-    try:
-        obj = parse_json(read_utf8(path), IntegrityError)
-    except (FileNotFoundError, InvalidEncoding, IntegrityError):
+def _test_split(obj: dict | None, scheme: PretokenScheme
+                ) -> tuple[list[tuple[str, int]], dict[str, PieceTable]] | None:
+    """The language counts and test tables of a test-split file's object:
+    its ``[tag, count]`` pairs, and the ``n_words`` and ``[piece, count]``
+    pairs of the ``documents``, ``user`` and ``assistant`` tables and of each
+    counted language's; None when any of them is missing or not valid."""
+    languages = _counts((obj or {}).get("languages"))
+    if languages is None or not isinstance(obj.get("tables"), dict):
         return None
-    if not (isinstance(obj, dict) and obj.get("scope") == scope
-            and obj.get("scheme") == scheme.value and isinstance(obj.get("pieces"), list)):
-        return None
-    n_words, pieces = obj.get("n_words"), _counts(obj["pieces"])
-    if not (type(n_words) is int and n_words >= 0 and pieces is not None):
-        return None
-    return PieceTable(Counter(pieces), n_words, scheme)
-
-
-def _counts(entries: list) -> dict[str, int] | None:
-    """The map of a list of ``[str, positive int]`` pairs of distinct
-    strings, in list order; None for a list that is not one."""
-    try:
-        counts = dict(entries)
-    except (TypeError, ValueError):  # an entry that is not a pair, or a list as a key
-        return None
-    if not (len(counts) == len(entries) and all(type(k) is str for k in counts)
-            and all(type(n) is int and n > 0 for n in counts.values())):
-        return None
-    return counts
-
-
-def _languages_bytes(languages: list[tuple[str, int]]) -> bytes:
-    """The cached language counts: compact UTF-8 JSON of the
-    ``[tag, conversation count]`` pairs in ``language_counts`` order."""
-    obj = {"scope": _LANGUAGES, "languages": languages}
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-
-
-def _read_languages(path: Path) -> list[tuple[str, int]] | None:
-    """The pairs of a file that ``_languages_bytes`` wrote; None for a
-    missing file or one that is not such a list."""
-    try:
-        obj = parse_json(read_utf8(path), IntegrityError)
-    except (FileNotFoundError, InvalidEncoding, IntegrityError):
-        return None
-    if not (isinstance(obj, dict) and obj.get("scope") == _LANGUAGES
-            and isinstance(obj.get("languages"), list)):
-        return None
-    counts = _counts(obj["languages"])
-    return None if counts is None else list(counts.items())
-
-
-def _lengths_bytes(model_sha256: str, lengths: dict[str, int]) -> bytes:
-    """A cached lengths file: compact UTF-8 JSON of the model file's digest
-    and the ``piece: length`` map, its pieces sorted so that the bytes
-    depend only on the set of pieces."""
-    obj = {"model_sha256": model_sha256, "lengths": dict(sorted(lengths.items()))}
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-
-
-def _read_lengths(path: Path, model_sha256: str) -> dict[str, int]:
-    """The map of a file that ``_lengths_bytes`` wrote for the model file of
-    digest ``model_sha256``; an empty map for a missing file or one that is
-    not such a map."""
-    try:
-        obj = parse_json(read_utf8(path), IntegrityError)
-    except (FileNotFoundError, InvalidEncoding, IntegrityError):
-        return {}
-    if not (isinstance(obj, dict) and obj.get("model_sha256") == model_sha256):
-        return {}
-    lengths = obj.get("lengths")
-    if isinstance(lengths, dict) and all(type(n) is int and n > 0 for n in lengths.values()):
-        return lengths
-    return {}
+    tables = {}
+    for scope in ["documents", "user", "assistant", *(f"language:{tag}" for tag in languages)]:
+        entry = obj["tables"].get(scope)
+        if not isinstance(entry, dict):
+            return None
+        n_words, pieces = entry.get("n_words"), _counts(entry.get("pieces"))
+        if not (type(n_words) is int and n_words >= 0 and pieces is not None):
+            return None
+        tables[scope] = PieceTable(Counter(pieces), n_words, scheme)
+    return list(languages.items()), tables
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -705,69 +704,123 @@ def test_damaged_manifest_is_a_cache_miss(manifest, data, tmp_path, capsys):
     assert recorded == {"config_hash": json.loads(clean)["provenance"]["config_hash"]}
 
 
-def _table_file(out, scope):
-    return out / "models" / "tables" / f"{hashlib.sha256(scope.encode('utf-8')).hexdigest()}.json"
-
-
-def _edit_pieces(table: bytes, edit) -> bytes:
-    """A table file whose ``[piece, count]`` list (a language-count file:
-    whose ``[tag, count]`` list) is ``edit`` of its own."""
-    obj = json.loads(table)
-    key = "pieces" if "pieces" in obj else "languages"
-    obj[key] = edit(obj[key])
+def _edit_json(clean: bytes, edit) -> bytes:
+    """A cache file whose parsed object ``edit`` has changed in place."""
+    obj = json.loads(clean)
+    edit(obj)
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
+def _edit_list(key, edit):
+    """A damage that replaces the ``[str, count]`` list under ``key``, the
+    documents table's pieces or the language counts, with ``edit`` of it."""
+    def damage(clean, other):
+        def apply(obj):
+            holder = obj["tables"]["documents"] if key == "pieces" else obj
+            holder[key] = edit(holder[key])
+        return _edit_json(clean, apply)
+    return damage
+
+
+def _set_documents_words(value):
+    return lambda clean, other: _edit_json(
+        clean, lambda obj: obj["tables"]["documents"].update(n_words=value))
+
+
+def _drop_first_language_table(obj):
+    del obj["tables"][f"language:{obj['languages'][0][0]}"]
+
+
+_LIST_DAMAGE = {
+    "count-negative": lambda p: [[p[0][0], -1], *p[1:]],
+    "count-zero": lambda p: [[p[0][0], 0], *p[1:]],
+    "count-bool": lambda p: [[p[0][0], True], *p[1:]],
+    "duplicate-piece": lambda p: p + p[:1],
+}
+
+
+def _other_split(*flags):
+    """A damage that puts in place the valid test-split file of a workspace
+    run with ``flags``: a file of another configuration."""
+    return lambda clean, other: other(*flags)
+
+
+def _file_documents_under_another_scope(obj):
+    obj["tables"]["train:documents"] = obj["tables"].pop("documents")
+
+
+def _set_languages(value: bytes):
+    """A damage that puts the raw JSON ``value`` in place of the language counts."""
+    return lambda clean, other: _edit_json(clean, lambda obj: obj.update(languages=0)).replace(
+        b'"languages":0', b'"languages":' + value, 1)
+
+
+def _user_pieces_as_languages(obj):
+    obj["languages"] = obj["tables"]["user"]["pieces"]
+
+
+# damage to the test-split file as a whole or to its documents table
 _TABLE_DAMAGE = {
     "not-utf8": lambda clean, other: b"\xff\xfe",
     "truncated": lambda clean, other: clean[: len(clean) // 2],
     "list": lambda clean, other: b"[1]",
     "deeply-nested": lambda clean, other: b"[" * 100_000 + b"]" * 100_000,
-    "other-scheme": lambda clean, other: clean.replace(b'"scheme":"category_split"',
-                                                       b'"scheme":"whitespace_split"'),
-    "other-scope": lambda clean, other: other,
-    "count-negative": lambda clean, other: _edit_pieces(clean, lambda p: [[p[0][0], -1], *p[1:]]),
-    "count-zero": lambda clean, other: _edit_pieces(clean, lambda p: [[p[0][0], 0], *p[1:]]),
-    "count-bool": lambda clean, other: _edit_pieces(clean, lambda p: [[p[0][0], True], *p[1:]]),
-    "duplicate-piece": lambda clean, other: _edit_pieces(clean, lambda p: p + p[:1]),
+    "other-scheme": _other_split("--scheme", "whitespace_split"),
+    "other-scope": lambda clean, other: _edit_json(clean, _file_documents_under_another_scope),
+    **{kind: _edit_list("pieces", edit) for kind, edit in _LIST_DAMAGE.items()},
+    "other-config": _other_split("--seed", "5"),
+    "no-documents": lambda clean, other: _edit_json(clean, lambda obj: obj["tables"].pop("documents")),
+    "n-words-negative": _set_documents_words(-1),
+    "n-words-bool": _set_documents_words(True),
 }
+
+# damage to the test-split file's language counts
+_LANGUAGES_DAMAGE = {
+    "not-utf8": lambda clean, other: clean.replace(b'"languages":[["', b'"languages":[["\xff', 1),
+    "truncated": lambda clean, other: clean[: clean.index(b'"languages":[["') + 16],
+    "list": _set_languages(b"[1]"),
+    "deeply-nested": _set_languages(b"[" * 100_000 + b"]" * 100_000),
+    "other-scope": lambda clean, other: _edit_json(clean, _user_pieces_as_languages),
+    **{kind: _edit_list("languages", edit) for kind, edit in _LIST_DAMAGE.items()},
+    "language-without-table": lambda clean, other: _edit_json(clean, _drop_first_language_table),
+}
+
+
+def _assert_test_split_damage_is_a_miss(damage, data, tmp_path, capsys):
+    """exp2 over a test-split file that ``damage`` made of its clean bytes
+    exits 0 with the clean report and rewrites the file in full."""
+    def argv(out, *extra):
+        return ["exp2", "--conversations", data["convs"], "--documents", data["docs"],
+                "--vocab-size", "300", "--threshold", "3", "--out", str(out), *extra]
+
+    def other_split(*flags):
+        code, _, err = run(capsys, *argv(tmp_path / "other", *flags))
+        assert code == 0, err
+        return (tmp_path / "other" / "models" / "test.json").read_bytes()
+
+    code, _, err = run(capsys, *argv(tmp_path))
+    assert code == 0, err
+    report = (tmp_path / "exp2" / "report.json").read_bytes()
+    split = tmp_path / "models" / "test.json"
+    clean = split.read_bytes()
+    assert json.loads(clean)["languages"]  # a language row to lose
+    damaged = damage(clean, other_split)
+    assert damaged != clean
+    split.write_bytes(damaged)
+    code, _, err = run(capsys, *argv(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "exp2" / "report.json").read_bytes() == report
+    assert split.read_bytes() == clean  # rebuilt in full and rewritten
 
 
 @pytest.mark.parametrize("damage", list(_TABLE_DAMAGE))
 def test_damaged_table_file_is_a_cache_miss(damage, data, tmp_path, capsys):
-    argv = ["exp1", "--conversations", data["convs"], "--documents", data["docs"],
-            "--vocab-size", "300", "--out", str(tmp_path)]
-    code, _, err = run(capsys, *argv)
-    assert code == 0, err
-    report = (tmp_path / "exp1" / "report.json").read_bytes()
-    table = _table_file(tmp_path, "documents")
-    clean = table.read_bytes()
-    damaged = _TABLE_DAMAGE[damage](clean, _table_file(tmp_path, "user").read_bytes())
-    assert damaged != clean
-    table.write_bytes(damaged)
-    code, _, err = run(capsys, *argv)
-    assert code == 0, err
-    assert (tmp_path / "exp1" / "report.json").read_bytes() == report
-    assert table.read_bytes() == clean  # rebuilt and rewritten
+    _assert_test_split_damage_is_a_miss(_TABLE_DAMAGE[damage], data, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("damage", [d for d in _TABLE_DAMAGE if d != "other-scheme"])
+@pytest.mark.parametrize("damage", list(_LANGUAGES_DAMAGE))
 def test_damaged_language_counts_are_a_cache_miss(damage, data, tmp_path, capsys):
-    argv = ["exp2", "--conversations", data["convs"], "--documents", data["docs"],
-            "--vocab-size", "300", "--threshold", "3", "--out", str(tmp_path)]
-    code, _, err = run(capsys, *argv)
-    assert code == 0, err
-    report = (tmp_path / "exp2" / "report.json").read_bytes()
-    counts = _table_file(tmp_path, "languages")
-    clean = counts.read_bytes()
-    assert json.loads(clean)["languages"]  # a language row to lose
-    damaged = _TABLE_DAMAGE[damage](clean, _table_file(tmp_path, "user").read_bytes())
-    assert damaged != clean
-    counts.write_bytes(damaged)
-    code, _, err = run(capsys, *argv)
-    assert code == 0, err
-    assert (tmp_path / "exp2" / "report.json").read_bytes() == report
-    assert counts.read_bytes() == clean  # counted again and rewritten
+    _assert_test_split_damage_is_a_miss(_LANGUAGES_DAMAGE[damage], data, tmp_path, capsys)
 
 
 # by experiment: a cached model file it reads, and another model of its cache
@@ -824,14 +877,12 @@ def test_damaged_cached_model_fails_or_is_recounted(experiment, data, tmp_path, 
 
 
 def _edit_lengths(lengths: bytes, edit) -> bytes:
-    """A lengths file whose ``piece: length`` map is ``edit`` of its own."""
-    obj = json.loads(lengths)
-    obj["lengths"] = edit(obj["lengths"])
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    """A lengths file whose ``[piece, length]`` list is ``edit`` of its own."""
+    return _edit_json(lengths, lambda obj: obj.update(lengths=edit(obj["lengths"])))
 
 
 def _first_length(value):
-    return lambda clean, other: _edit_lengths(clean, lambda m: {**m, next(iter(m)): value})
+    return lambda clean, other: _edit_lengths(clean, lambda p: [[p[0][0], value], *p[1:]])
 
 
 _LENGTHS_DAMAGE = {
@@ -844,7 +895,7 @@ _LENGTHS_DAMAGE = {
     "length-bool": _first_length(True),
     "length-float": _first_length(1.5),
     "length-str": _first_length("2"),
-    "lengths-list": lambda clean, other: _edit_lengths(clean, lambda m: list(m.items())),
+    "lengths-dict": lambda clean, other: _edit_lengths(clean, dict),
     "other-model": lambda clean, other: other,
 }
 
@@ -887,10 +938,14 @@ def test_language_tags_never_name_a_path(data, tmp_path, capsys):
     assert {r["scope"] for r in rows} == {"all", *(f"language:{tag}" for tag in tags)}
     written = [p for p in tmp_path.rglob("*") if p.is_file() and p != convs]
     assert written and all(out in p.parents for p in written)
-    names = [p.name for p in (out / "models" / "tables").iterdir()]
-    # user, assistant, one per language and the language counts
-    assert len(names) == 2 + len(tags) + 1
-    assert all(re.fullmatch(r"[0-9a-f]{64}\.json", name) for name in names)
+    # every table lives in the one test-split file, so no tag names a file
+    names = {p.relative_to(out / "models").as_posix() for p in (out / "models").rglob("*")}
+    assert names == {"manifest.json", "test.json", "lengths",
+                     *(f"{prefix}{name}.json" for prefix in ("", "lengths/")
+                       for name in ("base", "retrained_user", "retrained_assistant",
+                                    "retrained_both"))}
+    tables = json.loads((out / "models" / "test.json").read_bytes())["tables"]
+    assert set(tables) == {"documents", "user", "assistant", *(f"language:{tag}" for tag in tags)}
 
 
 def test_malformed_conversations_fail_before_missing_documents(data, tmp_path, capsys):

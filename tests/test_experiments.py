@@ -183,7 +183,7 @@ class TestDeterminism:
         names = {p.name for p in models_dir.iterdir()}
         assert names == {
             "base.json", "retrained_user.json", "retrained_assistant.json",
-            "retrained_both.json", "manifest.json", "tables", "lengths",
+            "retrained_both.json", "manifest.json", "test.json", "lengths",
         }
 
     def test_config_change_invalidates_cached_models(self, tiny, tmp_path):
@@ -367,9 +367,10 @@ class TestModelCache:
         monkeypatch.setattr(convtok.experiments, "write_atomic", counting)
         run_experiment2(spec)
         assert written.count("manifest.json") == 1
+        assert written.count("test.json") == 1
         names = {p.name for p in (tmp_path / "cold" / "models").iterdir()}
         assert names == {"manifest.json", "base.json", "retrained_user.json",
-                         "retrained_assistant.json", "retrained_both.json", "tables",
+                         "retrained_assistant.json", "retrained_both.json", "test.json",
                          "lengths"}
 
     def test_unused_flags_keep_the_base_model_cache(self, tiny, tmp_path, monkeypatch):
@@ -410,6 +411,25 @@ class TestModelCache:
         assert run_experiment2(spec, Workspace(spec)) == cold["exp2"]
         assert calls == []  # not even a model file is parsed
 
+    def test_the_test_split_serves_whichever_experiment_ran_first(self, tiny, tmp_path,
+                                                                   monkeypatch):
+        spec = tiny.spec._replace(output_dir=tmp_path / "out")
+        run_experiment3(spec)
+        cold = run_experiment2(spec._replace(output_dir=tmp_path / "cold"))
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+        spy(convtok.experiments, "load_conversations")
+        spy(convtok.experiments, "load_documents")
+        spy(convtok.tokenizer, "pretokenize")
+        # exp3 counted only the documents' pieces, so exp2 parses the models
+        # to encode the chat pieces, but it reads every table and count
+        assert run_experiment2(spec) == cold
+        assert calls == []
+
     def test_a_model_encodes_each_test_piece_once_per_cache(self, tiny, tmp_path, monkeypatch):
         spec = tiny.spec._replace(output_dir=tmp_path / "out")
         encoded = Counter()
@@ -447,17 +467,49 @@ class TestModelCache:
         spec = tiny.spec._replace(output_dir=tmp_path / "out")
         warm = run_experiment2(spec)  # fills the cache for the original corpus
         models = spec.output_dir / "models"
-        assert list(models.glob("tables/*.json"))
+        assert (models / "test.json").exists()
         assert list(models.glob("lengths/*.json"))
         convs.write_text("".join(lines), encoding="utf-8")
         edited = spec._replace(conversations_path=convs)
         ws = Workspace(edited)
         assert ws.provenance.config_hash != warm.provenance.config_hash
+        # the models and the test-split file are gone
         assert [p.name for p in models.glob("*.json")] == ["manifest.json"]
-        assert list(models.glob("tables/*.json")) == []
         assert list(models.glob("lengths/*.json")) == []
         cold = run_experiment2(edited._replace(output_dir=tmp_path / "cold"))
         assert run_experiment2(edited, ws) == cold
+
+
+class TestTestSplit:
+    def test_language_tables_visit_each_held_out_record_a_bounded_number_of_times(
+            self, tiny, tmp_path):
+        # one language per conversation at threshold 0: as many tables as
+        # held-out conversations
+        convs = tmp_path / "conversations.jsonl"
+        records = [json.loads(line) for line in
+                   tiny.spec.conversations_path.read_text(encoding="utf-8").splitlines()]
+        for i, record in enumerate(records):
+            record["language"] = f"tag{i}"
+        convs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        spec = tiny.spec._replace(conversations_path=convs, output_dir=tmp_path / "out",
+                                  language_threshold=0)
+        ws = Workspace(spec)
+        visits = Counter()
+
+        class Counting(list):
+            def __iter__(self):
+                for record in super().__iter__():
+                    visits[record.id] += 1
+                    yield record
+
+        train, test = ws._conv_split
+        ws._conv_split = (train, Counting(test))
+        languages = ws.languages()
+        assert len(languages) == len(test) > 20
+        for tag, _ in languages:
+            assert ws.table(f"language:{tag}").n_words > 0
+        assert visits.keys() == {r.id for r in test}
+        assert max(visits.values()) <= 5
 
 
 class TestSpecValidation:
