@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, the file boundary that
-raises them (the JSON parse, the strict UTF-8 read and check, the file
-digest and the atomic write), and :func:`checked`, which makes a value type
-raise them on construction."""
+raises them (the JSON parse and dump, the strict UTF-8 read and check, the
+file digest and the atomic write), and :func:`checked`, which makes a value
+type raise them on construction."""
 
 from __future__ import annotations
 
@@ -90,6 +90,12 @@ def parse_json(text: str, error: Callable[[str], Exception], default: Any = _RAI
         raise error(f"invalid JSON: {exc.msg} at character {exc.pos}") from exc
     except RecursionError as exc:
         raise error("JSON nested deeper than the decoder's recursion limit") from exc
+
+
+def json_bytes(obj: Any) -> bytes:
+    """Compact UTF-8 JSON: the bytes of every model file, report.json and
+    cache file."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
 def checked(cls):

@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 from collections import Counter
+from contextlib import suppress
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
@@ -42,6 +43,7 @@ from .errors import (
     IntegrityError,
     InvalidEncoding,
     checked,
+    json_bytes,
     parse_json,
     read_utf8,
     sha256_file,
@@ -65,6 +67,9 @@ DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
 # the metrics CSV's columns, each a ScopeRow field, with the format of its cells
 _CSV_COLUMNS = {"scope": "", "tokens_base": "", "tokens_opt": "", "reduction_pct": ".1f",
                 "n_words": "", "fertility_base": ".6f", "fertility_opt": ".6f"}
+# the test tables whose pieces hold every test piece: each other test table
+# is a sum or a subset of them
+_TEST_TABLES = ("documents", "user", "assistant")
 
 
 @checked
@@ -124,7 +129,7 @@ class ExperimentReport(NamedTuple):
     def to_json_bytes(self) -> bytes:
         obj = {"experiment": self.experiment, "rows": [row._asdict() for row in self.rows],
                "provenance": self.provenance._asdict()}
-        return _json_bytes(obj)
+        return json_bytes(obj)
 
 
 def _from_fields(cls, obj: dict):
@@ -171,11 +176,6 @@ def _check_types(record, required: tuple[str, ...], where: str) -> None:
         value = getattr(record, name)
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise IntegrityError(f"bad {name} in {where}: {value!r}")
-
-
-def _json_bytes(obj) -> bytes:
-    """Compact UTF-8 JSON: the bytes of report.json and of every cache file."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
 def _read_cache(path: Path, **header) -> dict | None:
@@ -229,19 +229,21 @@ class Workspace:
     per model and cache. Every model is ``train_bpe`` on a scope's piece
     table under one ``TrainConfig``; the config and the tables' scheme are
     taken from the spec or, with ``base_model_path``, from that file.
-    Models, one test-split file and each model's token lengths of the test
-    pieces it has counted are cached under ``<output_dir>/models`` keyed by
-    a config hash, so experiments reuse them; a cache whose manifest records
-    another hash is emptied on construction. A corpus is parsed on first use
-    only: a valid manifest is written only after both corpora loaded and
-    split, and the hash covers their bytes. The test-split file holds the
-    held-out language counts and every test-side table but ``all``; the
-    first test-side request of a workspace without a valid file builds all
-    of it, and every other reads all of it. A cached model file is hashed,
-    not parsed: it is parsed only to encode a piece its lengths map lacks or
-    to train another model. A lengths file is bound to the digest of the
-    validated model file it was counted with, so a damaged model file finds
-    no lengths and is parsed, and fails."""
+    Models, one test-split file and each model's token lengths of every test
+    piece are cached under ``<output_dir>/models`` keyed by a config hash,
+    so experiments reuse them; a cache whose manifest records another hash
+    is emptied on construction. A corpus is parsed on first use only: a
+    valid manifest is written only after both corpora loaded and split, and
+    the hash covers their bytes. The test-split file holds the held-out
+    language counts and every test-side table but ``all``; the first
+    test-side request of a workspace without a valid file builds all of it,
+    and every other reads all of it. A model's lengths file is read on the
+    model's first use, and completed and rewritten only when it lacks a test
+    piece, whichever experiment ran first. A cached model file is hashed,
+    not parsed: it is parsed only to complete its lengths file or to train
+    another model. A lengths file is bound to the digest of the validated
+    model file it was counted with, so a damaged model file finds no lengths
+    and is parsed, and fails."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -255,11 +257,9 @@ class Workspace:
         self.scheme = base.scheme if base else spec.scheme
         self._models: dict[str, TokenizerModel] = {}
         # by model name: the digest of the file the model was loaded from or
-        # saved to, its map of test piece to token length, and the size of
-        # that map in its lengths file
+        # saved to, and its map of every test piece to its token length
         self._model_sha256: dict[str, str] = {}
         self._lengths: dict[str, dict[str, int]] = {}
-        self._lengths_stored: dict[str, int] = {}
         self._tables: dict[str, PieceTable] = {}
         self._languages: list[tuple[str, int]] | None = None
         if base is not None:
@@ -287,7 +287,7 @@ class Workspace:
             for pattern in ("*.json", "lengths/*.json"):
                 for stale in self.models_dir.glob(pattern):
                     stale.unlink()
-            write_atomic(manifest, _json_bytes({"config_hash": self.provenance.config_hash}))
+            write_atomic(manifest, json_bytes({"config_hash": self.provenance.config_hash}))
         if base is not None and not (self.models_dir / "base.json").exists():
             save_model(base, self.models_dir / "base.json")
 
@@ -414,8 +414,13 @@ class Workspace:
         path = self.models_dir / "test.json"
         split = _test_split(_read_cache(path, config_hash=self.provenance.config_hash), self.scheme)
         if split is None:
+            # the per-scope table files that this file replaced go with it
+            for stale in self.models_dir.glob("tables/*.json"):
+                stale.unlink()
+            with suppress(OSError):  # no such directory, or one holding other files
+                (self.models_dir / "tables").rmdir()
             languages, tables = split = self._build_test_split()
-            write_atomic(path, _json_bytes({
+            write_atomic(path, json_bytes({
                 "config_hash": self.provenance.config_hash,
                 "languages": languages,
                 "tables": {scope: {"n_words": t.n_words, "pieces": list(t.pieces.items())}
@@ -443,30 +448,25 @@ class Workspace:
 
     def token_count(self, name: str, table: PieceTable) -> int:
         """``metrics.token_count`` of model ``name`` (``base`` or
-        ``retrained_<role>``) on a test-side table. Each piece's length is
-        read from the model's lengths map, which is loaded from the cache on
-        first use; the model is parsed only when the map lacks a piece, and
-        the pieces it lacks are encoded and added to it."""
+        ``retrained_<role>``) on a test-side table, through the model's
+        lengths map. On the model's first use the map is read from its
+        lengths file and, where it lacks a piece of a table in
+        ``_TEST_TABLES``, completed and written back: only then is the model
+        parsed and are pieces encoded."""
         lengths = self._lengths.get(name)
         if lengths is None:
-            cached = _read_cache(self._lengths_path(name), model_sha256=self._model_digest(name))
+            path = self.models_dir / "lengths" / f"{name}.json"
+            cached = _read_cache(path, model_sha256=self._model_digest(name))
             lengths = self._lengths[name] = _counts((cached or {}).get("lengths")) or {}
-            self._lengths_stored[name] = len(lengths)
-        model = None if lengths.keys() >= table.pieces.keys() else self._model(name)
-        return token_count(model, table, lengths)
-
-    def save_lengths(self) -> None:
-        """Rewrite the lengths file of each model whose map grew since it
-        was read or last written."""
-        for name, lengths in self._lengths.items():
-            if len(lengths) != self._lengths_stored[name]:
+            tables = [self.table(scope) for scope in _TEST_TABLES]
+            if not all(lengths.keys() >= t.pieces.keys() for t in tables):
+                model = self._model(name)
+                for t in tables:
+                    token_count(model, t, lengths)
                 # sorted, so that the bytes depend only on the set of pieces
                 data = {"model_sha256": self._model_sha256[name], "lengths": sorted(lengths.items())}
-                write_atomic(self._lengths_path(name), _json_bytes(data))
-                self._lengths_stored[name] = len(lengths)
-
-    def _lengths_path(self, name: str) -> Path:
-        return self.models_dir / "lengths" / f"{name}.json"
+                write_atomic(path, json_bytes(data))
+        return token_count(None, table, lengths)
 
     def _build_table(self, scope: str) -> PieceTable:
         if scope in ("all", "train:both"):
@@ -489,7 +489,7 @@ def _test_split(obj: dict | None, scheme: PretokenScheme
     if languages is None or not isinstance(obj.get("tables"), dict):
         return None
     tables = {}
-    for scope in ["documents", "user", "assistant", *(f"language:{tag}" for tag in languages)]:
+    for scope in [*_TEST_TABLES, *(f"language:{tag}" for tag in languages)]:
         entry = obj["tables"].get(scope)
         if not isinstance(entry, dict):
             return None
@@ -547,7 +547,6 @@ def _compare(
 
 
 def _report(experiment: str, ws: Workspace, rows: list[ScopeRow]) -> ExperimentReport:
-    ws.save_lengths()
     return ExperimentReport(experiment=experiment, rows=tuple(rows), provenance=ws.provenance)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyText, NoWords, checked
-from .tokenizer import PieceTable, TokenizerModel, encode_piece, piece_length
+from .tokenizer import PieceTable, TokenizerModel, encode_piece
 
 
 def token_count(
@@ -20,19 +20,19 @@ def token_count(
 ) -> int:
     """Total tokens over a corpus.
 
-    Encodes each distinct piece once and weights by multiplicity; identical
-    to summing ``len(encode(model, t))`` text by text. ``lengths`` maps
-    pieces to their token length under ``model``: a piece it holds is not
-    encoded, and each piece it lacks is encoded and added to it, without
-    entering the model's piece cache. ``model`` may be None when ``texts``
-    is a table whose every piece ``lengths`` holds.
+    Counts through ``lengths``, a map of pieces to their token length under
+    ``model``, or a fresh one when it is None: a piece it holds is not
+    encoded, and each piece it lacks is encoded once and added to it. The
+    total weights each length by the piece's multiplicity, identical to
+    summing ``len(encode(model, t))`` text by text. ``model`` may be None
+    when ``texts`` is a table whose every piece ``lengths`` holds.
     """
     table = texts if model is None else PieceTable.of(texts, model.scheme)
     if lengths is None:
-        return sum(mult * len(encode_piece(model, piece)) for piece, mult in table.pieces.items())
+        lengths = {}
     for piece in table.pieces:
         if piece not in lengths:
-            lengths[piece] = piece_length(model, piece)
+            lengths[piece] = len(encode_piece(model, piece))
     return sum(mult * lengths[piece] for piece, mult in table.pieces.items())
 
 

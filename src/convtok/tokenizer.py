@@ -16,7 +16,6 @@ never across pretokenization boundaries.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from enum import Enum
@@ -31,6 +30,7 @@ from .errors import (
     IntegrityError,
     InvalidByteSequence,
     checked,
+    json_bytes,
     parse_json,
     read_utf8,
     write_atomic,
@@ -38,9 +38,6 @@ from .errors import (
 
 MODEL_FORMAT_VERSION = 1
 N_BYTE_SYMBOLS = 256
-# Entry cap of a model's piece cache. It sits above the 21,792 distinct pieces
-# of the 20 MB sample chat set, so runs at that scale never empty the cache.
-PIECE_CACHE_MAX = 1 << 16
 
 
 class TokenizerMode(str, Enum):
@@ -181,7 +178,8 @@ class _ModelFields(NamedTuple):
 class TokenizerModel(_ModelFields):
     """Immutable tokenizer: vocabulary (index = token id) plus ranked merges.
 
-    Safe for unlimited concurrent readers; encode/decode are pure.
+    Safe for unlimited concurrent readers: encode and decode are pure, and
+    nothing changes a model after construction, not even a cache.
     """
 
     def _check(self) -> TokenizerModel:
@@ -189,7 +187,6 @@ class TokenizerModel(_ModelFields):
         # which a subclass of a named tuple without __slots__ has
         token_ids = self._token_ids = {tok: i for i, tok in enumerate(self.vocab)}
         self._merge_ranks = {pair: r for r, pair in enumerate(self.merges)}
-        self._piece_cache = {}
         if len(token_ids) != len(self.vocab):
             raise IntegrityError("vocabulary contains duplicate tokens")
         if len(self.vocab) < N_BYTE_SYMBOLS:
@@ -283,33 +280,21 @@ def _apply_merges(model: TokenizerModel, symbols: list[str]) -> list[str]:
 
 
 def encode_piece(model: TokenizerModel, piece: str) -> tuple[int, ...]:
-    """Token ids for one pretokenized piece.
-
-    Results are memoized per model in a cache of at most
-    ``PIECE_CACHE_MAX`` (65,536) pieces, which is emptied when it is full.
-    """
-    cache: dict[str, tuple[int, ...]] = model._piece_cache
-    ids = cache.get(piece)
-    if ids is None:
-        symbols = _apply_merges(model, _base_symbols(model, piece))
-        token_ids = model._token_ids
-        ids = tuple(token_ids[s] for s in symbols)
-        if len(cache) >= PIECE_CACHE_MAX:
-            cache.clear()
-        cache[piece] = ids
-    return ids
-
-
-def piece_length(model: TokenizerModel, piece: str) -> int:
-    """``len(encode_piece(model, piece))``, without entering the piece cache."""
-    return len(_apply_merges(model, _base_symbols(model, piece)))
+    """Token ids for one pretokenized piece."""
+    token_ids = model._token_ids
+    return tuple(token_ids[s] for s in _apply_merges(model, _base_symbols(model, piece)))
 
 
 def encode(model: TokenizerModel, text: str) -> list[int]:
-    """Encode text to token ids. Total: every valid UTF-8 string is encodable."""
+    """Encode text to token ids. Total: every valid UTF-8 string is encodable.
+    Each distinct piece of the text is encoded once."""
     ids: list[int] = []
+    memo: dict[str, tuple[int, ...]] = {}
     for piece in pretokenize(text, model.scheme):
-        ids.extend(encode_piece(model, piece))
+        piece_ids = memo.get(piece)
+        if piece_ids is None:
+            piece_ids = memo[piece] = encode_piece(model, piece)
+        ids.extend(piece_ids)
     return ids
 
 
@@ -352,7 +337,7 @@ def model_to_bytes(model: TokenizerModel) -> bytes:
         "vocab": list(model.vocab),
         "merges": [list(pair) for pair in model.merges],
     }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return json_bytes(obj)
 
 
 def save_model(model: TokenizerModel, path: str | Path) -> None:

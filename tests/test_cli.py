@@ -896,6 +896,7 @@ _LENGTHS_DAMAGE = {
     "length-float": _first_length(1.5),
     "length-str": _first_length("2"),
     "lengths-dict": lambda clean, other: _edit_lengths(clean, dict),
+    "lacks-a-piece": lambda clean, other: _edit_lengths(clean, lambda p: p[1:]),
     "other-model": lambda clean, other: other,
 }
 
@@ -917,7 +918,7 @@ def test_damaged_lengths_file_is_a_cache_miss(damage, data, tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 0, err
     assert (tmp_path / "exp3" / "report.json").read_bytes() == report
-    assert target.read_bytes() == clean  # recounted and rewritten
+    assert target.read_bytes() == clean  # counted again or completed, and rewritten
 
 
 def test_language_tags_never_name_a_path(data, tmp_path, capsys):

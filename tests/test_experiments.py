@@ -242,25 +242,26 @@ class TestDeterminism:
         names = {p.name for p in spec.output_dir.joinpath("models").iterdir()}
         assert names == {"base.json", "retrained_user.json", "manifest.json"}
 
-    @pytest.mark.parametrize("writer", ["save_model", "write_report", "save_lengths"])
+    @pytest.mark.parametrize("writer", ["save_model", "write_report", "lengths"])
     def test_interrupted_rewrite_keeps_the_old_file(self, writer, tiny, tmp_path, monkeypatch):
         if writer == "save_model":
             path = tmp_path / "model.json"
             old, new = tiny.ws.base_model(), tiny.ws.retrained(RoleFilter.BOTH)
             write = partial(save_model, path=path)
-        elif writer == "save_lengths":
-            # a copy of the tiny cache, whose lengths files are written anew
+        elif writer == "lengths":
+            # a copy of the tiny cache whose base lengths file lacks pieces,
+            # so the first count with the base model completes and rewrites it
             spec = tiny.spec._replace(output_dir=tmp_path / "out")
             shutil.copytree(tiny.spec.output_dir / "models", spec.output_dir / "models")
-            shutil.rmtree(spec.output_dir / "models" / "lengths")
-            ws = Workspace(spec)
-            ws.base_model()
             path = spec.output_dir / "models" / "lengths" / "base.json"
-            old, new = "documents", "user"
+            obj = json.loads(path.read_bytes())
+            old = partial(path.write_bytes, json.dumps({**obj, "lengths": obj["lengths"][::2]},
+                                                       ensure_ascii=False).encode("utf-8"))
+            ws = Workspace(spec)
+            new = partial(ws.token_count, "base", ws.table("user"))
 
-            def write(scope):
-                ws.token_count("base", ws.table(scope))
-                ws.save_lengths()
+            def write(step):
+                step()
         else:
             path = tmp_path / "report" / "report.json"
             old, new = tiny.exp1, tiny.exp3
@@ -424,26 +425,47 @@ class TestModelCache:
 
         spy(convtok.experiments, "load_conversations")
         spy(convtok.experiments, "load_documents")
+        spy(convtok.experiments, "load_model")
         spy(convtok.tokenizer, "pretokenize")
-        # exp3 counted only the documents' pieces, so exp2 parses the models
-        # to encode the chat pieces, but it reads every table and count
+        # exp3 counted every test piece with each model, chat pieces too
         assert run_experiment2(spec) == cold
         assert calls == []
+
+    @pytest.mark.parametrize("run", EXPERIMENTS.values(), ids=EXPERIMENTS.keys())
+    def test_each_experiment_alone_writes_the_cache_files_of_the_chain(self, run, tiny, tmp_path):
+        # every lengths file covers every test piece, whichever experiment
+        # wrote it, so it is the same file as after exp1, exp2 and exp3
+        spec = tiny.spec._replace(output_dir=tmp_path / "out")
+        run(spec)
+        chain, alone = (s.output_dir / "models" for s in (tiny.spec, spec))
+        files = {p.relative_to(alone): p.read_bytes() for p in alone.rglob("*.json")}
+        assert "lengths/base.json" in {p.as_posix() for p in files}
+        assert files == {name: (chain / name).read_bytes() for name in files}
+
+    def test_building_the_test_split_removes_the_old_table_files(self, tiny, tmp_path):
+        # a cache of the per-scope table files that test.json replaced
+        spec = tiny.spec._replace(output_dir=tmp_path / "out")
+        chain, models = (s.output_dir / "models" for s in (tiny.spec, spec))
+        shutil.copytree(chain, models)
+        (models / "test.json").unlink()
+        (models / "tables").mkdir()
+        (models / "tables" / "x.json").write_bytes(b"{}")
+        assert run_experiment1(spec) == tiny.exp1
+        assert not (models / "tables").exists()
+        assert (models / "test.json").read_bytes() == (chain / "test.json").read_bytes()
 
     def test_a_model_encodes_each_test_piece_once_per_cache(self, tiny, tmp_path, monkeypatch):
         spec = tiny.spec._replace(output_dir=tmp_path / "out")
         encoded = Counter()
-        real_piece_length = convtok.metrics.piece_length
+        real_encode_piece = convtok.metrics.encode_piece
 
         def counting(model, piece):
             encoded[model, piece] += 1
-            return real_piece_length(model, piece)
+            return real_encode_piece(model, piece)
 
-        monkeypatch.setattr(convtok.metrics, "piece_length", counting)
+        monkeypatch.setattr(convtok.metrics, "encode_piece", counting)
         cold = {name: run(spec) for name, run in EXPERIMENTS.items()}  # a workspace each
         assert encoded and max(encoded.values()) == 1
-        # the lengths maps hold the counts, so no model keeps the pieces' ids
-        assert all(model._piece_cache == {} for model, _ in encoded)
         monkeypatch.undo()
 
         applied, written = [], []

@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 
@@ -127,7 +128,6 @@ class TestFertility:
             with monkeypatch.context() as patch:
                 # a full map encodes nothing and needs no model
                 patch.setattr(convtok.metrics, "encode_piece", None)
-                patch.setattr(convtok.metrics, "piece_length", None)
                 assert token_count(model, table, full) == expected
                 assert token_count(None, table, full) == expected
 
@@ -135,10 +135,11 @@ class TestFertility:
         docs, _ = generate_corpora(seed=409, doc_bytes=6_000, conv_bytes=1)
         table = PieceTable.of(docs, CAT)
         model = train_bpe(table, TrainConfig(vocab_size=300))
+        before = copy.deepcopy(vars(model))
         lengths: dict[str, int] = {}
         total = token_count(model, table, lengths)
         assert lengths.keys() == table.pieces.keys()
-        assert model._piece_cache == {}  # the map holds the counts, not the model
+        assert vars(model) == before  # the map holds the counts, not the model
         assert total == token_count(model, docs)
         assert lengths == {p: len(encode_piece(model, p)) for p in table.pieces}
 

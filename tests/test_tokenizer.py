@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -269,6 +270,18 @@ class TestEncode:
             assert len(encode(byte_model, text)) <= len(text.encode("utf-8"))
             assert len(encode(char_model, text)) <= 4 * len(text)
 
+    def test_encoding_leaves_the_model_unchanged(self, byte_model, char_model):
+        # encode memoizes the pieces of one text only, and token_count
+        # counts into its own map: nothing is cached on the model
+        rng = random.Random(53)
+        texts = [random_text(rng) for _ in range(50)]
+        for model in (fresh_copy(byte_model), fresh_copy(char_model)):
+            before = copy.deepcopy(vars(model))
+            for text in texts:
+                encode(model, text + text)
+            token_count(model, texts)
+            assert vars(model) == before
+
 
 def random_merge_model(rng, mode, letters, extra_symbols=()):
     """A valid model whose merges join random symbols in a random rank order,
@@ -303,7 +316,7 @@ class CountingRanks(dict):
 
 
 def fresh_copy(model):
-    """The same model with its own empty piece cache."""
+    """The same model with its own lookup tables."""
     return TokenizerModel(mode=model.mode, scheme=model.scheme, vocab=model.vocab,
                           merges=model.merges)
 
@@ -383,17 +396,6 @@ class TestEncodeCost:
         ranks.lookups = 0
         reference_apply_merges(model, _base_symbols(model, piece))
         assert ranks.lookups > bound  # the bound tells the two apart
-
-    def test_piece_cache_is_bounded(self, sample_model, sample_texts, monkeypatch):
-        pieces = sorted({p for text in sample_texts for p in pretokenize(text, CAT)})[:300]
-        uncapped = fresh_copy(sample_model)
-        expected = [encode_piece(uncapped, p) for p in pieces]
-        monkeypatch.setattr("convtok.tokenizer.PIECE_CACHE_MAX", 16)
-        capped = fresh_copy(sample_model)
-        for _ in range(2):
-            for piece, ids in zip(pieces, expected):
-                assert encode_piece(capped, piece) == ids
-                assert len(capped._piece_cache) <= 16
 
 
 class TestDecode:
