@@ -67,9 +67,6 @@ DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
 # the metrics CSV's columns, each a ScopeRow field, with the format of its cells
 _CSV_COLUMNS = {"scope": "", "tokens_base": "", "tokens_opt": "", "reduction_pct": ".1f",
                 "n_words": "", "fertility_base": ".6f", "fertility_opt": ".6f"}
-# the test tables whose pieces hold every test piece: each other test table
-# is a sum or a subset of them
-_TEST_TABLES = ("documents", "user", "assistant")
 
 
 @checked
@@ -192,9 +189,10 @@ def _read_cache(path: Path, **header) -> dict | None:
     return None
 
 
-def _counts(entries) -> dict[str, int] | None:
-    """The map of a list of ``[str, positive int]`` pairs of distinct
-    strings, in list order; None for a value that is not such a list."""
+def _counts(entries, least: int = 1) -> dict[str, int] | None:
+    """The map of a list of ``[str, int]`` pairs of distinct strings, each
+    int (not a bool) at least ``least``, in list order; None for a value
+    that is not such a list."""
     if not isinstance(entries, list):
         return None
     try:
@@ -202,7 +200,7 @@ def _counts(entries) -> dict[str, int] | None:
     except (TypeError, ValueError):  # an entry that is not a pair, or a list as a key
         return None
     if not (len(counts) == len(entries) and all(type(k) is str for k in counts)
-            and all(type(n) is int and n > 0 for n in counts.values())):
+            and all(type(n) is int and n >= least for n in counts.values())):
         return None
     return counts
 
@@ -211,39 +209,28 @@ def _counts(entries) -> dict[str, int] | None:
 # Workspace: corpora, splits, and cached models for one spec
 # ---------------------------------------------------------------------------
 
-def sample_documents(documents: list[str], max_bytes: int) -> list[str]:
-    """Leading documents up to a byte budget (at least one if any exist)."""
-    out: list[str] = []
-    total = 0
-    for doc in documents:
-        if out and total >= max_bytes:
-            break
-        out.append(doc)
-        total += len(doc.encode("utf-8"))
-    return out
-
-
 class Workspace:
     """Loads corpora, derives splits, pretokenizes each text scope once per
-    cache, trains the models a spec needs and encodes each test piece once
-    per model and cache. Every model is ``train_bpe`` on a scope's piece
-    table under one ``TrainConfig``; the config and the tables' scheme are
-    taken from the spec or, with ``base_model_path``, from that file.
-    Models, one test-split file and each model's token lengths of every test
-    piece are cached under ``<output_dir>/models`` keyed by a config hash,
-    so experiments reuse them; a cache whose manifest records another hash
-    is emptied on construction. A corpus is parsed on first use only: a
-    valid manifest is written only after both corpora loaded and split, and
-    the hash covers their bytes. The test-split file holds the held-out
-    language counts and every test-side table but ``all``; the first
-    test-side request of a workspace without a valid file builds all of it,
-    and every other reads all of it. A model's lengths file is read on the
-    model's first use, and completed and rewritten only when it lacks a test
-    piece, whichever experiment ran first. A cached model file is hashed,
-    not parsed: it is parsed only to complete its lengths file or to train
-    another model. A lengths file is bound to the digest of the validated
-    model file it was counted with, so a damaged model file finds no lengths
-    and is parsed, and fails."""
+    cache, trains the models a spec needs and counts each model's tokens on
+    every test table once per cache. Every model is ``train_bpe`` on a
+    scope's piece table under one ``TrainConfig``; the config and the
+    tables' scheme are taken from the spec or, with ``base_model_path``,
+    from that file. Models, one test-split file and each model's token
+    count of every test table are cached under ``<output_dir>/models``
+    keyed by a config hash, so experiments reuse them; a cache whose
+    manifest records another hash is emptied on construction. A corpus is
+    parsed on first use only: a valid manifest is written only after both
+    corpora loaded and split, and the hash covers their bytes. The
+    test-split file holds the held-out language counts and every test-side
+    table but ``all``; the first test-side request of a workspace without a
+    valid file builds all of it, and every other reads all of it. A model's
+    lengths file holds its token count of each test table that a report row
+    reads; it is read on the model's first use and, when it is not valid,
+    counted again in full and rewritten, whichever experiment ran first. A
+    cached model file is hashed, not parsed: it is parsed only when its
+    lengths file is not valid or to train another model. A lengths file is
+    bound to the digest of the validated model file it was counted with, so
+    a damaged model file finds no counts and is parsed, and fails."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -257,9 +244,9 @@ class Workspace:
         self.scheme = base.scheme if base else spec.scheme
         self._models: dict[str, TokenizerModel] = {}
         # by model name: the digest of the file the model was loaded from or
-        # saved to, and its map of every test piece to its token length
+        # saved to, and its token count of each report-read test scope
         self._model_sha256: dict[str, str] = {}
-        self._lengths: dict[str, dict[str, int]] = {}
+        self._tokens: dict[str, dict[str, int]] = {}
         self._tables: dict[str, PieceTable] = {}
         self._languages: list[tuple[str, int]] | None = None
         if base is not None:
@@ -446,34 +433,45 @@ class Workspace:
             texts[f"language:{tag}"] = extract_text(records, RoleFilter.BOTH)
         return languages, {scope: PieceTable.of(t, self.scheme) for scope, t in texts.items()}
 
-    def token_count(self, name: str, table: PieceTable) -> int:
-        """``metrics.token_count`` of model ``name`` (``base`` or
-        ``retrained_<role>``) on a test-side table, through the model's
-        lengths map. On the model's first use the map is read from its
-        lengths file and, where it lacks a piece of a table in
-        ``_TEST_TABLES``, completed and written back: only then is the model
-        parsed and are pieces encoded."""
-        lengths = self._lengths.get(name)
-        if lengths is None:
+    def token_count(self, name: str, scope: str) -> int:
+        """Tokens of model ``name`` (``base`` or ``retrained_<role>``) on the
+        table of a test scope that a report row reads: ``documents``,
+        ``user``, ``assistant``, ``all`` or ``language:<tag>`` of a counted
+        language. On the model's first use the counts of all of them are
+        read from its lengths file. A file valid for the model lists exactly
+        these scopes, each with an int at least its table's piece
+        occurrences; otherwise the model is parsed, counts every table with
+        ``metrics.token_count`` through one map of piece lengths, and the
+        file is written with the counts in this order."""
+        tokens = self._tokens.get(name)
+        if tokens is None:
+            languages = (f"language:{tag}" for tag, _ in self.languages())
+            tables = {s: self.table(s) for s in ("documents", "user", "assistant", "all", *languages)}
             path = self.models_dir / "lengths" / f"{name}.json"
             cached = _read_cache(path, model_sha256=self._model_digest(name))
-            lengths = self._lengths[name] = _counts((cached or {}).get("lengths")) or {}
-            tables = [self.table(scope) for scope in _TEST_TABLES]
-            if not all(lengths.keys() >= t.pieces.keys() for t in tables):
-                model = self._model(name)
-                for t in tables:
-                    token_count(model, t, lengths)
-                # sorted, so that the bytes depend only on the set of pieces
-                data = {"model_sha256": self._model_sha256[name], "lengths": sorted(lengths.items())}
+            tokens = _counts((cached or {}).get("lengths"), least=0)
+            # each piece occurrence is at least one token
+            if tokens is None or tokens.keys() != tables.keys() or any(
+                    tokens[s] < sum(t.pieces.values()) for s, t in tables.items()):
+                model, lengths = self._model(name), {}
+                tokens = {s: token_count(model, t, lengths) for s, t in tables.items()}
+                data = {"model_sha256": self._model_sha256[name], "lengths": list(tokens.items())}
                 write_atomic(path, json_bytes(data))
-        return token_count(None, table, lengths)
+            self._tokens[name] = tokens
+        return tokens[scope]
 
     def _build_table(self, scope: str) -> PieceTable:
         if scope in ("all", "train:both"):
             prefix = scope.removesuffix("all").removesuffix("both")
             return self.table(f"{prefix}user") + self.table(f"{prefix}assistant")
         if scope == "train:documents":
-            texts = sample_documents(self.docs_train, self.spec.doc_sample_bytes)
+            # the leading train documents up to the byte budget, at least one
+            texts, size = [], 0
+            for doc in self.docs_train:
+                if texts and size >= self.spec.doc_sample_bytes:
+                    break
+                texts.append(doc)
+                size += len(doc.encode("utf-8"))
         else:
             texts = extract_text(self.conv_train, RoleFilter(scope.removeprefix("train:")))
         return PieceTable.of(texts, self.scheme)
@@ -489,7 +487,7 @@ def _test_split(obj: dict | None, scheme: PretokenScheme
     if languages is None or not isinstance(obj.get("tables"), dict):
         return None
     tables = {}
-    for scope in [*_TEST_TABLES, *(f"language:{tag}" for tag in languages)]:
+    for scope in ["documents", "user", "assistant", *(f"language:{tag}" for tag in languages)]:
         entry = obj["tables"].get(scope)
         if not isinstance(entry, dict):
             return None
@@ -519,10 +517,10 @@ def _row(
     rounded to one decimal place and fertilities to six; EmptyText from the
     reduction comes before NoWords."""
     table = ws.table(scope)
-    tokens_base = ws.token_count("base", table)
+    tokens_base = ws.token_count("base", scope)
     red = None
     if filter is not None:
-        red = ReductionResult(tokens_base, ws.token_count(f"retrained_{filter}", table))
+        red = ReductionResult(tokens_base, ws.token_count(f"retrained_{filter}", scope))
     fert = FertilityResult(tokens_base, table.n_words)
     return ScopeRow(
         scope=scope,

@@ -14,20 +14,20 @@ from .tokenizer import PieceTable, TokenizerModel, encode_piece
 
 
 def token_count(
-    model: TokenizerModel | None,
+    model: TokenizerModel,
     texts: PieceTable | Iterable[str],
     lengths: dict[str, int] | None = None,
 ) -> int:
-    """Total tokens over a corpus.
+    """Total tokens of ``model`` over a corpus.
 
     Counts through ``lengths``, a map of pieces to their token length under
     ``model``, or a fresh one when it is None: a piece it holds is not
-    encoded, and each piece it lacks is encoded once and added to it. The
-    total weights each length by the piece's multiplicity, identical to
-    summing ``len(encode(model, t))`` text by text. ``model`` may be None
-    when ``texts`` is a table whose every piece ``lengths`` holds.
+    encoded, and each piece it lacks is encoded once and added to it, so one
+    map serves several tables. The total weights each length by the piece's
+    multiplicity, identical to summing ``len(encode(model, t))`` text by
+    text.
     """
-    table = texts if model is None else PieceTable.of(texts, model.scheme)
+    table = PieceTable.of(texts, model.scheme)
     if lengths is None:
         lengths = {}
     for piece in table.pieces:

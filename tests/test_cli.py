@@ -845,7 +845,7 @@ def test_damaged_cached_model_fails_or_is_recounted(experiment, data, tmp_path, 
     cold = report.read_bytes()
     target, other = (out / "models" / f"{name}.json" for name in _DAMAGED_MODEL[experiment])
 
-    # another model's valid bytes: a digest miss, so every piece is recounted
+    # another model's valid bytes: a digest miss, so every table is counted again
     # with that model, as by a run whose cache holds only it and the manifest
     swapped = other.read_bytes()
     target.write_bytes(swapped)
@@ -877,7 +877,7 @@ def test_damaged_cached_model_fails_or_is_recounted(experiment, data, tmp_path, 
 
 
 def _edit_lengths(lengths: bytes, edit) -> bytes:
-    """A lengths file whose ``[piece, length]`` list is ``edit`` of its own."""
+    """A lengths file whose ``[scope, tokens]`` list is ``edit`` of its own."""
     return _edit_json(lengths, lambda obj: obj.update(lengths=edit(obj["lengths"])))
 
 
@@ -896,7 +896,9 @@ _LENGTHS_DAMAGE = {
     "length-float": _first_length(1.5),
     "length-str": _first_length("2"),
     "lengths-dict": lambda clean, other: _edit_lengths(clean, dict),
-    "lacks-a-piece": lambda clean, other: _edit_lengths(clean, lambda p: p[1:]),
+    "lacks-a-table": lambda clean, other: _edit_lengths(clean, lambda p: p[1:]),
+    "extra-table": lambda clean, other: _edit_lengths(clean, lambda p: [*p, ["language:xx", 9]]),
+    "below-occurrences": _first_length(1),
     "other-model": lambda clean, other: other,
 }
 
@@ -911,14 +913,14 @@ def test_damaged_lengths_file_is_a_cache_miss(damage, data, tmp_path, capsys):
     lengths = tmp_path / "models" / "lengths"
     target = lengths / "retrained_both.json"
     clean = target.read_bytes()
-    # the user model's file holds the same pieces under another model's digest
+    # the user model's file holds the same scopes under another model's digest
     damaged = _LENGTHS_DAMAGE[damage](clean, (lengths / "retrained_user.json").read_bytes())
     assert damaged != clean
     target.write_bytes(damaged)
     code, _, err = run(capsys, *argv)
     assert code == 0, err
     assert (tmp_path / "exp3" / "report.json").read_bytes() == report
-    assert target.read_bytes() == clean  # counted again or completed, and rewritten
+    assert target.read_bytes() == clean  # counted again and rewritten
 
 
 def test_language_tags_never_name_a_path(data, tmp_path, capsys):

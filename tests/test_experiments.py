@@ -22,10 +22,9 @@ from convtok.experiments import (
     run_experiment1,
     run_experiment2,
     run_experiment3,
-    sample_documents,
     write_report,
 )
-from convtok.metrics import fertility, reduction
+from convtok.metrics import fertility, reduction, token_count
 from convtok.samples import write_sample_corpora
 from convtok.tokenizer import (
     PieceTable,
@@ -249,8 +248,8 @@ class TestDeterminism:
             old, new = tiny.ws.base_model(), tiny.ws.retrained(RoleFilter.BOTH)
             write = partial(save_model, path=path)
         elif writer == "lengths":
-            # a copy of the tiny cache whose base lengths file lacks pieces,
-            # so the first count with the base model completes and rewrites it
+            # a copy of the tiny cache whose base lengths file lacks tables,
+            # so the first count with the base model counts and rewrites it
             spec = tiny.spec._replace(output_dir=tmp_path / "out")
             shutil.copytree(tiny.spec.output_dir / "models", spec.output_dir / "models")
             path = spec.output_dir / "models" / "lengths" / "base.json"
@@ -258,7 +257,7 @@ class TestDeterminism:
             old = partial(path.write_bytes, json.dumps({**obj, "lengths": obj["lengths"][::2]},
                                                        ensure_ascii=False).encode("utf-8"))
             ws = Workspace(spec)
-            new = partial(ws.token_count, "base", ws.table("user"))
+            new = partial(ws.token_count, "base", "user")
 
             def write(step):
                 step()
@@ -306,10 +305,9 @@ class TestWorkspaceTraining:
     """Every model is train_bpe on a scope's table under the run's config."""
 
     def test_base_is_trained_on_the_sampled_documents(self, tiny):
-        texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
         config = TrainConfig(vocab_size=tiny.spec.vocab_size, mode=tiny.spec.mode,
                              min_pair_frequency=tiny.spec.min_pair_frequency)
-        assert tiny.ws.base_model() == train_bpe(PieceTable.of(texts, tiny.spec.scheme), config)
+        assert tiny.ws.base_model() == train_bpe(tiny.ws.table("train:documents"), config)
 
     def test_each_role_filter_trains_its_own_model(self, tiny):
         merges = {f: tiny.ws.retrained(f).merges for f in tiny.spec.role_filters}
@@ -331,8 +329,9 @@ class TestWorkspaceTraining:
 
     def test_retrained_models_take_the_base_files_configuration(self, tiny, tmp_path):
         base_path = tmp_path / "base.json"
-        texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
-        table = PieceTable.of(texts, PretokenScheme.WHITESPACE_SPLIT)
+        table = Workspace(tiny.spec._replace(output_dir=tmp_path / "whitespace",
+                                             scheme=PretokenScheme.WHITESPACE_SPLIT)
+                          ).table("train:documents")
         config = TrainConfig(vocab_size=1500, mode=TokenizerMode.CHAR_LEVEL_FALLBACK)
         save_model(train_bpe(table, config), base_path)
         # the spec's own mode, scheme and vocab_size are the defaults, and unused
@@ -378,8 +377,7 @@ class TestModelCache:
         # with a base model file its vocab size, mode and scheme govern the
         # run, so the spec's own values move neither the hash nor the models
         base_path = tmp_path / "base.json"
-        texts = sample_documents(tiny.ws.docs_train, tiny.spec.doc_sample_bytes)
-        table = PieceTable.of(texts, tiny.spec.scheme)
+        table = tiny.ws.table("train:documents")
         save_model(train_bpe(table, TrainConfig(vocab_size=300)), base_path)
         spec = tiny.spec._replace(output_dir=tmp_path / "out", base_model_path=base_path)
         first = run_experiment2(spec._replace(vocab_size=8192))
@@ -427,20 +425,53 @@ class TestModelCache:
         spy(convtok.experiments, "load_documents")
         spy(convtok.experiments, "load_model")
         spy(convtok.tokenizer, "pretokenize")
-        # exp3 counted every test piece with each model, chat pieces too
+        # exp3 counted every test table with each model, chat tables too
         assert run_experiment2(spec) == cold
         assert calls == []
 
     @pytest.mark.parametrize("run", EXPERIMENTS.values(), ids=EXPERIMENTS.keys())
     def test_each_experiment_alone_writes_the_cache_files_of_the_chain(self, run, tiny, tmp_path):
-        # every lengths file covers every test piece, whichever experiment
-        # wrote it, so it is the same file as after exp1, exp2 and exp3
+        # every lengths file counts every test table that a report reads,
+        # whichever experiment wrote it, so it is the same file as after
+        # exp1, exp2 and exp3
         spec = tiny.spec._replace(output_dir=tmp_path / "out")
         run(spec)
         chain, alone = (s.output_dir / "models" for s in (tiny.spec, spec))
         files = {p.relative_to(alone): p.read_bytes() for p in alone.rglob("*.json")}
         assert "lengths/base.json" in {p.as_posix() for p in files}
         assert files == {name: (chain / name).read_bytes() for name in files}
+
+    def test_an_empty_documents_table_counts_zero_tokens(self, tiny, tmp_path, monkeypatch):
+        # one document goes to the train split, so the documents test table is empty
+        docs = tmp_path / "documents.txt"
+        first = tiny.spec.documents_path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        docs.write_text(first, encoding="utf-8")
+        spec = tiny.spec._replace(documents_path=docs, output_dir=tmp_path / "out")
+        cold = run_experiment2(spec)
+        lengths = spec.output_dir / "models" / "lengths"
+        for path in lengths.iterdir():
+            assert json.loads(path.read_bytes())["lengths"][0] == ["documents", 0]
+        written = []
+        real_write_atomic = convtok.experiments.write_atomic
+        monkeypatch.setattr(convtok.experiments, "write_atomic",
+                            lambda *args: written.append(args[0]) or real_write_atomic(*args))
+        assert run_experiment2(spec) == cold
+        assert written == []
+
+    def test_a_lengths_file_of_piece_lengths_is_a_miss(self, tiny, tmp_path):
+        # the earlier format: the base model's token length of every test piece
+        spec = tiny.spec._replace(output_dir=tmp_path / "out")
+        chain, models = (s.output_dir / "models" for s in (tiny.spec, spec))
+        shutil.copytree(chain, models)
+        pieces: dict[str, int] = {}
+        for scope in ("documents", "user", "assistant"):
+            token_count(tiny.ws.base_model(), tiny.ws.table(scope), pieces)
+        path = models / "lengths" / "base.json"
+        digest = hashlib.sha256((models / "base.json").read_bytes()).hexdigest()
+        path.write_bytes(json.dumps({"model_sha256": digest, "lengths": sorted(pieces.items())},
+                                    ensure_ascii=False).encode("utf-8"))
+        assert [run(spec) for run in EXPERIMENTS.values()] == [tiny.exp1, tiny.exp2, tiny.exp3]
+        assert path.read_bytes() == (chain / "lengths" / "base.json").read_bytes()
 
     def test_building_the_test_split_removes_the_old_table_files(self, tiny, tmp_path):
         # a cache of the per-scope table files that test.json replaced
@@ -468,16 +499,21 @@ class TestModelCache:
         assert encoded and max(encoded.values()) == 1
         monkeypatch.undo()
 
-        applied, written = [], []
+        # a warm run looks each count up: it neither counts nor encodes
+        applied, counted, written = [], [], []
         real_apply = convtok.tokenizer._apply_merges
         monkeypatch.setattr(convtok.tokenizer, "_apply_merges",
                             lambda *args: applied.append(args) or real_apply(*args))
+        real_token_count = convtok.experiments.token_count
+        monkeypatch.setattr(convtok.experiments, "token_count",
+                            lambda *args: counted.append(args) or real_token_count(*args))
         real_write_atomic = convtok.experiments.write_atomic
         monkeypatch.setattr(convtok.experiments, "write_atomic",
                             lambda *args: written.append(args[0]) or real_write_atomic(*args))
         ws = Workspace(spec)
         assert {name: run(spec, ws) for name, run in EXPERIMENTS.items()} == cold
         assert applied == []
+        assert counted == []
         assert written == []
 
     def test_a_changed_corpus_clears_models_and_tables(self, tiny, tmp_path):
@@ -674,16 +710,29 @@ class TestOutputBytes:
 
 
 class TestSampleDocuments:
-    def test_respects_budget(self):
-        docs = [f"doc {i} " + "x" * 50 for i in range(100)]
-        sampled = sample_documents(docs, 500)
-        assert sampled == docs[: len(sampled)]
-        assert sum(len(d.encode()) for d in sampled) >= 500
-        assert sum(len(d.encode()) for d in sampled[:-1]) < 500
+    """The base model's table is that of the leading train documents up to
+    the byte budget, and of at least one."""
 
-    def test_at_least_one_document(self):
+    @staticmethod
+    def _workspace(tiny, tmp_path, docs: list[str], budget: int) -> Workspace:
+        path = tmp_path / "documents.txt"
+        path.write_text("".join(f"{doc}\n" for doc in docs), encoding="utf-8")
+        return Workspace(tiny.spec._replace(documents_path=path, output_dir=tmp_path / "out",
+                                            doc_sample_bytes=budget))
+
+    def test_respects_budget(self, tiny, tmp_path):
+        docs = [f"doc {i} " + "x" * 50 for i in range(100)]
+        ws = self._workspace(tiny, tmp_path, docs, 500)
+        train = ws.docs_train
+        n = next(n for n in range(1, len(train)) if sum(len(d.encode()) for d in train[:n]) >= 500)
+        assert sum(len(d.encode()) for d in train[: n - 1]) < 500
+        assert ws.table("train:documents") == PieceTable.of(train[:n], tiny.spec.scheme)
+
+    def test_at_least_one_document(self, tiny, tmp_path):
         docs = ["a single long document " * 100]
-        assert sample_documents(docs, 10) == docs
+        ws = self._workspace(tiny, tmp_path, docs, 10)
+        assert ws.docs_train == docs
+        assert ws.table("train:documents") == PieceTable.of(docs, tiny.spec.scheme)
 
 
 class TestCharFallbackPipeline:

@@ -126,10 +126,9 @@ class TestFertility:
             assert token_count(model, table, partial) == expected
             assert partial == full
             with monkeypatch.context() as patch:
-                # a full map encodes nothing and needs no model
+                # a full map encodes nothing
                 patch.setattr(convtok.metrics, "encode_piece", None)
                 assert token_count(model, table, full) == expected
-                assert token_count(None, table, full) == expected
 
     def test_counting_into_a_lengths_map_keeps_no_ids(self):
         docs, _ = generate_corpora(seed=409, doc_bytes=6_000, conv_bytes=1)
