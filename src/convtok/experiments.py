@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import threading
 from collections import Counter
 from contextlib import suppress
 from functools import cached_property
@@ -87,6 +89,8 @@ class ExperimentSpec(NamedTuple):
     def _check(self) -> ExperimentSpec:
         if not self.role_filters:
             raise ConfigError("at least one role filter is required")
+        if len(set(self.role_filters)) < len(self.role_filters):
+            raise ConfigError("each role filter may be given only once")
         if self.doc_sample_bytes < 1:
             raise ConfigError(f"doc_sample_bytes must be at least 1, got {self.doc_sample_bytes}")
         if self.language_threshold < 0:
@@ -230,7 +234,10 @@ class Workspace:
     cached model file is hashed, not parsed: it is parsed only when its
     lengths file is not valid or to train another model. A lengths file is
     bound to the digest of the validated model file it was counted with, so
-    a damaged model file finds no counts and is parsed, and fails."""
+    a damaged model file finds no counts and is parsed, and fails. A cold
+    exp2 or exp3 trains and counts the retrained models that the cache
+    lacks side by side, each other than the first in a forked child that
+    runs this same cache path; see :meth:`_train_side_by_side`."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -343,12 +350,11 @@ class Workspace:
         if digest is None:
             path = self._model_path(name)
             if not path.exists():
-                if name == "base":
-                    model = train_bpe(self.table("train:documents"), self.config)
-                else:
+                config = self.config
+                if name != "base":
                     # a base that stopped early caps its retrained models at its own size
-                    config = self.config._replace(vocab_size=len(self._model("base").vocab))
-                    model = train_bpe(self.table(f"train:{name.removeprefix('retrained_')}"), config)
+                    config = config._replace(vocab_size=len(self._model("base").vocab))
+                model = train_bpe(self.table(_train_scope(name)), config)
                 save_model(model, path)
                 self._models[name] = model
             digest = self._model_sha256[name] = sha256_file(path)
@@ -460,6 +466,42 @@ class Workspace:
             self._tokens[name] = tokens
         return tokens[scope]
 
+    def _train_side_by_side(self, names: list[str]) -> None:
+        """Train and count at once the models among ``names`` that the cache
+        lacks, when there are two or more and :func:`_may_fork`: this process
+        takes the first, and a forked child runs ``token_count`` for each
+        other, which writes its model and lengths files. Each file is written
+        atomically, so a child that fails leaves none half-written: what it
+        did not write is trained or counted here on the model's first use,
+        and raises what a serial run raises."""
+        missing = [n for n in names
+                   if n not in self._model_sha256 and not self._model_path(n).exists()]
+        if len(missing) < 2 or not _may_fork():
+            return
+        # what every child reads is loaded once, before the forks
+        self.table("all")  # which loads the test split
+        self._model("base")
+        for name in missing:
+            self.table(_train_scope(name))
+        children = []
+        try:
+            for name in missing[1:]:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        self.token_count(name, "all")
+                        code = 0
+                    finally:
+                        # the child runs none of the parent's exit handlers,
+                        # buffer flushes or error reports
+                        os._exit(code)
+                children.append(pid)
+            self.token_count(missing[0], "all")
+        finally:
+            for pid in children:
+                os.waitpid(pid, 0)
+
     def _build_table(self, scope: str) -> PieceTable:
         if scope in ("all", "train:both"):
             prefix = scope.removesuffix("all").removesuffix("both")
@@ -475,6 +517,23 @@ class Workspace:
         else:
             texts = extract_text(self.conv_train, RoleFilter(scope.removeprefix("train:")))
         return PieceTable.of(texts, self.scheme)
+
+
+def _train_scope(name: str) -> str:
+    """The table that model ``name`` (``base`` or ``retrained_<role>``) is
+    trained on."""
+    return "train:documents" if name == "base" else f"train:{name.removeprefix('retrained_')}"
+
+
+def _may_fork() -> bool:
+    """Whether models may be trained in forked children: this process can
+    fork, runs no other thread, whose locks a child would inherit held, and
+    may run on at least two CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return hasattr(os, "fork") and threading.active_count() == 1 and cpus >= 2
 
 
 def _test_split(obj: dict | None, scheme: PretokenScheme
@@ -540,6 +599,7 @@ def _compare(
 ) -> ExperimentReport:
     """Each role filter's retrained model against the base on every
     ``(scope, conversation_count)``, grouped by filter."""
+    ws._train_side_by_side([f"retrained_{f.value}" for f in ws.spec.role_filters])
     rows = [_row(ws, scope, f.value, count) for f in ws.spec.role_filters for scope, count in scopes]
     return _report(experiment, ws, rows)
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import threading
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import convtok
 from convtok.corpus import RoleFilter, SplitSpec, extract_text, language_counts
-from convtok.errors import ConfigError, IntegrityError
+from convtok.errors import ConfigError, ConvtokError, IntegrityError
 from convtok.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -538,6 +539,120 @@ class TestModelCache:
         assert run_experiment2(edited, ws) == cold
 
 
+class TestSideBySideTraining:
+    """A cold exp2 or exp3 trains and counts its missing retrained models at
+    once, in forked children, with the files and errors of a serial run."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # a run may fork whatever the machine's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def _files(run, spec) -> dict[Path, bytes]:
+        # every file that a run and its report write under the output dir
+        write_report(run(spec), spec.output_dir / "report")
+        return {p.relative_to(spec.output_dir): p.read_bytes()
+                for p in spec.output_dir.rglob("*") if p.is_file()}
+
+    @staticmethod
+    def _error(spec, monkeypatch, serial: bool) -> tuple[type, str]:
+        with monkeypatch.context() as m:
+            if serial:
+                m.delattr(os, "fork")
+            with pytest.raises(ConvtokError) as caught:
+                run_experiment2(spec)
+        return type(caught.value), str(caught.value)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("run", [run_experiment2, run_experiment3], ids=["exp2", "exp3"])
+    def test_a_cold_run_writes_the_bytes_of_a_serial_run(self, run, tiny, tmp_path, monkeypatch):
+        forks, trained = [], []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(convtok.experiments, "train_bpe",
+                            lambda *args: trained.append(args[0]) or train_bpe(*args))
+        forked = self._files(run, tiny.spec._replace(output_dir=tmp_path / "forked"))
+        self._assert_no_child_left()
+        assert len(forks) == 2
+        # this process trains the base and the first retrained model, no more
+        assert trained == [tiny.ws.table("train:documents"), tiny.ws.table("train:user")]
+        monkeypatch.delattr(os, "fork")
+        serial = self._files(run, tiny.spec._replace(output_dir=tmp_path / "serial"))
+        assert Path("models/lengths/retrained_both.json") in forked
+        assert forked == serial
+
+    def test_a_model_whose_child_failed_is_trained_here(self, tiny, tmp_path, monkeypatch):
+        parent, trained = os.getpid(), []
+
+        def train_here_only(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("training failed in a child")
+            trained.append(args[0])
+            return train_bpe(*args)
+
+        monkeypatch.setattr(convtok.experiments, "train_bpe", train_here_only)
+        forked = self._files(run_experiment2, tiny.spec._replace(output_dir=tmp_path / "forked"))
+        self._assert_no_child_left()
+        assert len(trained) == 4
+        monkeypatch.delattr(os, "fork")
+        assert forked == self._files(run_experiment2,
+                                     tiny.spec._replace(output_dir=tmp_path / "serial"))
+
+    def test_a_vocabulary_below_the_chat_alphabet_fails_as_a_serial_run(self, tiny, tmp_path,
+                                                                         monkeypatch):
+        # 256 fallback tokens and the 90 characters of the user turns fit in
+        # 400 entries, as do the train documents' 120; the assistant turns'
+        # 165 do not
+        spec = tiny.spec._replace(mode=TokenizerMode.CHAR_LEVEL_FALLBACK, vocab_size=400)
+        forked = self._error(spec._replace(output_dir=tmp_path / "forked"), monkeypatch,
+                             serial=False)
+        self._assert_no_child_left()
+        assert forked == self._error(spec._replace(output_dir=tmp_path / "serial"), monkeypatch,
+                                     serial=True)
+        assert forked[0] is ConfigError
+        assert "below the base alphabet size 421" in forked[1]
+
+    def test_a_cut_base_model_fails_as_a_serial_run(self, tiny, tmp_path, monkeypatch):
+        spec = tiny.spec._replace(output_dir=tmp_path / "out")
+        run_experiment1(spec)
+        path = spec.output_dir / "models" / "base.json"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2].decode("utf-8", "ignore").encode("utf-8"))
+        # neither run writes a file before it fails, so both use one cache
+        forked = self._error(spec, monkeypatch, serial=False)
+        assert forked == self._error(spec, monkeypatch, serial=True)
+        assert forked[0] is IntegrityError
+
+    @pytest.mark.parametrize("limit", ["affinity", "cpu_count", "thread"])
+    def test_one_cpu_or_a_second_thread_keeps_the_run_serial(self, limit, tiny, tmp_path,
+                                                             monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if limit == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif limit == "cpu_count":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            thread.start()
+        try:
+            assert run_experiment2(tiny.spec._replace(output_dir=tmp_path / "out")) == tiny.exp2
+        finally:
+            stop.set()
+            if limit == "thread":
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+
+
 class TestTestSplit:
     def test_language_tables_visit_each_held_out_record_a_bounded_number_of_times(
             self, tiny, tmp_path):
@@ -586,7 +701,8 @@ class TestSpecValidation:
             SplitSpec(seed=-1)
         paths = dict(conversations_path=tmp_path / "c.jsonl",
                      documents_path=tmp_path / "d.txt", output_dir=tmp_path / "out")
-        for bad in ({"role_filters": ()}, {"doc_sample_bytes": 0},
+        repeated = (RoleFilter.USER_ONLY, RoleFilter.BOTH, RoleFilter.USER_ONLY)
+        for bad in ({"role_filters": ()}, {"role_filters": repeated}, {"doc_sample_bytes": 0},
                     {"doc_sample_bytes": -5}, {"language_threshold": -3}):
             with pytest.raises(ConfigError):
                 ExperimentSpec(**paths, **bad)
