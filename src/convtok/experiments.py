@@ -21,7 +21,6 @@ import io
 import json
 import os
 import threading
-from collections import Counter
 from contextlib import suppress
 from functools import cached_property
 from pathlib import Path
@@ -215,8 +214,8 @@ def _counts(entries, least: int = 1) -> dict[str, int] | None:
 
 class Workspace:
     """Loads corpora, derives splits, pretokenizes each text scope once per
-    cache, trains the models a spec needs and counts each model's tokens on
-    every test table once per cache. Every model is ``train_bpe`` on a
+    workspace, trains the models a spec needs and counts each model's tokens
+    on every test table once per cache. Every model is ``train_bpe`` on a
     scope's piece table under one ``TrainConfig``; the config and the
     tables' scheme are taken from the spec or, with ``base_model_path``,
     from that file. Models, one test-split file and each model's token
@@ -225,19 +224,21 @@ class Workspace:
     manifest records another hash is emptied on construction. A corpus is
     parsed on first use only: a valid manifest is written only after both
     corpora loaded and split, and the hash covers their bytes. The
-    test-split file holds the held-out language counts and every test-side
-    table but ``all``; the first test-side request of a workspace without a
-    valid file builds all of it, and every other reads all of it. A model's
-    lengths file holds its token count of each test table that a report row
-    reads; it is read on the model's first use and, when it is not valid,
-    counted again in full and rewritten, whichever experiment ran first. A
-    cached model file is hashed, not parsed: it is parsed only when its
-    lengths file is not valid or to train another model. A lengths file is
-    bound to the digest of the validated model file it was counted with, so
-    a damaged model file finds no counts and is parsed, and fails. A cold
-    exp2 or exp3 trains and counts the retrained models that the cache
-    lacks side by side, each other than the first in a forked child that
-    runs this same cache path; see :meth:`_train_side_by_side`."""
+    test-split file holds the held-out language counts and each test
+    table's word count and piece occurrences; the first test-side request
+    of a workspace without a valid file builds every test table to write
+    it, and every other reads all of it. A model's lengths file holds its
+    token count of each test table that a report row reads; it is read on
+    the model's first use and, when it is not valid, counted again in full
+    and rewritten, whichever experiment ran first, so a warm run builds no
+    piece table. A cached model file is hashed, not parsed: it is parsed
+    only when its lengths file is not valid or to train another model. A
+    lengths file is bound to the digest of the validated model file it was
+    counted with, so a damaged model file finds no counts and is parsed,
+    and fails. A cold exp2 or exp3 trains and counts the retrained models
+    that the cache lacks side by side, each other than the first in a
+    forked child that runs this same cache path; see
+    :meth:`_train_side_by_side`."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -256,6 +257,8 @@ class Workspace:
         self._tokens: dict[str, dict[str, int]] = {}
         self._tables: dict[str, PieceTable] = {}
         self._languages: list[tuple[str, int]] | None = None
+        self._n_words: dict[str, int] = {}
+        self._occurrences: dict[str, int] = {}
         if base is not None:
             self._models["base"] = base
             self._model_sha256["base"] = sha256_file(spec.base_model_path)
@@ -376,19 +379,14 @@ class Workspace:
         return self._model(f"retrained_{role_filter.value}")
 
     def table(self, scope: str) -> PieceTable:
-        """Piece table of a scope in the run's scheme: ``train:documents``,
-        ``train:<role>``, or on the test side ``documents``, ``all``,
-        ``<role>``, and ``language:<tag>`` of each counted language. The
-        train tables and ``all`` (the sum of ``user`` and ``assistant``) are
-        built; every other test table comes from the test-split file, and
-        any other test scope is a KeyError."""
+        """Piece table of a scope in the run's scheme, built from the corpora
+        on first use: ``train:documents``, ``train:<role>``, or on the test
+        side ``documents``, ``<role>``, ``all`` (the sum of ``user`` and
+        ``assistant``) and ``language:<tag>`` of each counted language,
+        another tag being a KeyError."""
         table = self._tables.get(scope)
         if table is None:
-            if scope == "all" or scope.startswith("train:"):
-                table = self._tables[scope] = self._build_table(scope)
-            else:
-                self._load_test_split()
-                table = self._tables[scope]
+            table = self._tables[scope] = self._build_table(scope)
         return table
 
     def languages(self) -> list[tuple[str, int]]:
@@ -398,46 +396,34 @@ class Workspace:
         self._load_test_split()
         return self._languages
 
+    def n_words(self, scope: str) -> int:
+        """Words of a test scope's table, from the test-split file."""
+        self._load_test_split()
+        return self._n_words[scope]
+
     def _load_test_split(self) -> None:
-        """Read the language counts and test tables from the test-split file
-        on first use; when it holds no valid split, build all of it and
-        write it."""
+        """Read the language counts, word counts and piece occurrences from
+        the test-split file on first use; when it holds no valid split,
+        build every test table and write their counts."""
         if self._languages is not None:
             return
         path = self.models_dir / "test.json"
-        split = _test_split(_read_cache(path, config_hash=self.provenance.config_hash), self.scheme)
+        split = _test_split(_read_cache(path, config_hash=self.provenance.config_hash))
         if split is None:
             # the per-scope table files that this file replaced go with it
             for stale in self.models_dir.glob("tables/*.json"):
                 stale.unlink()
             with suppress(OSError):  # no such directory, or one holding other files
                 (self.models_dir / "tables").rmdir()
-            languages, tables = split = self._build_test_split()
-            write_atomic(path, json_bytes({
-                "config_hash": self.provenance.config_hash,
-                "languages": languages,
-                "tables": {scope: {"n_words": t.n_words, "pieces": list(t.pieces.items())}
-                           for scope, t in tables.items()},
-            }))
-        self._languages, tables = split
-        self._tables.update(tables)
-
-    def _build_test_split(self) -> tuple[list[tuple[str, int]], dict[str, PieceTable]]:
-        languages = language_counts(self.conv_test, self.spec.language_threshold)
-        # one pass groups the held-out records by counted language, so the
-        # build is linear in the held-out records whatever the number of tags
-        groups: dict[str, list[ConversationRecord]] = {tag: [] for tag, _ in languages}
-        for record in self.conv_test:
-            if record.language in groups:
-                groups[record.language].append(record)
-        texts = {
-            "documents": self.docs_test,
-            "user": extract_text(self.conv_test, RoleFilter.USER_ONLY),
-            "assistant": extract_text(self.conv_test, RoleFilter.ASSISTANT_ONLY),
-        }
-        for tag, records in groups.items():
-            texts[f"language:{tag}"] = extract_text(records, RoleFilter.BOTH)
-        return languages, {scope: PieceTable.of(t, self.scheme) for scope, t in texts.items()}
+            # set first: the language tables are built for these tags
+            languages = self._languages = language_counts(self.conv_test, self.spec.language_threshold)
+            tables = {s: self.table(s) for s in _test_scopes(tag for tag, _ in languages)}
+            obj = {"config_hash": self.provenance.config_hash, "languages": languages,
+                   "n_words": [[s, t.n_words] for s, t in tables.items()],
+                   "occurrences": [[s, sum(t.pieces.values())] for s, t in tables.items()]}
+            write_atomic(path, json_bytes(obj))
+            split = _test_split(obj)
+        self._languages, self._n_words, self._occurrences = split
 
     def token_count(self, name: str, scope: str) -> int:
         """Tokens of model ``name`` (``base`` or ``retrained_<role>``) on the
@@ -451,16 +437,16 @@ class Workspace:
         file is written with the counts in this order."""
         tokens = self._tokens.get(name)
         if tokens is None:
-            languages = (f"language:{tag}" for tag, _ in self.languages())
-            tables = {s: self.table(s) for s in ("documents", "user", "assistant", "all", *languages)}
+            self._load_test_split()
+            occurrences = self._occurrences
             path = self.models_dir / "lengths" / f"{name}.json"
             cached = _read_cache(path, model_sha256=self._model_digest(name))
             tokens = _counts((cached or {}).get("lengths"), least=0)
             # each piece occurrence is at least one token
-            if tokens is None or tokens.keys() != tables.keys() or any(
-                    tokens[s] < sum(t.pieces.values()) for s, t in tables.items()):
+            if tokens is None or tokens.keys() != occurrences.keys() or any(
+                    tokens[s] < n for s, n in occurrences.items()):
                 model, lengths = self._model(name), {}
-                tokens = {s: token_count(model, t, lengths) for s, t in tables.items()}
+                tokens = {s: token_count(model, self.table(s), lengths) for s in occurrences}
                 data = {"model_sha256": self._model_sha256[name], "lengths": list(tokens.items())}
                 write_atomic(path, json_bytes(data))
             self._tokens[name] = tokens
@@ -479,10 +465,10 @@ class Workspace:
         if len(missing) < 2 or not _may_fork():
             return
         # what every child reads is loaded once, before the forks
-        self.table("all")  # which loads the test split
+        self._load_test_split()
+        for scope in [*self._occurrences, *map(_train_scope, missing)]:
+            self.table(scope)
         self._model("base")
-        for name in missing:
-            self.table(_train_scope(name))
         children = []
         try:
             for name in missing[1:]:
@@ -506,7 +492,18 @@ class Workspace:
         if scope in ("all", "train:both"):
             prefix = scope.removesuffix("all").removesuffix("both")
             return self.table(f"{prefix}user") + self.table(f"{prefix}assistant")
-        if scope == "train:documents":
+        if scope.startswith("language:"):
+            # one pass groups the held-out records by counted language, so the
+            # build is linear in the held-out records whatever the number of tags
+            groups = {f"language:{tag}": [] for tag, _ in self.languages()}
+            for record in self.conv_test:
+                groups.get(f"language:{record.language}", []).append(record)
+            for name, records in groups.items():
+                self._tables[name] = PieceTable.of(extract_text(records, RoleFilter.BOTH), self.scheme)
+            return self._tables[scope]
+        if scope == "documents":
+            texts = self.docs_test
+        elif scope == "train:documents":
             # the leading train documents up to the byte budget, at least one
             texts, size = [], 0
             for doc in self.docs_train:
@@ -515,7 +512,8 @@ class Workspace:
                 texts.append(doc)
                 size += len(doc.encode("utf-8"))
         else:
-            texts = extract_text(self.conv_train, RoleFilter(scope.removeprefix("train:")))
+            records = self.conv_train if scope.startswith("train:") else self.conv_test
+            texts = extract_text(records, RoleFilter(scope.removeprefix("train:")))
         return PieceTable.of(texts, self.scheme)
 
 
@@ -536,25 +534,25 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1 and cpus >= 2
 
 
-def _test_split(obj: dict | None, scheme: PretokenScheme
-                ) -> tuple[list[tuple[str, int]], dict[str, PieceTable]] | None:
-    """The language counts and test tables of a test-split file's object:
-    its ``[tag, count]`` pairs, and the ``n_words`` and ``[piece, count]``
-    pairs of the ``documents``, ``user`` and ``assistant`` tables and of each
-    counted language's; None when any of them is missing or not valid."""
+def _test_scopes(tags) -> list[str]:
+    """The test scopes that a lengths file counts, in its order."""
+    return ["documents", "user", "assistant", "all", *(f"language:{tag}" for tag in tags)]
+
+
+def _test_split(obj: dict | None
+                ) -> tuple[list[tuple[str, int]], dict[str, int], dict[str, int]] | None:
+    """The language counts, word counts and piece occurrences of a
+    test-split file's object, each a list of ``[str, count]`` pairs, the
+    latter two naming the scopes of :func:`_test_scopes` in order; None
+    when any of them is missing or not valid."""
     languages = _counts((obj or {}).get("languages"))
-    if languages is None or not isinstance(obj.get("tables"), dict):
+    if languages is None:
         return None
-    tables = {}
-    for scope in ["documents", "user", "assistant", *(f"language:{tag}" for tag in languages)]:
-        entry = obj["tables"].get(scope)
-        if not isinstance(entry, dict):
-            return None
-        n_words, pieces = entry.get("n_words"), _counts(entry.get("pieces"))
-        if not (type(n_words) is int and n_words >= 0 and pieces is not None):
-            return None
-        tables[scope] = PieceTable(Counter(pieces), n_words, scheme)
-    return list(languages.items()), tables
+    n_words, occurrences = (_counts(obj.get(key), least=0) for key in ("n_words", "occurrences"))
+    scopes = _test_scopes(languages)
+    if any(counts is None or list(counts) != scopes for counts in (n_words, occurrences)):
+        return None
+    return list(languages.items()), n_words, occurrences
 
 
 # ---------------------------------------------------------------------------
@@ -575,21 +573,21 @@ def _row(
     ``filter``, of that filter's retrained model against it. Reductions are
     rounded to one decimal place and fertilities to six; EmptyText from the
     reduction comes before NoWords."""
-    table = ws.table(scope)
+    n_words = ws.n_words(scope)
     tokens_base = ws.token_count("base", scope)
     red = None
     if filter is not None:
         red = ReductionResult(tokens_base, ws.token_count(f"retrained_{filter}", scope))
-    fert = FertilityResult(tokens_base, table.n_words)
+    fert = FertilityResult(tokens_base, n_words)
     return ScopeRow(
         scope=scope,
         filter=filter,
         tokens_base=fert.n_tokens,
         tokens_opt=red.tokens_opt if red else None,
         reduction_pct=round(red.reduction_pct, 1) if red else None,
-        n_words=table.n_words,
+        n_words=n_words,
         fertility_base=round(fert.fertility, 6),
-        fertility_opt=round(red.tokens_opt / table.n_words, 6) if red else None,
+        fertility_opt=round(red.tokens_opt / n_words, 6) if red else None,
         conversation_count=conversation_count,
     )
 

@@ -713,30 +713,16 @@ def _edit_json(clean: bytes, edit) -> bytes:
 
 def _edit_list(key, edit):
     """A damage that replaces the ``[str, count]`` list under ``key``, the
-    documents table's pieces or the language counts, with ``edit`` of it."""
-    def damage(clean, other):
-        def apply(obj):
-            holder = obj["tables"]["documents"] if key == "pieces" else obj
-            holder[key] = edit(holder[key])
-        return _edit_json(clean, apply)
-    return damage
+    language counts, word counts or piece occurrences, with ``edit`` of it."""
+    return lambda clean, other: _edit_json(clean, lambda obj: obj.update({key: edit(obj[key])}))
 
 
-def _set_documents_words(value):
-    return lambda clean, other: _edit_json(
-        clean, lambda obj: obj["tables"]["documents"].update(n_words=value))
+def _first_count(value):
+    return lambda p: [[p[0][0], value], *p[1:]]
 
 
-def _drop_first_language_table(obj):
-    del obj["tables"][f"language:{obj['languages'][0][0]}"]
-
-
-_LIST_DAMAGE = {
-    "count-negative": lambda p: [[p[0][0], -1], *p[1:]],
-    "count-zero": lambda p: [[p[0][0], 0], *p[1:]],
-    "count-bool": lambda p: [[p[0][0], True], *p[1:]],
-    "duplicate-piece": lambda p: p + p[:1],
-}
+def _duplicate_first(p):
+    return p + p[:1]
 
 
 def _other_split(*flags):
@@ -745,33 +731,36 @@ def _other_split(*flags):
     return lambda clean, other: other(*flags)
 
 
-def _file_documents_under_another_scope(obj):
-    obj["tables"]["train:documents"] = obj["tables"].pop("documents")
-
-
 def _set_languages(value: bytes):
     """A damage that puts the raw JSON ``value`` in place of the language counts."""
     return lambda clean, other: _edit_json(clean, lambda obj: obj.update(languages=0)).replace(
         b'"languages":0', b'"languages":' + value, 1)
 
 
-def _user_pieces_as_languages(obj):
-    obj["languages"] = obj["tables"]["user"]["pieces"]
+def _drop_first_language_scope(obj):
+    scope = f"language:{obj['languages'][0][0]}"
+    for key in ("n_words", "occurrences"):
+        obj[key] = [entry for entry in obj[key] if entry[0] != scope]
 
 
-# damage to the test-split file as a whole or to its documents table
+# damage to the test-split file as a whole or to its scope lists: n-words-*
+# damage the word counts and count-* the piece occurrences; each list names
+# the scopes of a lengths file, in its order
 _TABLE_DAMAGE = {
     "not-utf8": lambda clean, other: b"\xff\xfe",
     "truncated": lambda clean, other: clean[: len(clean) // 2],
     "list": lambda clean, other: b"[1]",
     "deeply-nested": lambda clean, other: b"[" * 100_000 + b"]" * 100_000,
     "other-scheme": _other_split("--scheme", "whitespace_split"),
-    "other-scope": lambda clean, other: _edit_json(clean, _file_documents_under_another_scope),
-    **{kind: _edit_list("pieces", edit) for kind, edit in _LIST_DAMAGE.items()},
     "other-config": _other_split("--seed", "5"),
-    "no-documents": lambda clean, other: _edit_json(clean, lambda obj: obj["tables"].pop("documents")),
-    "n-words-negative": _set_documents_words(-1),
-    "n-words-bool": _set_documents_words(True),
+    **{f"{prefix}-{kind}": _edit_list(key, edit)
+       for key, prefix in [("n_words", "n-words"), ("occurrences", "count")]
+       for kind, edit in [("negative", _first_count(-1)), ("bool", _first_count(True)),
+                          ("duplicate-scope", _duplicate_first)]},
+    "other-scope": _edit_list("n_words", lambda p: [["train:documents", p[0][1]], *p[1:]]),
+    "no-documents": _edit_list("occurrences", lambda p: p[1:]),
+    "extra-scope": _edit_list("n_words", lambda p: [*p, ["language:xx", 9]]),
+    "reordered-scope": _edit_list("occurrences", lambda p: [p[1], p[0], *p[2:]]),
 }
 
 # damage to the test-split file's language counts
@@ -780,9 +769,14 @@ _LANGUAGES_DAMAGE = {
     "truncated": lambda clean, other: clean[: clean.index(b'"languages":[["') + 16],
     "list": _set_languages(b"[1]"),
     "deeply-nested": _set_languages(b"[" * 100_000 + b"]" * 100_000),
-    "other-scope": lambda clean, other: _edit_json(clean, _user_pieces_as_languages),
-    **{kind: _edit_list("languages", edit) for kind, edit in _LIST_DAMAGE.items()},
-    "language-without-table": lambda clean, other: _edit_json(clean, _drop_first_language_table),
+    "other-scope": lambda clean, other: _edit_json(
+        clean, lambda obj: obj.update(languages=obj["n_words"])),
+    "count-negative": _edit_list("languages", _first_count(-1)),
+    "count-zero": _edit_list("languages", _first_count(0)),
+    "count-bool": _edit_list("languages", _first_count(True)),
+    "duplicate-tag": _edit_list("languages", _duplicate_first),
+    "reordered-tags": _edit_list("languages", lambda p: [p[1], p[0], *p[2:]]),
+    "language-without-table": lambda clean, other: _edit_json(clean, _drop_first_language_scope),
 }
 
 
@@ -791,7 +785,7 @@ def _assert_test_split_damage_is_a_miss(damage, data, tmp_path, capsys):
     exits 0 with the clean report and rewrites the file in full."""
     def argv(out, *extra):
         return ["exp2", "--conversations", data["convs"], "--documents", data["docs"],
-                "--vocab-size", "300", "--threshold", "3", "--out", str(out), *extra]
+                "--vocab-size", "300", "--threshold", "0", "--out", str(out), *extra]
 
     def other_split(*flags):
         code, _, err = run(capsys, *argv(tmp_path / "other", *flags))
@@ -803,7 +797,7 @@ def _assert_test_split_damage_is_a_miss(damage, data, tmp_path, capsys):
     report = (tmp_path / "exp2" / "report.json").read_bytes()
     split = tmp_path / "models" / "test.json"
     clean = split.read_bytes()
-    assert json.loads(clean)["languages"]  # a language row to lose
+    assert len(json.loads(clean)["languages"]) >= 2  # language rows to lose and to reorder
     damaged = damage(clean, other_split)
     assert damaged != clean
     split.write_bytes(damaged)
@@ -913,6 +907,8 @@ def test_damaged_lengths_file_is_a_cache_miss(damage, data, tmp_path, capsys):
     lengths = tmp_path / "models" / "lengths"
     target = lengths / "retrained_both.json"
     clean = target.read_bytes()
+    split = tmp_path / "models" / "test.json"
+    clean_split = split.read_bytes()
     # the user model's file holds the same scopes under another model's digest
     damaged = _LENGTHS_DAMAGE[damage](clean, (lengths / "retrained_user.json").read_bytes())
     assert damaged != clean
@@ -921,6 +917,9 @@ def test_damaged_lengths_file_is_a_cache_miss(damage, data, tmp_path, capsys):
     assert code == 0, err
     assert (tmp_path / "exp3" / "report.json").read_bytes() == report
     assert target.read_bytes() == clean  # counted again and rewritten
+    # the tables it is counted on are built from the corpora, and the
+    # test-split file stays as it was
+    assert split.read_bytes() == clean_split
 
 
 def test_language_tags_never_name_a_path(data, tmp_path, capsys):
@@ -941,14 +940,18 @@ def test_language_tags_never_name_a_path(data, tmp_path, capsys):
     assert {r["scope"] for r in rows} == {"all", *(f"language:{tag}" for tag in tags)}
     written = [p for p in tmp_path.rglob("*") if p.is_file() and p != convs]
     assert written and all(out in p.parents for p in written)
-    # every table lives in the one test-split file, so no tag names a file
+    # every count lives in the one test-split file, so no tag names a file
     names = {p.relative_to(out / "models").as_posix() for p in (out / "models").rglob("*")}
     assert names == {"manifest.json", "test.json", "lengths",
                      *(f"{prefix}{name}.json" for prefix in ("", "lengths/")
                        for name in ("base", "retrained_user", "retrained_assistant",
                                     "retrained_both"))}
-    tables = json.loads((out / "models" / "test.json").read_bytes())["tables"]
-    assert set(tables) == {"documents", "user", "assistant", *(f"language:{tag}" for tag in tags)}
+    split = json.loads((out / "models" / "test.json").read_bytes())
+    assert set(split) == {"config_hash", "languages", "n_words", "occurrences"}
+    assert {tag for tag, _ in split["languages"]} == set(tags)
+    scopes = ["documents", "user", "assistant", "all",
+              *(f"language:{tag}" for tag, _ in split["languages"])]
+    assert [s for s, _ in split["n_words"]] == [s for s, _ in split["occurrences"]] == scopes
 
 
 def test_malformed_conversations_fail_before_missing_documents(data, tmp_path, capsys):

@@ -405,11 +405,13 @@ class TestModelCache:
         spy(convtok.experiments, "load_documents")
         spy(convtok.experiments, "load_model")
         spy(convtok.tokenizer, "pretokenize")
+        spy(PieceTable, "of")
+        spy(PieceTable, "__add__")
         ws = Workspace(spec)
         assert run_experiment1(spec, ws) == cold["exp1"]
         assert run_experiment3(spec, ws) == cold["exp3"]
         assert run_experiment2(spec, Workspace(spec)) == cold["exp2"]
-        assert calls == []  # not even a model file is parsed
+        assert calls == []  # not even a model file is parsed, nor a piece table built
 
     def test_the_test_split_serves_whichever_experiment_ran_first(self, tiny, tmp_path,
                                                                    monkeypatch):
@@ -571,20 +573,41 @@ class TestSideBySideTraining:
 
     @pytest.mark.parametrize("run", [run_experiment2, run_experiment3], ids=["exp2", "exp3"])
     def test_a_cold_run_writes_the_bytes_of_a_serial_run(self, run, tiny, tmp_path, monkeypatch):
-        forks, trained = [], []
-        real_fork = os.fork
+        forks, trained, parent = [], [], os.getpid()
+        real_fork, real_pretokenize = os.fork, convtok.tokenizer.pretokenize
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(convtok.experiments, "train_bpe",
                             lambda *args: trained.append(args[0]) or train_bpe(*args))
-        forked = self._files(run, tiny.spec._replace(output_dir=tmp_path / "forked"))
-        self._assert_no_child_left()
-        assert len(forks) == 2
+
+        def pretokenize_marked(*args):
+            # a table built in a child leaves a file that this process sees
+            if os.getpid() != parent:
+                (tmp_path / f"table-built-in-{os.getpid()}").touch()
+            return real_pretokenize(*args)
+
+        monkeypatch.setattr(convtok.tokenizer, "pretokenize", pretokenize_marked)
+
+        def files(out: str, after_exp1: bool):
+            spec = tiny.spec._replace(output_dir=tmp_path / out)
+            if after_exp1:
+                # a valid test-split file and a cached base model
+                run_experiment1(spec)
+            return self._files(run, spec)
+
         # this process trains the base and the first retrained model, no more
-        assert trained == [tiny.ws.table("train:documents"), tiny.ws.table("train:user")]
+        first = [tiny.ws.table("train:documents"), tiny.ws.table("train:user")]
+        forked = files("forked", after_exp1=False)
+        self._assert_no_child_left()
+        assert (len(forks), trained) == (2, first)
+        forked_after_exp1 = files("forked-after-exp1", after_exp1=True)
+        self._assert_no_child_left()
+        assert (len(forks), trained) == (4, first + first)
+        # the children count on the test tables that this process built
+        assert list(tmp_path.glob("table-built-in-*")) == []
         monkeypatch.delattr(os, "fork")
-        serial = self._files(run, tiny.spec._replace(output_dir=tmp_path / "serial"))
         assert Path("models/lengths/retrained_both.json") in forked
-        assert forked == serial
+        assert forked == files("serial", after_exp1=False)
+        assert forked_after_exp1 == files("serial-after-exp1", after_exp1=True)
 
     def test_a_model_whose_child_failed_is_trained_here(self, tiny, tmp_path, monkeypatch):
         parent, trained = os.getpid(), []
