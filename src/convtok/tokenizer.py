@@ -201,10 +201,11 @@ class TokenizerModel(_ModelFields):
                 raise IntegrityError(f"merge operand missing from vocab: ({left!r}, {right!r})")
             if left + right not in token_ids:
                 raise IntegrityError(f"merge product missing from vocab: {left + right!r}")
-        if self.mode is TokenizerMode.BYTE_LEVEL:
-            for tok in self.vocab[N_BYTE_SYMBOLS:]:
-                if any(ch not in _CHAR_TO_BYTE for ch in tok):
-                    raise IntegrityError(f"token contains unmapped characters: {tok!r}")
+        learned = self.vocab[N_BYTE_SYMBOLS:]
+        if (self.mode is TokenizerMode.BYTE_LEVEL
+                and not set("".join(learned)) <= _CHAR_TO_BYTE.keys()):
+            bad = next(tok for tok in learned if not set(tok) <= _CHAR_TO_BYTE.keys())
+            raise IntegrityError(f"token contains unmapped characters: {bad!r}")
         return self
 
 
@@ -227,26 +228,28 @@ def _apply_merges(model: TokenizerModel, symbols: list[str]) -> list[str]:
     non-overlapping position, until no adjacent pair has a rank.
 
     The symbols live in one list with ``prv``/``nxt`` links; a merge keeps
-    the left position and kills the right one (``None``). A min-heap holds a
-    ``(rank, position)`` entry for every ranked pair formed so far. All
-    entries of the top rank are popped as one batch, in position order, and
-    an entry whose position no longer holds that pair is skipped. The pairs
-    next to each merge are pushed only after the batch, so a lower-ranked
-    pair it creates cannot interrupt it. Each merge pushes at most two
-    entries, so a piece of n symbols costs O(n log n).
+    the left position and kills the right one (``None``). ``at`` files each
+    position where a ranked pair forms under that pair's rank, and a
+    min-heap holds each rank of ``at`` once. A pop takes that rank's whole
+    batch out of ``at`` and merges it in position order, skipping a
+    position that no longer holds the pair. Each merge files the pairs on
+    either side of it at once: neither has the batch's rank, and a lower
+    rank waits in the heap until the batch is done. A filed pair that a
+    later merge breaks is skipped when its rank is popped. Each merge files
+    at most two positions, so a piece of n symbols costs O(n log n).
     """
     ranks = model._merge_ranks
     n = len(symbols)
     if n < 2 or not ranks:
         return symbols
     get = ranks.get
-    heap = [
-        (rank, pos)
-        for pos, rank in enumerate(map(get, zip(symbols, symbols[1:])))
-        if rank is not None
-    ]
-    if not heap:
+    at: dict[int, list[int]] = {}
+    for pos, rank in enumerate(map(get, zip(symbols, symbols[1:]))):
+        if rank is not None:
+            at.setdefault(rank, []).append(pos)
+    if not at:
         return symbols
+    heap = list(at)
     heapify(heap)
     merges = model.merges
     # index n (and -1) is the end sentinel, so a missing neighbour reads None
@@ -254,12 +257,13 @@ def _apply_merges(model: TokenizerModel, symbols: list[str]) -> list[str]:
     nxt = list(range(1, n + 2))
     prv = list(range(-1, n))
     while heap:
-        rank = heap[0][0]
+        rank = heappop(heap)
+        batch = at.pop(rank)
+        if len(batch) > 1:
+            batch.sort()
         left, right = merges[rank]
         joined = left + right
-        merged: list[int] = []
-        while heap and heap[0][0] == rank:
-            pos = heappop(heap)[1]
+        for pos in batch:
             if sym[pos] == left and sym[nxt[pos]] == right:
                 gone = nxt[pos]
                 sym[pos] = joined
@@ -267,22 +271,24 @@ def _apply_merges(model: TokenizerModel, symbols: list[str]) -> list[str]:
                 after = nxt[gone]
                 nxt[pos] = after
                 prv[after] = pos
-                merged.append(pos)
-        for pos in merged:
-            before = prv[pos]
-            new_rank = get((sym[before], joined))
-            if new_rank is not None:
-                heappush(heap, (new_rank, before))
-            new_rank = get((joined, sym[nxt[pos]]))
-            if new_rank is not None:
-                heappush(heap, (new_rank, pos))
+                before = prv[pos]
+                new_rank = get((sym[before], joined))
+                if new_rank is not None:
+                    if new_rank not in at:
+                        heappush(heap, new_rank)
+                    at.setdefault(new_rank, []).append(before)
+                new_rank = get((joined, sym[after]))
+                if new_rank is not None:
+                    if new_rank not in at:
+                        heappush(heap, new_rank)
+                    at.setdefault(new_rank, []).append(pos)
     return [s for s in sym if s is not None]
 
 
 def encode_piece(model: TokenizerModel, piece: str) -> tuple[int, ...]:
     """Token ids for one pretokenized piece."""
-    token_ids = model._token_ids
-    return tuple(token_ids[s] for s in _apply_merges(model, _base_symbols(model, piece)))
+    symbols = _apply_merges(model, _base_symbols(model, piece))
+    return tuple(map(model._token_ids.__getitem__, symbols))
 
 
 def encode(model: TokenizerModel, text: str) -> list[int]:

@@ -555,8 +555,9 @@ _MODEL = {"version": 1, "mode": "byte_level", "scheme": "category_split",
     ({"merges": [["t", "h", "e"]]}, "bad merge entry"),
     ({"vocab": _BYTE_VOCAB[:255]}, "vocabulary smaller than the base alphabet"),
     ({"vocab": _BYTE_VOCAB + ["t h"]}, "token contains unmapped characters"),
+    ({"vocab": _BYTE_VOCAB + ["th", "e x", "a b"]}, "token contains unmapped characters: 'e x'"),
 ], ids=["not-an-object", "bad-mode", "bad-scheme", "vocab-not-strings", "merges-not-list",
-        "bad-merge-entry", "vocab-below-256", "unmapped-character"])
+        "bad-merge-entry", "vocab-below-256", "unmapped-character", "unmapped-character-later"])
 def test_damaged_model_fails_cleanly(change, message, tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps([_MODEL] if change is None else {**_MODEL, **change}),

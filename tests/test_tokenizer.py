@@ -1,4 +1,5 @@
 import copy
+import heapq
 import json
 import random
 
@@ -12,6 +13,7 @@ from convtok.errors import (
     InvalidByteSequence,
 )
 from convtok.samples import generate_corpora
+from convtok import tokenizer
 from convtok.tokenizer import (
     FALLBACK_TOKENS,
     PieceTable,
@@ -283,14 +285,17 @@ class TestEncode:
             assert vars(model) == before
 
 
-def random_merge_model(rng, mode, letters, extra_symbols=()):
+def random_merge_model(rng, mode, letters, extra_symbols=(), self_pairs=False):
     """A valid model whose merges join random symbols in a random rank order,
-    so a merge may rank above the merges that make its operands."""
+    so a merge may rank above the merges that make its operands. With
+    ``self_pairs`` a third of the merges pair a symbol with itself."""
     vocab = list(base_alphabet(mode)) + [c for c in letters if c not in base_alphabet(mode)]
     symbols = list(letters) + list(extra_symbols)
     merges = []
     for _ in range(rng.randrange(1, 14)):
         left, right = rng.choice(symbols), rng.choice(symbols)
+        if self_pairs and rng.randrange(3) == 0:
+            right = left
         merges.append((left, right))
         if left + right not in vocab:
             vocab.append(left + right)
@@ -344,6 +349,29 @@ class TestApplyMergesMatchesReference:
                 piece = "".join(rng.choices(letters, k=rng.choice([0, 1, 2, 3, 9, 40])))
                 assert_matches_reference(model, piece)
 
+    @pytest.mark.parametrize("mode", [TokenizerMode.BYTE_LEVEL, TokenizerMode.CHAR_LEVEL_FALLBACK])
+    def test_long_pieces_and_self_pairs(self, mode):
+        # a product paired with itself, (X, X), can overlap its own
+        # occurrences, so the order in which a rank's positions are merged
+        # decides the output
+        rng = random.Random(20250602)
+        for _ in range(60):
+            model = random_merge_model(rng, mode, "ab", self_pairs=True)
+            for _ in range(2):
+                assert_matches_reference(model, "".join(rng.choices("ab", k=rng.randrange(200, 2001))))
+
+    def test_a_pair_formed_later_on_the_left_merges_first(self):
+        # the product of the fifth merge spells the fallback token of "Q",
+        # which is not in the vocabulary: "QQ" holds (Y, Y) from the start,
+        # and the spelt-out Y to its left forms only at rank 4, so the rank 5
+        # batch files position 6 before position 0
+        spelt = ("<", "<0", "<0x", "<0x5", "<0x51")
+        y = FALLBACK_TOKENS[ord("Q")]
+        model = toy_char_model(extra_vocab=("0", "x", "5", "1", ">", *spelt, y + y),
+                               merges=(*zip(spelt, "0x51>"), (y, y)))
+        assert _apply_merges(model, _base_symbols(model, "<0x51>QQ")) == [y + y, y]
+        assert_matches_reference(model, "<0x51>QQ")
+
     def test_fallback_symbols(self):
         # "é" is not in the vocabulary, so it enters as <0xC3> <0xA9>
         rng = random.Random(7)
@@ -375,13 +403,19 @@ class TestApplyMergesMatchesReference:
         assert [model.vocab[i] for i in encode(model, "aaa")] == ["aa", "a"]
 
 
+@pytest.fixture(scope="module")
+def long_piece(sample_texts):
+    # one unbroken letter run of several thousand symbols, as spaceless chat
+    # text makes
+    words = sorted({w for text in sample_texts for w in text.split() if w.isascii()
+                    and w.isalpha()})
+    return "".join(random.Random(3).choices(words, k=600))
+
+
 class TestEncodeCost:
-    def test_rank_lookups_linear_in_piece_length(self, sample_model, sample_texts):
-        # one unbroken letter run of several thousand symbols, as spaceless
-        # chat text makes; the rescan loop needs one pass per merge applied
-        words = sorted({w for text in sample_texts for w in text.split() if w.isascii()
-                        and w.isalpha()})
-        piece = "".join(random.Random(3).choices(words, k=600))
+    def test_rank_lookups_linear_in_piece_length(self, sample_model, long_piece):
+        # the rescan loop needs one pass per merge applied
+        piece = long_piece
         n = len(_base_symbols(sample_model, piece))
         assert n > 3000 and pretokenize(piece, CAT) == [piece]
         bound = 3 * n
@@ -396,6 +430,31 @@ class TestEncodeCost:
         ranks.lookups = 0
         reference_apply_merges(model, _base_symbols(model, piece))
         assert ranks.lookups > bound  # the bound tells the two apart
+
+    def test_heap_holds_ranks_not_positions(self, sample_model, long_piece, monkeypatch):
+        # the heap holds ranks, each once until its batch is popped; in a
+        # trained model a merge outranks the merges that make its operands,
+        # so a popped rank never forms again and the heap sees at most one
+        # entry per merge, however long the piece. One entry per ranked pair
+        # would be about one per symbol.
+        entries = []
+
+        def spy_heapify(heap):
+            entries.extend(heap)
+            heapq.heapify(heap)
+
+        def spy_heappush(heap, item):
+            entries.append(item)
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(tokenizer, "heapify", spy_heapify)
+        monkeypatch.setattr(tokenizer, "heappush", spy_heappush)
+        symbols = _base_symbols(sample_model, long_piece)
+        assert len(symbols) > 3000
+        expected = reference_apply_merges(sample_model, symbols)
+        assert _apply_merges(sample_model, symbols) == expected
+        assert len(expected) < len(symbols) // 2  # most of the piece is merged
+        assert 0 < len(entries) <= len(sample_model.merges)
 
 
 class TestDecode:
