@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
+        "config": ("PretokenScheme", "RoleFilter", "SplitSpec", "TokenizerMode", "TrainConfig"),
         "corpus": (
-            "ConversationRecord", "RoleFilter", "SplitSpec", "extract_text",
-            "load_conversations", "load_documents", "split",
+            "ConversationRecord", "extract_text", "load_conversations", "load_documents", "split",
         ),
         "errors": (
             "ConfigError", "ConvtokError", "EmptyCorpus", "EmptyText", "FormatVersionMismatch",
@@ -30,10 +30,10 @@ _EXPORTS = {
         "metrics": ("FertilityResult", "ReductionResult", "fertility", "reduction", "token_count"),
         "samples": ("generate_corpora", "write_sample_corpora"),
         "tokenizer": (
-            "PieceTable", "PretokenScheme", "TokenizerMode", "TokenizerModel", "count_words",
-            "decode", "encode", "load_model", "pretokenize", "save_model",
+            "PieceTable", "TokenizerModel", "count_words", "decode", "encode", "load_model",
+            "pretokenize", "save_model",
         ),
-        "trainer": ("TrainConfig", "train_bpe"),
+        "trainer": ("train_bpe",),
     }.items()
     for name in names
 }

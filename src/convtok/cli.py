@@ -109,9 +109,8 @@ def _cmd_fertility(args) -> None:
 
 
 def _experiment_spec(args):
-    from .corpus import RoleFilter, SplitSpec
+    from .config import PretokenScheme, RoleFilter, SplitSpec, TokenizerMode
     from .experiments import ExperimentSpec
-    from .tokenizer import PretokenScheme, TokenizerMode
 
     return ExperimentSpec(
         conversations_path=Path(args.conversations),
@@ -181,8 +180,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_model_config_args(parser: argparse.ArgumentParser) -> None:
-    from .tokenizer import DEFAULT_SCHEME, PretokenScheme, TokenizerMode
-    from .trainer import DEFAULT_VOCAB_SIZE, TrainConfig
+    from .config import (
+        DEFAULT_SCHEME, DEFAULT_VOCAB_SIZE, PretokenScheme, TokenizerMode, TrainConfig,
+    )
 
     # the defaults are ExperimentSpec's, which shares TrainConfig's mode and
     # min_pair_frequency
@@ -204,7 +204,7 @@ def _add_ingest(sub) -> None:
 
 
 def _add_train(sub) -> None:
-    from .corpus import RoleFilter
+    from .config import RoleFilter
 
     p = sub.add_parser("train", help="train a tokenizer on a corpus")
     p.add_argument("--corpus", required=True)
@@ -226,7 +226,7 @@ def _add_encode(sub) -> None:
 
 
 def _add_fertility(sub) -> None:
-    from .corpus import RoleFilter
+    from .config import RoleFilter
 
     p = sub.add_parser("fertility", help="tokens per word of a model on a corpus")
     p.add_argument("--model", required=True)
@@ -237,7 +237,7 @@ def _add_fertility(sub) -> None:
 
 
 def _add_experiments(sub) -> None:
-    from .corpus import RoleFilter, SplitSpec
+    from .config import RoleFilter, SplitSpec
     from .experiments import EXPERIMENTS, ExperimentSpec
 
     split_defaults, spec_defaults = SplitSpec._field_defaults, ExperimentSpec._field_defaults

@@ -17,20 +17,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from enum import Enum
 from functools import partial
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, EmptyCorpus, MalformedRecord, checked, parse_json, read_utf8, utf8_str
+from .config import RoleFilter, SplitSpec
+from .errors import EmptyCorpus, MalformedRecord, parse_json, read_utf8, utf8_str
 
 _ROLES = ("user", "assistant")
-
-
-class RoleFilter(str, Enum):
-    USER_ONLY = "user"
-    ASSISTANT_ONLY = "assistant"
-    BOTH = "both"
 
 
 class ConversationRecord(NamedTuple):
@@ -38,22 +32,6 @@ class ConversationRecord(NamedTuple):
     model_name: str
     turns: tuple[tuple[str, str], ...]  # (role, content), in conversation order
     language: str
-
-
-@checked
-class SplitSpec(NamedTuple):
-    """Train/test split parameters. Assignment is keyed on record ids, so a
-    split is stable under re-ordering of the input file."""
-
-    train_fraction: float = 0.8
-    seed: int = 0
-
-    def _check(self) -> SplitSpec:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
-        return self
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
 _RAISE = object()
+_HASH_CHUNK_BYTES = 1 << 16
 
 
 def read_utf8(source: str | Path | BinaryIO) -> str:
@@ -32,10 +33,14 @@ def read_utf8(source: str | Path | BinaryIO) -> str:
 
 
 def sha256_file(path: str | Path) -> str:
-    """The hex sha256 digest of a file's bytes."""
+    """The hex sha256 digest of a file's bytes, read a chunk at a time."""
     import hashlib
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def utf8_str(value: str, where: str) -> str:

@@ -24,19 +24,17 @@ import threading
 from contextlib import suppress
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, get_args, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple, get_args, get_type_hints
 
 from . import __version__ as _tool_version
-from .corpus import (
-    ConversationRecord,
+from .config import (
+    DEFAULT_SCHEME,
+    DEFAULT_VOCAB_SIZE,
+    PretokenScheme,
     RoleFilter,
     SplitSpec,
-    extract_text,
-    language_counts,
-    load_conversations,
-    load_documents,
-    partition,
-    split,
+    TokenizerMode,
+    TrainConfig,
 )
 from .errors import (
     ConfigError,
@@ -50,17 +48,11 @@ from .errors import (
     sha256_file,
     write_atomic,
 )
-from .metrics import FertilityResult, ReductionResult, token_count
-from .tokenizer import (
-    DEFAULT_SCHEME,
-    PieceTable,
-    PretokenScheme,
-    TokenizerMode,
-    TokenizerModel,
-    load_model,
-    save_model,
-)
-from .trainer import DEFAULT_VOCAB_SIZE, TrainConfig, train_bpe
+from .metrics import FertilityResult, ReductionResult
+
+if TYPE_CHECKING:  # a warm run parses no corpus, trains nothing and encodes nothing
+    from .corpus import ConversationRecord
+    from .tokenizer import PieceTable, TokenizerModel
 
 ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
@@ -243,7 +235,11 @@ class Workspace:
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         # a bad flag or base model file fails before any corpus is read
-        base = load_model(spec.base_model_path) if spec.base_model_path else None
+        base = None
+        if spec.base_model_path:
+            from .tokenizer import load_model
+
+            base = load_model(spec.base_model_path)
         self.config = TrainConfig(
             vocab_size=len(base.vocab) if base else spec.vocab_size,
             mode=base.mode if base else spec.mode,
@@ -286,6 +282,8 @@ class Workspace:
                     stale.unlink()
             write_atomic(manifest, json_bytes({"config_hash": self.provenance.config_hash}))
         if base is not None and not (self.models_dir / "base.json").exists():
+            from .tokenizer import save_model
+
             save_model(base, self.models_dir / "base.json")
 
     def _load_corpora(self) -> None:
@@ -295,14 +293,20 @@ class Workspace:
 
     @cached_property
     def conversations(self) -> tuple[ConversationRecord, ...]:
+        from .corpus import load_conversations
+
         return load_conversations(self.spec.conversations_path)
 
     @cached_property
     def documents(self) -> tuple[str, ...]:
+        from .corpus import load_documents
+
         return load_documents(self.spec.documents_path)
 
     @cached_property
     def _conv_split(self) -> tuple[list[ConversationRecord], list[ConversationRecord]]:
+        from .corpus import split
+
         train, test = split(self.conversations, self.spec.split)
         if {r.id for r in train} & {r.id for r in test}:
             raise ConvtokError("train/test split integrity violated")
@@ -310,6 +314,8 @@ class Workspace:
 
     @cached_property
     def _docs_split(self) -> tuple[list[str], list[str]]:
+        from .corpus import partition
+
         ids = [str(i) for i in range(len(self.documents))]
         return partition(self.documents, ids, self.spec.split)
 
@@ -353,6 +359,9 @@ class Workspace:
         if digest is None:
             path = self._model_path(name)
             if not path.exists():
+                from .tokenizer import save_model
+                from .trainer import train_bpe
+
                 config = self.config
                 if name != "base":
                     # a base that stopped early caps its retrained models at its own size
@@ -369,6 +378,8 @@ class Workspace:
         self._model_digest(name)
         model = self._models.get(name)
         if model is None:
+            from .tokenizer import load_model
+
             model = self._models[name] = load_model(self._model_path(name))
         return model
 
@@ -410,6 +421,8 @@ class Workspace:
         path = self.models_dir / "test.json"
         split = _test_split(_read_cache(path, config_hash=self.provenance.config_hash))
         if split is None:
+            from .corpus import language_counts
+
             # the per-scope table files that this file replaced go with it
             for stale in self.models_dir.glob("tables/*.json"):
                 stale.unlink()
@@ -445,6 +458,8 @@ class Workspace:
             # each piece occurrence is at least one token
             if tokens is None or tokens.keys() != occurrences.keys() or any(
                     tokens[s] < n for s, n in occurrences.items()):
+                from .metrics import token_count
+
                 model, lengths = self._model(name), {}
                 tokens = {s: token_count(model, self.table(s), lengths) for s in occurrences}
                 data = {"model_sha256": self._model_sha256[name], "lengths": list(tokens.items())}
@@ -464,7 +479,11 @@ class Workspace:
                    if n not in self._model_sha256 and not self._model_path(n).exists()]
         if len(missing) < 2 or not _may_fork():
             return
-        # what every child reads is loaded once, before the forks
+        from importlib import import_module
+
+        # what every child reads or runs is loaded once, before the forks, so
+        # no child parses a file or compiles a module of its own
+        import_module(".trainer", __package__)
         self._load_test_split()
         for scope in [*self._occurrences, *map(_train_scope, missing)]:
             self.table(scope)
@@ -489,6 +508,9 @@ class Workspace:
                 os.waitpid(pid, 0)
 
     def _build_table(self, scope: str) -> PieceTable:
+        from .corpus import extract_text
+        from .tokenizer import PieceTable
+
         if scope in ("all", "train:both"):
             prefix = scope.removesuffix("all").removesuffix("both")
             return self.table(f"{prefix}user") + self.table(f"{prefix}assistant")

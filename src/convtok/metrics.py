@@ -7,10 +7,12 @@ reporting boundary. A word is a maximal run of non-whitespace characters
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import EmptyText, NoWords, checked
-from .tokenizer import PieceTable, TokenizerModel, encode_piece
+
+if TYPE_CHECKING:  # the functions import the tokenizer, so the result types stay cheap
+    from .tokenizer import PieceTable, TokenizerModel
 
 
 def token_count(
@@ -27,6 +29,8 @@ def token_count(
     multiplicity, identical to summing ``len(encode(model, t))`` text by
     text.
     """
+    from .tokenizer import PieceTable, encode_piece
+
     table = PieceTable.of(texts, model.scheme)
     if lengths is None:
         lengths = {}
@@ -73,6 +77,8 @@ class ReductionResult(NamedTuple):
 
 def fertility(model: TokenizerModel, texts: PieceTable | Iterable[str]) -> FertilityResult:
     """Tokens per word over the given texts (values closer to 1 are better)."""
+    from .tokenizer import PieceTable
+
     table = PieceTable.of(texts, model.scheme)
     return FertilityResult(n_tokens=token_count(model, table), n_words=table.n_words)
 
@@ -82,5 +88,7 @@ def reduction(
 ) -> ReductionResult:
     """Token-count change replacing ``base`` by ``opt`` on the same texts.
     Models of two schemes raise ConfigError: they count different pieces."""
+    from .tokenizer import PieceTable
+
     table = PieceTable.of(texts, base.scheme)
     return ReductionResult(tokens_base=token_count(base, table), tokens_opt=token_count(opt, table))

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from enum import Enum
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
+from .config import N_BYTE_SYMBOLS, PretokenScheme, TokenizerMode
 from .errors import (
     ConfigError,
     FormatVersionMismatch,
@@ -37,20 +37,6 @@ from .errors import (
 )
 
 MODEL_FORMAT_VERSION = 1
-N_BYTE_SYMBOLS = 256
-
-
-class TokenizerMode(str, Enum):
-    BYTE_LEVEL = "byte_level"
-    CHAR_LEVEL_FALLBACK = "char_level_fallback"
-
-
-class PretokenScheme(str, Enum):
-    CATEGORY_SPLIT = "category_split"
-    WHITESPACE_SPLIT = "whitespace_split"
-
-
-DEFAULT_SCHEME = PretokenScheme.CATEGORY_SPLIT
 
 # ---------------------------------------------------------------------------
 # Byte <-> symbol mapping (byte_level mode)

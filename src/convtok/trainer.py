@@ -31,38 +31,12 @@ selection stays exact (see :func:`train_bpe`).
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
 
-from .errors import ConfigError, checked
-from .tokenizer import (
-    N_BYTE_SYMBOLS,
-    PieceTable,
-    TokenizerMode,
-    TokenizerModel,
-    _base_symbols,
-    base_alphabet,
-)
+from .config import TokenizerMode, TrainConfig
+from .errors import ConfigError
+from .tokenizer import PieceTable, TokenizerModel, _base_symbols, base_alphabet
 
 Pair = tuple[str, str]
-
-DEFAULT_VOCAB_SIZE = 8192
-
-
-@checked
-class TrainConfig(NamedTuple):
-    vocab_size: int
-    mode: TokenizerMode = TokenizerMode.BYTE_LEVEL
-    min_pair_frequency: int = 2
-
-    def _check(self) -> TrainConfig:
-        if self.vocab_size < N_BYTE_SYMBOLS:
-            raise ConfigError(
-                f"vocab_size {self.vocab_size} is below the base alphabet size {N_BYTE_SYMBOLS}"
-            )
-        if self.min_pair_frequency < 1:
-            raise ConfigError("min_pair_frequency must be at least 1")
-        return self
-
 
 # ---------------------------------------------------------------------------
 # Shared setup

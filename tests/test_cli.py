@@ -441,8 +441,8 @@ def test_out_of_range_train_fraction_fails_cleanly(data, tmp_path, capsys):
 def test_bad_training_flag_fails_before_any_corpus_is_read(flag, value, data, tmp_path, capsys,
                                                           monkeypatch):
     loads = []
-    real_load = convtok.experiments.load_conversations
-    monkeypatch.setattr(convtok.experiments, "load_conversations",
+    real_load = convtok.corpus.load_conversations
+    monkeypatch.setattr(convtok.corpus, "load_conversations",
                         lambda path: loads.append(path) or real_load(path))
     code, out, err = run(capsys, "exp1", "--conversations", data["convs"],
                          "--documents", data["docs"], flag, value,
@@ -1004,10 +1004,10 @@ def _fresh_python(script: str, *args: str) -> str:
 
 # the modules of the package, beside convtok and convtok.cli, that each command imports
 _COMMAND_MODULES = {
-    "encode": {"errors", "tokenizer"},
-    "fertility": {"errors", "tokenizer", "corpus", "metrics"},
-    "samples": {"errors", "corpus", "samples"},
-    "exp1": {"errors", "corpus", "tokenizer", "trainer", "metrics", "experiments"},
+    "encode": {"errors", "config", "tokenizer"},
+    "fertility": {"errors", "config", "tokenizer", "corpus", "metrics"},
+    "samples": {"errors", "config", "corpus", "samples"},
+    "exp1": {"errors", "config", "corpus", "tokenizer", "trainer", "metrics", "experiments"},
 }
 
 
@@ -1037,6 +1037,26 @@ def test_each_command_imports_only_its_modules(command, data, small_model, tmp_p
     assert slow_imports == []
 
 
+def test_a_warm_experiment_imports_no_parser_trainer_or_tokenizer(data, tmp_path):
+    # a cold chain fills the cache; each warm rerun reads its counts from it
+    # and neither parses a corpus nor trains nor encodes
+    argv = ["--conversations", data["convs"], "--documents", data["docs"], "--vocab-size", "300",
+            "--threshold", "3", "--out", str(tmp_path)]
+    for exp in ("exp1", "exp2", "exp3"):
+        assert main([exp, *argv]) == 0
+    for exp in ("exp1", "exp2", "exp3"):
+        out = _fresh_python(
+            "import json, sys\n"
+            "from convtok.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('convtok'))]))\n",
+            exp, *argv)
+        code, modules = json.loads(out.splitlines()[-1])
+        assert code == 0
+        assert modules == ["convtok", "convtok.cli", "convtok.config", "convtok.errors",
+                           "convtok.experiments", "convtok.metrics"], exp
+
+
 @pytest.mark.parametrize("command", ["ingest", "train", "encode", "fertility", "exp1", "exp2",
                                      "exp3", "report", "samples"])
 def test_a_lone_subcommand_parser_keeps_its_help(command):
@@ -1056,24 +1076,41 @@ def test_a_lone_subcommand_parser_keeps_its_help(command):
     assert lone == full
 
 
+# the run settings' homes before they moved to config
+_OLD_SETTINGS_PATHS = ("convtok.corpus.RoleFilter", "convtok.corpus.SplitSpec",
+                       "convtok.tokenizer.PretokenScheme", "convtok.tokenizer.TokenizerMode",
+                       "convtok.trainer.TrainConfig")
+
+
 def test_package_exports_are_lazy_and_are_their_modules_objects():
     out = _fresh_python(
         "import importlib, json, sys\n"
         "import convtok\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('convtok.'))\n"
+        "convtok.TrainConfig, convtok.RoleFilter\n"
+        "settings = sorted(m for m in sys.modules if m.startswith('convtok.'))\n"
         "undisplayed = sorted(set(convtok.__all__) - set(dir(convtok)))\n"
         "homes = {name: getattr(convtok, name).__module__ for name in convtok.__all__}\n"
         "strays = [name for name, home in homes.items()\n"
         "          if getattr(importlib.import_module(home), name) is not getattr(convtok, name)]\n"
+        "moved = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    module, _, name = path.rpartition('.')\n"
+        "    if getattr(importlib.import_module(module), name) is not getattr(convtok, name):\n"
+        "        moved.append(path)\n"
         "try:\n"
         "    convtok.no_such_name\n"
         "except AttributeError as exc:\n"
         "    unknown = str(exc)\n"
-        "print(json.dumps([loaded, undisplayed, sorted(set(homes.values())), strays, unknown]))\n")
-    loaded, undisplayed, homes, strays, unknown = json.loads(out)
+        "print(json.dumps([loaded, settings, undisplayed, sorted(set(homes.values())), strays,\n"
+        "                  unknown, moved]))\n",
+        *_OLD_SETTINGS_PATHS)
+    loaded, settings, undisplayed, homes, strays, unknown, moved = json.loads(out)
     assert loaded == []  # import convtok imports none of its modules
+    assert settings == ["convtok.config", "convtok.errors"]
     assert undisplayed == []
-    assert homes == ["convtok.corpus", "convtok.errors", "convtok.experiments", "convtok.metrics",
-                     "convtok.samples", "convtok.tokenizer", "convtok.trainer"]
+    assert homes == ["convtok.config", "convtok.corpus", "convtok.errors", "convtok.experiments",
+                     "convtok.metrics", "convtok.samples", "convtok.tokenizer", "convtok.trainer"]
     assert strays == []
     assert unknown == "module 'convtok' has no attribute 'no_such_name'"
+    assert moved == []  # each old path names the object that config holds

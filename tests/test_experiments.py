@@ -301,6 +301,35 @@ class TestDeterminism:
         assert path.read_bytes() == b"outer"
         assert [p.name for p in tmp_path.iterdir()] == ["file.json"]
 
+    @pytest.mark.parametrize("size", [0, 2 * convtok.errors._HASH_CHUNK_BYTES + 7],
+                             ids=["empty", "over-two-chunks"])
+    def test_a_file_digest_reads_no_more_than_a_chunk_at_a_time(self, size, tmp_path,
+                                                                monkeypatch):
+        path = tmp_path / "corpus.txt"
+        data = (bytes(range(256)) * (size // 256 + 1))[:size]
+        path.write_bytes(data)
+        reads = []
+
+        class RecordingFile:
+            # a file object's read cannot be replaced, so the spy wraps the file
+            def __init__(self, *args):
+                self.file = open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+            def read(self, size=-1):
+                reads.append(size)
+                return self.file.read(size)
+
+        # a module global named open shadows the builtin inside errors.py
+        monkeypatch.setattr(convtok.errors, "open", RecordingFile, raising=False)
+        assert convtok.errors.sha256_file(path) == hashlib.sha256(data).hexdigest()
+        assert reads and all(0 < n <= convtok.errors._HASH_CHUNK_BYTES for n in reads)
+
 
 class TestWorkspaceTraining:
     """Every model is train_bpe on a scope's table under the run's config."""
@@ -383,7 +412,7 @@ class TestModelCache:
         spec = tiny.spec._replace(output_dir=tmp_path / "out", base_model_path=base_path)
         first = run_experiment2(spec._replace(vocab_size=8192))
         trained = []
-        monkeypatch.setattr(convtok.experiments, "train_bpe",
+        monkeypatch.setattr(convtok.trainer, "train_bpe",
                             lambda *args: trained.append(args) or train_bpe(*args))
         second = run_experiment2(spec._replace(vocab_size=4096,
                                                mode=TokenizerMode.CHAR_LEVEL_FALLBACK,
@@ -401,9 +430,9 @@ class TestModelCache:
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
 
-        spy(convtok.experiments, "load_conversations")
-        spy(convtok.experiments, "load_documents")
-        spy(convtok.experiments, "load_model")
+        spy(convtok.corpus, "load_conversations")
+        spy(convtok.corpus, "load_documents")
+        spy(convtok.tokenizer, "load_model")
         spy(convtok.tokenizer, "pretokenize")
         spy(PieceTable, "of")
         spy(PieceTable, "__add__")
@@ -424,9 +453,9 @@ class TestModelCache:
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
 
-        spy(convtok.experiments, "load_conversations")
-        spy(convtok.experiments, "load_documents")
-        spy(convtok.experiments, "load_model")
+        spy(convtok.corpus, "load_conversations")
+        spy(convtok.corpus, "load_documents")
+        spy(convtok.tokenizer, "load_model")
         spy(convtok.tokenizer, "pretokenize")
         # exp3 counted every test table with each model, chat tables too
         assert run_experiment2(spec) == cold
@@ -491,13 +520,13 @@ class TestModelCache:
     def test_a_model_encodes_each_test_piece_once_per_cache(self, tiny, tmp_path, monkeypatch):
         spec = tiny.spec._replace(output_dir=tmp_path / "out")
         encoded = Counter()
-        real_encode_piece = convtok.metrics.encode_piece
+        real_encode_piece = convtok.tokenizer.encode_piece
 
         def counting(model, piece):
             encoded[model, piece] += 1
             return real_encode_piece(model, piece)
 
-        monkeypatch.setattr(convtok.metrics, "encode_piece", counting)
+        monkeypatch.setattr(convtok.tokenizer, "encode_piece", counting)
         cold = {name: run(spec) for name, run in EXPERIMENTS.items()}  # a workspace each
         assert encoded and max(encoded.values()) == 1
         monkeypatch.undo()
@@ -507,8 +536,8 @@ class TestModelCache:
         real_apply = convtok.tokenizer._apply_merges
         monkeypatch.setattr(convtok.tokenizer, "_apply_merges",
                             lambda *args: applied.append(args) or real_apply(*args))
-        real_token_count = convtok.experiments.token_count
-        monkeypatch.setattr(convtok.experiments, "token_count",
+        real_token_count = convtok.metrics.token_count
+        monkeypatch.setattr(convtok.metrics, "token_count",
                             lambda *args: counted.append(args) or real_token_count(*args))
         real_write_atomic = convtok.experiments.write_atomic
         monkeypatch.setattr(convtok.experiments, "write_atomic",
@@ -576,7 +605,7 @@ class TestSideBySideTraining:
         forks, trained, parent = [], [], os.getpid()
         real_fork, real_pretokenize = os.fork, convtok.tokenizer.pretokenize
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        monkeypatch.setattr(convtok.experiments, "train_bpe",
+        monkeypatch.setattr(convtok.trainer, "train_bpe",
                             lambda *args: trained.append(args[0]) or train_bpe(*args))
 
         def pretokenize_marked(*args):
@@ -618,7 +647,7 @@ class TestSideBySideTraining:
             trained.append(args[0])
             return train_bpe(*args)
 
-        monkeypatch.setattr(convtok.experiments, "train_bpe", train_here_only)
+        monkeypatch.setattr(convtok.trainer, "train_bpe", train_here_only)
         forked = self._files(run_experiment2, tiny.spec._replace(output_dir=tmp_path / "forked"))
         self._assert_no_child_left()
         assert len(trained) == 4

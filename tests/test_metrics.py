@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-import convtok.metrics
+import convtok.tokenizer
 from convtok.corpus import (
     ConversationRecord,
     RoleFilter,
@@ -127,7 +127,7 @@ class TestFertility:
             assert partial == full
             with monkeypatch.context() as patch:
                 # a full map encodes nothing
-                patch.setattr(convtok.metrics, "encode_piece", None)
+                patch.setattr(convtok.tokenizer, "encode_piece", None)
                 assert token_count(model, table, full) == expected
 
     def test_counting_into_a_lengths_map_keeps_no_ids(self):
