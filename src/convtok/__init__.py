@@ -24,8 +24,8 @@ _EXPORTS = {
         ),
         "experiments": (
             "ExperimentReport", "ExperimentSpec", "Provenance", "ScopeRow", "Workspace",
-            "emit_plot_data", "load_report", "run_experiment1", "run_experiment2",
-            "run_experiment3", "write_report",
+            "emit_plot_data", "run_experiment1", "run_experiment2", "run_experiment3",
+            "write_report",
         ),
         "metrics": ("FertilityResult", "ReductionResult", "fertility", "reduction", "token_count"),
         "samples": ("generate_corpora", "write_sample_corpora"),

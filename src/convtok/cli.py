@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ingest, train, encode, fertility, one per experiment in
-``experiments.EXPERIMENTS``, report and samples. Successful runs exit 0 and
-print a JSON summary line; failures exit nonzero with a machine-readable JSON
-error line on stderr.
+Subcommands: ingest, train, encode, fertility, samples and one per
+experiment in ``experiments.EXPERIMENTS``. Successful runs exit 0 and print a
+JSON summary line; failures exit nonzero with a machine-readable JSON error
+line on stderr.
 
 Each subcommand's parser and handler import the modules they use, and
 ``main`` builds only the parser of the subcommand it runs, so a command
@@ -146,14 +146,6 @@ def _cmd_experiment(args) -> None:
     })
 
 
-def _cmd_report(args) -> None:
-    from .experiments import load_report, write_report
-
-    report = load_report(args.report)
-    files = write_report(report, Path(args.out))
-    _emit({"experiment": report.experiment, "files": [str(p) for p in files]})
-
-
 def _cmd_samples(args) -> None:
     from .samples import write_sample_corpora
 
@@ -259,13 +251,6 @@ def _add_experiments(sub) -> None:
         p.set_defaults(func=_cmd_experiment)
 
 
-def _add_report(sub) -> None:
-    p = sub.add_parser("report", help="regenerate CSV and plot files from report.json")
-    p.add_argument("--report", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
-
-
 def _add_samples(sub) -> None:
     from .samples import DEFAULT_CONV_BYTES, DEFAULT_DOC_BYTES, DEFAULT_SEED
 
@@ -279,7 +264,7 @@ def _add_samples(sub) -> None:
 
 # the subcommands other than the experiments, each with the function that adds its parser
 _SUBCOMMANDS = {"ingest": _add_ingest, "train": _add_train, "encode": _add_encode,
-                "fertility": _add_fertility, "report": _add_report, "samples": _add_samples}
+                "fertility": _add_fertility, "samples": _add_samples}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -301,8 +286,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in EXPERIMENTS:
         _add_experiments(sub)
         return parser
-    for add in (_add_ingest, _add_train, _add_encode, _add_fertility, _add_experiments,
-                _add_report, _add_samples):
+    for add in (*_SUBCOMMANDS.values(), _add_experiments):
         add(sub)
     return parser
 

@@ -24,7 +24,7 @@ import threading
 from contextlib import suppress
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, get_args, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__ as _tool_version
 from .config import (
@@ -39,6 +39,7 @@ from .config import (
 from .errors import (
     ConfigError,
     ConvtokError,
+    EmptyCorpus,
     IntegrityError,
     InvalidEncoding,
     checked,
@@ -122,52 +123,6 @@ class ExperimentReport(NamedTuple):
         obj = {"experiment": self.experiment, "rows": [row._asdict() for row in self.rows],
                "provenance": self.provenance._asdict()}
         return json_bytes(obj)
-
-
-def _from_fields(cls, obj: dict):
-    # keys that name no field are ignored, and a missing key reads as None,
-    # which only a nullable field may hold; an obj that is no dict raises
-    # AttributeError
-    return cls._make(map(obj.get, cls._fields))
-
-
-def load_report(path: str | Path) -> ExperimentReport:
-    """Parse a report.json, the inverse of ``ExperimentReport.to_json_bytes``.
-    Raises InvalidEncoding for bytes that are not UTF-8 and IntegrityError for
-    anything that is not a report."""
-    obj = parse_json(read_utf8(path), lambda msg: IntegrityError(f"not a report file: {path}: {msg}"))
-    try:
-        report = ExperimentReport(
-            experiment=obj["experiment"],
-            rows=tuple(_from_fields(ScopeRow, r) for r in obj["rows"]),
-            provenance=_from_fields(Provenance, obj["provenance"]),
-        )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise IntegrityError(f"not a report file: {path}: {exc!r}") from exc
-    if report.experiment not in EXPERIMENTS:
-        raise IntegrityError(f"unknown experiment id in {path}: {report.experiment!r}")
-    if not report.rows:
-        raise IntegrityError(f"{report.experiment} report without rows: {path}")
-    # the report files format every comparison row's filter and reduction
-    required = () if report.experiment == "exp1" else ("filter", "reduction_pct")
-    _check_types(report.provenance, (), f"provenance of {path}")
-    for i, row in enumerate(report.rows):
-        _check_types(row, required, f"row {i} of {path}")
-    return report
-
-
-def _check_types(record, required: tuple[str, ...], where: str) -> None:
-    """IntegrityError unless each field of a parsed record holds a value of
-    its declared type (an int counts as a float, a bool as neither) and the
-    ``required`` fields are not None."""
-    for name, hint in get_type_hints(type(record)).items():
-        nullable = name not in required
-        allowed = tuple(t for t in get_args(hint) or (hint,) if nullable or t is not type(None))
-        if float in allowed:
-            allowed += (int,)
-        value = getattr(record, name)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise IntegrityError(f"bad {name} in {where}: {value!r}")
 
 
 def _read_cache(path: Path, **header) -> dict | None:
@@ -310,6 +265,7 @@ class Workspace:
         train, test = split(self.conversations, self.spec.split)
         if {r.id for r in train} & {r.id for r in test}:
             raise ConvtokError("train/test split integrity violated")
+        _require_train(train, len(self.conversations), "conversations", self.spec.split)
         return train, test
 
     @cached_property
@@ -317,7 +273,9 @@ class Workspace:
         from .corpus import partition
 
         ids = [str(i) for i in range(len(self.documents))]
-        return partition(self.documents, ids, self.spec.split)
+        train, test = partition(self.documents, ids, self.spec.split)
+        _require_train(train, len(ids), "documents", self.spec.split)
+        return train, test
 
     conv_train = property(lambda self: self._conv_split[0])
     conv_test = property(lambda self: self._conv_split[1])
@@ -539,6 +497,14 @@ class Workspace:
         return PieceTable.of(texts, self.scheme)
 
 
+def _require_train(train: list, total: int, side: str, spec: SplitSpec) -> None:
+    """EmptyCorpus for a split that leaves no train item on one side, whose
+    model would have no merges."""
+    if not train:
+        raise EmptyCorpus(f"no {side} in the train split: train_fraction "
+                          f"{spec.train_fraction} of {total} {side} rounds to 0")
+
+
 def _train_scope(name: str) -> str:
     """The table that model ``name`` (``base`` or ``retrained_<role>``) is
     trained on."""
@@ -647,8 +613,8 @@ def run_experiment3(spec: ExperimentSpec, workspace: Workspace | None = None) ->
     return _compare("exp3", _workspace(spec, workspace), [("documents", None)])
 
 
-# every experiment by id: the CLI's subcommands (each run function's docstring
-# is its help line) and the ids a report may carry
+# every experiment by id, each one CLI subcommand whose help line is its run
+# function's docstring
 EXPERIMENTS = {"exp1": run_experiment1, "exp2": run_experiment2, "exp3": run_experiment3}
 
 
@@ -687,7 +653,8 @@ def write_report(report: ExperimentReport, output_dir: str | Path) -> list[Path]
     ``report_<filter>.csv`` (``report.csv`` when no row has a filter), then
     the plot CSVs of :func:`emit_plot_data`. Every file's bytes are built
     before the first is written, so a report that cannot be written, such as
-    one with an unknown experiment id, leaves no file behind."""
+    one with an unknown experiment id, leaves no file behind. After the
+    writes, each other ``report*.csv`` in ``output_dir`` is removed."""
     files = {"report.json": report.to_json_bytes()}
     for name in _filters(report) or [None]:
         rows = [_metrics_cells(r) for r in report.rows if r.filter == name]
@@ -695,7 +662,12 @@ def write_report(report: ExperimentReport, output_dir: str | Path) -> list[Path]
         files[csv_name] = _csv_bytes(list(_CSV_COLUMNS), rows)
     files |= _plot_files(report)
     out = Path(output_dir)
-    return [write_atomic(out / name, data) for name, data in files.items()]
+    paths = [write_atomic(out / name, data) for name, data in files.items()]
+    # a metrics CSV of a role filter that this report lacks is an earlier run's
+    for stale in out.glob("report*.csv"):
+        if stale.name not in files:
+            stale.unlink()
+    return paths
 
 
 def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Path]:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -109,20 +110,23 @@ def test_experiment_commands_write_files(data, tmp_path, capsys):
 
 
 def test_report_regeneration(data, tmp_path, capsys):
+    # a warm rerun with the same flags writes every report file again, byte
+    # for byte, after the experiment's directory is deleted
     out_dir = tmp_path / "runs"
+    argv = ["--conversations", data["convs"], "--documents", data["docs"], "--vocab-size", "380",
+            "--threshold", "3", "--out", str(out_dir)]
+    cold = {}
     for experiment in ("exp1", "exp2", "exp3"):
-        code, out, _ = run(capsys, experiment, "--conversations", data["convs"],
-                           "--documents", data["docs"], "--vocab-size", "380",
-                           "--threshold", "3", "--out", str(out_dir))
+        code, out, _ = run(capsys, experiment, *argv)
         assert code == 0
-        written = json.loads(out)["files"]
-        regen = tmp_path / "regen" / experiment
-        code, out, _ = run(capsys, "report", "--report", str(out_dir / experiment / "report.json"),
-                           "--out", str(regen))
+        files = (out_dir / experiment).iterdir()
+        cold[experiment] = json.loads(out)["files"], {p.name: p.read_bytes() for p in files}
+    for experiment, (written, original) in cold.items():
+        shutil.rmtree(out_dir / experiment)
+        code, out, _ = run(capsys, experiment, *argv)
         assert code == 0
-        assert [Path(p).name for p in json.loads(out)["files"]] == [Path(p).name for p in written]
-        original = {p.name: p.read_bytes() for p in (out_dir / experiment).iterdir()}
-        assert {p.name: p.read_bytes() for p in regen.iterdir()} == original
+        assert json.loads(out)["files"] == written
+        assert {p.name: p.read_bytes() for p in (out_dir / experiment).iterdir()} == original
 
 
 def test_samples_deterministic(tmp_path, capsys):
@@ -515,32 +519,6 @@ def test_non_utf8_encode_text_fails_cleanly(small_model, capsys):
     assert one_json_error(err)["error"] == "InvalidEncoding"
 
 
-_PROVENANCE = (b'"provenance":{"tool_version":"0","config_hash":"",'
-               b'"conversations_sha256":"","documents_sha256":""}')
-
-
-@pytest.mark.parametrize("content, error", [
-    (b'{"x":1}', "IntegrityError"),
-    (b"not json", "IntegrityError"),
-    (b"\xff", "InvalidEncoding"),
-    (b'{"experiment":"exp9","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
-    (b'{"experiment":"exp1","rows":[{"scope":"documents","filter":null,"tokens_base":5,'
-     b'"tokens_opt":null,"reduction_pct":null,"n_words":3,"fertility_base":"x",'
-     b'"fertility_opt":null,"conversation_count":null}],' + _PROVENANCE + b'}', "IntegrityError"),
-    (b'{"experiment":"exp2","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
-    (b'{"experiment":"exp1","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
-    (b'{"experiment":"exp3","rows":[],' + _PROVENANCE + b'}', "IntegrityError"),
-])
-def test_bad_report_fails_cleanly(tmp_path, capsys, content, error):
-    report = tmp_path / "report.json"
-    report.write_bytes(content)
-    code, out, err = run(capsys, "report", "--report", str(report), "--out", str(tmp_path / "o"))
-    assert code == 1
-    assert out == ""
-    assert one_json_error(err)["error"] == error
-    assert not (tmp_path / "o").exists()
-
-
 _BYTE_VOCAB = list(base_alphabet(TokenizerMode.BYTE_LEVEL))
 _MODEL = {"version": 1, "mode": "byte_level", "scheme": "category_split",
           "vocab": _BYTE_VOCAB, "merges": []}
@@ -594,6 +572,9 @@ def _bad_invocation(case, data, tmp):
     not_json.write_text("{", encoding="utf-8")
     a_file = tmp / "a_file"
     a_file.write_text("", encoding="utf-8")
+    one_doc = tmp / "one_doc.txt"
+    with open(data["docs"], encoding="utf-8") as f:
+        one_doc.write_text(f.readline(), encoding="utf-8")
 
     def experiment(command, documents=str(blank), *extra):
         return [command, "--conversations", data["convs"], "--documents", documents,
@@ -628,9 +609,15 @@ def _bad_invocation(case, data, tmp):
                                   "UsageError"),
         "exp2-negative-threshold": (
             experiment("exp2", data["docs"], "--threshold", "-3"), "ConfigError"),
+        # 0.001 of either corpus rounds to no train item
+        "exp2-empty-train-split": (
+            experiment("exp2", data["docs"], "--train-fraction", "0.001"), "EmptyCorpus"),
         "exp3": (experiment("exp3"), "EmptyCorpus"),
+        "exp3-empty-documents-train-split": (
+            experiment("exp3", str(one_doc), "--train-fraction", "0.3"), "EmptyCorpus"),
+        # the removed report subcommand is an unknown word
         "report": (["report", "--report", str(not_json), "--out", str(tmp / "o")],
-                   "IntegrityError"),
+                   "UsageError"),
         "samples": (["samples", "--out", str(a_file / "sub")], "NotADirectoryError"),
     }[case]
 
@@ -639,8 +626,8 @@ def _bad_invocation(case, data, tmp):
     "ingest", "ingest-nothing", "ingest-out-without-conversations", "train",
     "train-min-pair-frequency-0", "train-abbreviated-flag", "encode", "fertility",
     "exp1", "exp1-abbreviated-flag", "exp1-negative-doc-sample-bytes",
-    "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp3",
-    "report", "samples",
+    "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp2-empty-train-split",
+    "exp3", "exp3-empty-documents-train-split", "report", "samples",
 ])
 def test_every_subcommand_fails_with_one_json_line(case, data, tmp_path, capsys):
     argv, error = _bad_invocation(case, data, tmp_path)
@@ -972,7 +959,6 @@ def test_malformed_conversations_fail_before_missing_documents(data, tmp_path, c
 @pytest.mark.parametrize("command, flag, error", [
     ("encode", "--model", "IntegrityError"),
     ("fertility", "--model", "IntegrityError"),
-    ("report", "--report", "IntegrityError"),
     ("ingest", "--conversations", "MalformedRecord"),
     ("train", "--corpus", "MalformedRecord"),
 ])
@@ -982,7 +968,6 @@ def test_deeply_nested_json_is_one_json_line(command, flag, error, data, tmp_pat
     rest = {
         "encode": ["--text", "x"],
         "fertility": ["--input", data["docs"]],
-        "report": ["--out", str(tmp_path / "out")],
         "ingest": [],
         "train": ["--vocab-size", "300", "--out", str(tmp_path / "m.json")],
     }[command]
@@ -1057,8 +1042,8 @@ def test_a_warm_experiment_imports_no_parser_trainer_or_tokenizer(data, tmp_path
                            "convtok.experiments", "convtok.metrics"], exp
 
 
-@pytest.mark.parametrize("command", ["ingest", "train", "encode", "fertility", "exp1", "exp2",
-                                     "exp3", "report", "samples"])
+@pytest.mark.parametrize("command", ["ingest", "train", "encode", "fertility", "samples",
+                                     "exp1", "exp2", "exp3"])
 def test_a_lone_subcommand_parser_keeps_its_help(command):
     out = _fresh_python(
         "import contextlib, io, json, sys\n"

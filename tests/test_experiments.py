@@ -16,10 +16,12 @@ from convtok.corpus import RoleFilter, SplitSpec, extract_text, language_counts
 from convtok.errors import ConfigError, ConvtokError, IntegrityError
 from convtok.experiments import (
     EXPERIMENTS,
+    ExperimentReport,
     ExperimentSpec,
+    Provenance,
+    ScopeRow,
     Workspace,
     emit_plot_data,
-    load_report,
     run_experiment1,
     run_experiment2,
     run_experiment3,
@@ -783,26 +785,18 @@ class TestReportFiles:
 
     def test_report_json_roundtrip(self, tiny, tmp_path):
         write_report(tiny.exp2, tmp_path)
-        loaded = load_report(tmp_path / "report.json")
+        obj = json.loads((tmp_path / "report.json").read_bytes())
+        loaded = ExperimentReport(experiment=obj["experiment"],
+                                  rows=tuple(ScopeRow(**row) for row in obj["rows"]),
+                                  provenance=Provenance(**obj["provenance"]))
         assert loaded == tiny.exp2
 
-    def _without(self, report, key, tmp_path):
-        obj = json.loads(report.to_json_bytes())
-        for row in obj["rows"]:
-            del row[key]
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(obj), encoding="utf-8")
-        return path
-
-    def test_a_row_without_a_nullable_key_loads_it_as_none(self, tiny, tmp_path):
-        loaded = load_report(self._without(tiny.exp2, "conversation_count", tmp_path))
-        assert any(row.conversation_count is not None for row in tiny.exp2.rows)
-        assert loaded.rows == tuple(row._replace(conversation_count=None) for row in tiny.exp2.rows)
-        assert load_report(self._without(tiny.exp1, "filter", tmp_path)) == tiny.exp1
-
-    def test_a_row_without_tokens_base_is_not_a_report(self, tiny, tmp_path):
-        with pytest.raises(IntegrityError, match="tokens_base"):
-            load_report(self._without(tiny.exp1, "tokens_base", tmp_path))
+    def test_a_rewrite_removes_the_metrics_csvs_of_other_filters(self, tiny, tmp_path):
+        write_report(tiny.exp2, tmp_path)
+        both = tiny.exp2._replace(rows=tuple(r for r in tiny.exp2.rows if r.filter == "both"))
+        files = write_report(both, tmp_path)
+        assert "report_both.csv" in {p.name for p in files}
+        assert sorted(tmp_path.iterdir()) == sorted(files)
 
     def test_plot_data_exp1(self, tiny, tmp_path):
         (path,) = emit_plot_data(tiny.exp1, tmp_path)
