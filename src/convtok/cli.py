@@ -26,17 +26,6 @@ def _emit(obj, stream=None) -> None:
     print(json.dumps(obj), file=stream)
 
 
-def _load_corpus_texts(path: str, fmt: str, role_filter: str) -> list[str]:
-    """Texts from a corpus path that is either conversations or documents."""
-    from .corpus import RoleFilter, corpus_format, extract_text, load_conversations, load_documents
-
-    if fmt == "auto":
-        fmt = corpus_format(path)
-    if fmt == "conversations":
-        return extract_text(load_conversations(path), RoleFilter(role_filter))
-    return list(load_documents(path))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -62,6 +51,7 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    from .corpus import RoleFilter, load_texts
     from .tokenizer import PieceTable, PretokenScheme, TokenizerMode, save_model
     from .trainer import TrainConfig, train_bpe
 
@@ -73,7 +63,7 @@ def _cmd_train(args) -> None:
     )
     scheme = PretokenScheme(args.scheme)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    texts = _load_corpus_texts(args.corpus, args.format, args.role_filter)
+    texts = load_texts(args.corpus, args.format, RoleFilter(args.role_filter))
     model = train_bpe(PieceTable.of(texts, scheme), config)
     save_model(model, args.out)
     _emit({"out": args.out, "vocab_size": len(model.vocab), "merges": len(model.merges)})
@@ -95,11 +85,12 @@ def _cmd_encode(args) -> None:
 
 
 def _cmd_fertility(args) -> None:
+    from .corpus import RoleFilter, load_texts
     from .metrics import fertility
     from .tokenizer import load_model
 
     model = load_model(args.model)
-    texts = _load_corpus_texts(args.input, args.format, args.role_filter)
+    texts = load_texts(args.input, args.format, RoleFilter(args.role_filter))
     result = fertility(model, texts)
     _emit({
         "n_tokens": result.n_tokens,
@@ -109,7 +100,7 @@ def _cmd_fertility(args) -> None:
 
 
 def _experiment_spec(args):
-    from .config import PretokenScheme, RoleFilter, SplitSpec, TokenizerMode
+    from .config import PretokenScheme, SplitSpec, TokenizerMode
     from .experiments import ExperimentSpec
 
     return ExperimentSpec(
@@ -118,9 +109,6 @@ def _experiment_spec(args):
         output_dir=Path(args.out),
         split=SplitSpec(train_fraction=args.train_fraction, seed=args.seed),
         base_model_path=Path(args.base_model) if args.base_model else None,
-        role_filters=tuple(dict.fromkeys(RoleFilter(f) for f in args.role_filter))
-        if args.role_filter
-        else ExperimentSpec._field_defaults["role_filters"],
         vocab_size=args.vocab_size,
         mode=TokenizerMode(args.mode),
         scheme=PretokenScheme(args.scheme),
@@ -229,7 +217,7 @@ def _add_fertility(sub) -> None:
 
 
 def _add_experiments(sub) -> None:
-    from .config import RoleFilter, SplitSpec
+    from .config import SplitSpec
     from .experiments import EXPERIMENTS, ExperimentSpec
 
     split_defaults, spec_defaults = SplitSpec._field_defaults, ExperimentSpec._field_defaults
@@ -243,9 +231,6 @@ def _add_experiments(sub) -> None:
         p.add_argument("--threshold", type=int, default=spec_defaults["language_threshold"],
                        help="per-language rows need more conversations than this")
         p.add_argument("--doc-sample-bytes", type=int, default=spec_defaults["doc_sample_bytes"])
-        p.add_argument("--role-filter", action="append",
-                       choices=[f.value for f in RoleFilter],
-                       help="repeatable; default: user, assistant, both")
         _add_model_config_args(p)
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_experiment)

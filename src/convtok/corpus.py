@@ -9,7 +9,7 @@ Conversation files are JSONL, one object per line:
 it. A record with no ``id`` field and a ``conversation_id`` field is read with
 the public LMSYS-Chat-1M field names instead (``conversation_id``,
 ``conversation``). Document corpora are plain UTF-8 text (one document per
-line) or JSONL with a ``text`` field. :func:`corpus_format` tells the formats
+line) or JSONL with a ``text`` field. :func:`load_texts` tells the formats
 apart from the file itself.
 """
 
@@ -136,10 +136,17 @@ def _sniff_format(lines: list[str]) -> str:
     return "text"
 
 
-def corpus_format(path: str | Path) -> str:
-    """The format of a corpus file: ``conversations``, ``jsonl`` (documents
-    in a ``text`` field) or ``text`` (one document per line)."""
-    return _sniff_format(_read_lines(path))
+def load_texts(path: str | Path, fmt: str, role_filter: RoleFilter) -> list[str]:
+    """The texts of a corpus file, which is read once: the turn contents
+    under ``role_filter`` of a ``conversations`` corpus, else the documents.
+    ``fmt`` is ``conversations``, ``documents``, or ``auto`` to sniff it
+    from the file's lines."""
+    lines = _read_lines(path)
+    if fmt == "auto":
+        fmt = _sniff_format(lines)
+    if fmt == "conversations":
+        return extract_text(_conversations(lines), role_filter)
+    return list(_documents(lines, path, fmt))
 
 
 def load_conversations(path: str | Path) -> tuple[ConversationRecord, ...]:
@@ -149,9 +156,13 @@ def load_conversations(path: str | Path) -> tuple[ConversationRecord, ...]:
     Language tags are lowercased but otherwise taken verbatim from the file
     (no language detection). Blank lines are ignored.
     """
+    return _conversations(_read_lines(path))
+
+
+def _conversations(lines: list[str]) -> tuple[ConversationRecord, ...]:
     records: list[ConversationRecord] = []
     seen_ids: set[str] = set()
-    for line_number, obj in _json_objects(_read_lines(path)):
+    for line_number, obj in _json_objects(lines):
         record = _parse_record(obj, line_number)
         if record.id in seen_ids:
             raise MalformedRecord(line_number, f"duplicate record id {record.id!r}")
@@ -162,9 +173,15 @@ def load_conversations(path: str | Path) -> tuple[ConversationRecord, ...]:
 
 def load_documents(path: str | Path) -> tuple[str, ...]:
     """Load a document corpus, skipping blank lines: JSONL objects with a
-    ``text`` field if :func:`corpus_format` says so, else one document per line."""
-    lines = _read_lines(path)
-    if _sniff_format(lines) != "jsonl":
+    ``text`` field if the file sniffs as ``jsonl``, else one document per line."""
+    return _documents(_read_lines(path), path)
+
+
+def _documents(lines: list[str], name: str | Path, fmt: str = "documents") -> tuple[str, ...]:
+    # fmt is the sniffed format, or "documents" when the lines are not sniffed yet
+    if fmt == "documents":
+        fmt = _sniff_format(lines)
+    if fmt != "jsonl":
         documents = [line for line in lines if line.strip()]
     else:
         documents = []
@@ -175,7 +192,7 @@ def load_documents(path: str | Path) -> tuple[str, ...]:
             if text.strip():
                 documents.append(text)
     if not documents:
-        raise EmptyCorpus(f"no documents in {path}")
+        raise EmptyCorpus(f"no documents in {name}")
     return tuple(documents)
 
 

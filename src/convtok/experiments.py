@@ -5,8 +5,8 @@ Three experiments, mirroring a fixed evaluation protocol:
 1. Fertility of a document-trained baseline on documents versus chat text
    (whole conversations, user turns only, assistant turns only).
 2. Retrain the baseline's configuration on the train split of the chat
-   corpus (per role filter) and measure token reduction on the held-out
-   split, plus a per-language breakdown.
+   corpus, once per role filter (user, assistant, both), and measure token
+   reduction on the held-out split, plus a per-language breakdown.
 3. Run the retrained tokenizers back on the document corpus to measure the
    cost outside the chat domain (reductions may be negative).
 
@@ -70,7 +70,6 @@ class ExperimentSpec(NamedTuple):
     output_dir: Path
     split: SplitSpec = SplitSpec()
     base_model_path: Path | None = None
-    role_filters: tuple[RoleFilter, ...] = ALL_FILTERS
     vocab_size: int = DEFAULT_VOCAB_SIZE
     mode: TokenizerMode = TrainConfig._field_defaults["mode"]
     scheme: PretokenScheme = DEFAULT_SCHEME
@@ -79,10 +78,6 @@ class ExperimentSpec(NamedTuple):
     doc_sample_bytes: int = DEFAULT_DOC_SAMPLE_BYTES
 
     def _check(self) -> ExperimentSpec:
-        if not self.role_filters:
-            raise ConfigError("at least one role filter is required")
-        if len(set(self.role_filters)) < len(self.role_filters):
-            raise ConfigError("each role filter may be given only once")
         if self.doc_sample_bytes < 1:
             raise ConfigError(f"doc_sample_bytes must be at least 1, got {self.doc_sample_bytes}")
         if self.language_threshold < 0:
@@ -189,6 +184,13 @@ class Workspace:
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
+        # an input is hashed before it is known whether it must be parsed, so
+        # it is read twice; a pipe would give the second read nothing. stat
+        # opens nothing, and opening a FIFO would block.
+        for path in (spec.base_model_path, spec.conversations_path, spec.documents_path):
+            if path is not None and Path(path).exists() and not Path(path).is_file():
+                raise ConfigError(f"{path} is not a regular file: an experiment reads each "
+                                  "input twice, to hash it and to parse it")
         # a bad flag or base model file fails before any corpus is read
         base = None
         if spec.base_model_path:
@@ -291,7 +293,9 @@ class Workspace:
             "base_model_sha256": self._model_sha256.get("base"),
             "train_fraction": repr(spec.split.train_fraction),
             "seed": spec.split.seed,
-            "role_filters": [f.value for f in spec.role_filters],
+            # every run compares all three filters, so this key is a constant;
+            # it stays so that existing caches and reports keep their hash
+            "role_filters": [f.value for f in ALL_FILTERS],
             "vocab_size": self.config.vocab_size,
             "mode": self.config.mode.value,
             "scheme": self.scheme.value,
@@ -585,8 +589,8 @@ def _compare(
 ) -> ExperimentReport:
     """Each role filter's retrained model against the base on every
     ``(scope, conversation_count)``, grouped by filter."""
-    ws._train_side_by_side([f"retrained_{f.value}" for f in ws.spec.role_filters])
-    rows = [_row(ws, scope, f.value, count) for f in ws.spec.role_filters for scope, count in scopes]
+    ws._train_side_by_side([f"retrained_{f.value}" for f in ALL_FILTERS])
+    rows = [_row(ws, scope, f.value, count) for f in ALL_FILTERS for scope, count in scopes]
     return _report(experiment, ws, rows)
 
 
@@ -642,39 +646,26 @@ def _reduction_bars(rows) -> tuple[list[str], list[list]]:
     return ["filter", "reduction_pct"], [[r.filter, f"{r.reduction_pct:.1f}"] for r in rows]
 
 
-def _filters(report: ExperimentReport) -> list[str]:
-    """The role filters of the report's optimized models, in row order."""
-    return [f for f in dict.fromkeys(r.filter for r in report.rows) if f is not None]
-
-
 def write_report(report: ExperimentReport, output_dir: str | Path) -> list[Path]:
     """Write every file of a report and return their paths in this order:
     report.json, one metrics CSV per base/optimized comparison,
     ``report_<filter>.csv`` (``report.csv`` when no row has a filter), then
     the plot CSVs of :func:`emit_plot_data`. Every file's bytes are built
     before the first is written, so a report that cannot be written, such as
-    one with an unknown experiment id, leaves no file behind. After the
-    writes, each other ``report*.csv`` in ``output_dir`` is removed."""
+    one with an unknown experiment id, leaves no file behind."""
     files = {"report.json": report.to_json_bytes()}
-    for name in _filters(report) or [None]:
+    for name in dict.fromkeys(r.filter for r in report.rows) or [None]:
         rows = [_metrics_cells(r) for r in report.rows if r.filter == name]
         csv_name = "report.csv" if name is None else f"report_{name}.csv"
         files[csv_name] = _csv_bytes(list(_CSV_COLUMNS), rows)
     files |= _plot_files(report)
-    out = Path(output_dir)
-    paths = [write_atomic(out / name, data) for name, data in files.items()]
-    # a metrics CSV of a role filter that this report lacks is an earlier run's
-    for stale in out.glob("report*.csv"):
-        if stale.name not in files:
-            stale.unlink()
-    return paths
+    return [write_atomic(Path(output_dir) / name, data) for name, data in files.items()]
 
 
 def emit_plot_data(report: ExperimentReport, output_dir: str | Path) -> list[Path]:
     """Plot-ready tables, one CSV per chart: fertility bars (exp1), reduction
     bars per role filter and per-language bars (exp2), and document-change
-    bars (exp3). The language bars are the ``both`` filter's, or the first
-    filter's when ``both`` is absent."""
+    bars (exp3). The language bars are the ``both`` filter's."""
     out = Path(output_dir)
     return [write_atomic(out / name, data) for name, data in _plot_files(report).items()]
 
@@ -686,12 +677,10 @@ def _plot_files(report: ExperimentReport) -> dict[str, bytes]:
         fertilities = [[r.scope, f"{r.fertility_base:.6f}"] for r in report.rows]
         tables = {"plot_fertility.csv": (["scope", "fertility"], fertilities)}
     elif report.experiment == "exp2":
-        filters = _filters(report)
-        lang_filter = RoleFilter.BOTH.value if RoleFilter.BOTH.value in filters else filters[0]
         languages = [
             [r.scope.removeprefix("language:"), r.conversation_count, f"{r.reduction_pct:.1f}"]
             for r in report.rows
-            if r.filter == lang_filter and r.scope.startswith("language:")
+            if r.filter == RoleFilter.BOTH.value and r.scope.startswith("language:")
         ]
         tables = {
             "plot_reduction.csv": _reduction_bars(r for r in report.rows if r.scope == "all"),

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -317,6 +318,72 @@ def test_base_model_lengths_are_bound_to_the_given_file(data, tmp_path, capsys):
     assert lengths["model_sha256"] != hashlib.sha256(cached).hexdigest()
 
 
+def _bash(command, cwd):
+    """Run a bash command line in which ``convtok`` stands for this
+    checkout's command line; a run that blocks fails at the timeout."""
+    cli = f"{shlex.quote(sys.executable)} -m convtok.cli "
+    env = {**os.environ, "PYTHONPATH": str(Path(convtok.cli.__file__).parents[1])}
+    return subprocess.run(["bash", "-c", command.replace("convtok ", cli)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="process substitution needs bash")
+@pytest.mark.parametrize("flag", ["--base-model", "--conversations", "--documents"])
+def test_an_experiment_refuses_a_piped_input(flag, data, small_model, tmp_path):
+    # an experiment parses an input and hashes it, or hashes it alone, so a
+    # pipe would give one of the reads nothing: every piped base model would
+    # hash alike and reuse another model's cached rows, and a piped corpus
+    # would be parsed as empty
+    inputs = {"--conversations": data["convs"], "--documents": data["docs"],
+              "--base-model": small_model}
+    inputs[flag] = f"<(cat {shlex.quote(inputs[flag])})"
+    flags = " ".join(f"{name} {value}" for name, value in inputs.items())
+    result = _bash(f"convtok exp1 {flags} --out runs", tmp_path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    payload = one_json_error(result.stderr)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("/dev/fd/")
+    assert "is not a regular file" in payload["message"]
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="process substitution needs bash")
+def test_train_and_fertility_read_a_piped_corpus_as_the_file(data, small_model, tmp_path):
+    for corpus in (data["convs"], data["docs"]):
+        runs = []
+        for source in (shlex.quote(corpus), f"<(cat {shlex.quote(corpus)})"):
+            result = _bash(f"convtok train --corpus {source} --role-filter user --vocab-size 300 "
+                           f"--out m.json && convtok fertility --model {shlex.quote(small_model)} "
+                           f"--input {source}", tmp_path)
+            assert result.returncode == 0, result.stderr
+            runs.append((result.stdout, (tmp_path / "m.json").read_bytes()))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["train", "fertility"])
+def test_train_and_fertility_read_their_corpus_once(command, data, small_model, tmp_path,
+                                                    capsys, monkeypatch):
+    reads = []
+    real = convtok.corpus.read_utf8
+
+    def spy(source):
+        reads.append(source)
+        return real(source)
+
+    monkeypatch.setattr(convtok.corpus, "read_utf8", spy)
+    for corpus in (data["convs"], data["docs"]):
+        reads.clear()
+        if command == "train":
+            argv = ["train", "--corpus", corpus, "--vocab-size", "300",
+                    "--out", str(tmp_path / "m.json")]
+        else:
+            argv = ["fertility", "--model", small_model, "--input", corpus]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert reads == [corpus]
+
+
 def test_encode_text_and_input_are_exclusive(small_model, tmp_path, capsys):
     text_file = tmp_path / "input.txt"
     text_file.write_text("from the file", encoding="utf-8")
@@ -604,11 +671,17 @@ def _bad_invocation(case, data, tmp):
                                   "UsageError"),
         "exp1-negative-doc-sample-bytes": (
             experiment("exp1", data["docs"], "--doc-sample-bytes", "-5"), "ConfigError"),
+        # every experiment compares all three role filters; train and
+        # fertility keep the flag, which picks their texts
+        "exp1-role-filter": (experiment("exp1", data["docs"], "--role-filter", "both"),
+                             "UsageError"),
         "exp2": (experiment("exp2"), "EmptyCorpus"),
         "exp2-abbreviated-flag": (experiment("exp2", data["docs"], "--thresh", "60"),
                                   "UsageError"),
         "exp2-negative-threshold": (
             experiment("exp2", data["docs"], "--threshold", "-3"), "ConfigError"),
+        "exp2-role-filter": (experiment("exp2", data["docs"], "--role-filter", "both"),
+                             "UsageError"),
         # 0.001 of either corpus rounds to no train item
         "exp2-empty-train-split": (
             experiment("exp2", data["docs"], "--train-fraction", "0.001"), "EmptyCorpus"),
@@ -625,8 +698,9 @@ def _bad_invocation(case, data, tmp):
 @pytest.mark.parametrize("case", [
     "ingest", "ingest-nothing", "ingest-out-without-conversations", "train",
     "train-min-pair-frequency-0", "train-abbreviated-flag", "encode", "fertility",
-    "exp1", "exp1-abbreviated-flag", "exp1-negative-doc-sample-bytes",
-    "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp2-empty-train-split",
+    "exp1", "exp1-abbreviated-flag", "exp1-negative-doc-sample-bytes", "exp1-role-filter",
+    "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp2-role-filter",
+    "exp2-empty-train-split",
     "exp3", "exp3-empty-documents-train-split", "report", "samples",
 ])
 def test_every_subcommand_fails_with_one_json_line(case, data, tmp_path, capsys):

@@ -9,8 +9,8 @@ from convtok.corpus import (
     ConversationRecord,
     RoleFilter,
     SplitSpec,
+    _sniff_format,
     conversation_line,
-    corpus_format,
     extract_text,
     language_counts,
     load_conversations,
@@ -315,7 +315,7 @@ class TestLoadDocuments:
 
 
 # ---------------------------------------------------------------------------
-# corpus_format
+# _sniff_format
 # ---------------------------------------------------------------------------
 
 class TestCorpusFormat:
@@ -332,10 +332,8 @@ class TestCorpusFormat:
         ('{"text": broken\nplain words\n{"text": "a"}\n', "text"),
     ], ids=["native", "lmsys", "jsonl", "text", "unknown-object", "json-list", "blank",
             "damaged-records-passed-over", "non-json-line-decides"])
-    def test_first_json_line_decides(self, text, expected, tmp_path):
-        path = tmp_path / "corpus"
-        path.write_text(text, encoding="utf-8")
-        assert corpus_format(path) == expected
+    def test_first_json_line_decides(self, text, expected):
+        assert _sniff_format(text.split("\n")) == expected
 
 
 # ---------------------------------------------------------------------------

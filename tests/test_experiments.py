@@ -15,6 +15,7 @@ import convtok
 from convtok.corpus import RoleFilter, SplitSpec, extract_text, language_counts
 from convtok.errors import ConfigError, ConvtokError, IntegrityError
 from convtok.experiments import (
+    ALL_FILTERS,
     EXPERIMENTS,
     ExperimentReport,
     ExperimentSpec,
@@ -121,7 +122,7 @@ class TestExperiment2:
     def test_language_rows_are_reductions_over_language_groups(self, tiny):
         base = tiny.ws.base_model()
         groups = language_counts(tiny.ws.conv_test, tiny.spec.language_threshold)
-        for role_filter in tiny.spec.role_filters:
+        for role_filter in ALL_FILTERS:
             opt = tiny.ws.retrained(role_filter)
             rows = [r for r in tiny.exp2.rows
                     if r.filter == role_filter.value and r.scope.startswith("language:")]
@@ -134,7 +135,7 @@ class TestExperiment2:
                 assert row.tokens_opt == recomputed.tokens_opt
                 assert row.reduction_pct == round(recomputed.reduction_pct, 1)
 
-    def test_warm_run_pretokenizes_only_test_texts(self, tiny, monkeypatch):
+    def test_a_warm_run_pretokenizes_nothing(self, tiny, monkeypatch):
         ws = Workspace(tiny.spec)  # every model and test table is cached on disk by now
         calls = []
         real = convtok.tokenizer.pretokenize
@@ -342,7 +343,7 @@ class TestWorkspaceTraining:
         assert tiny.ws.base_model() == train_bpe(tiny.ws.table("train:documents"), config)
 
     def test_each_role_filter_trains_its_own_model(self, tiny):
-        merges = {f: tiny.ws.retrained(f).merges for f in tiny.spec.role_filters}
+        merges = {f: tiny.ws.retrained(f).merges for f in ALL_FILTERS}
         assert len(set(merges.values())) == len(merges)
 
     def test_retrained_models_stop_at_an_early_stopping_base(self, tiny, tmp_path):
@@ -356,7 +357,7 @@ class TestWorkspaceTraining:
         run_experiment2(spec, ws)
         base = ws.base_model()
         assert len(base.vocab) < spec.vocab_size
-        sizes = [len(ws.retrained(f).vocab) for f in spec.role_filters]
+        sizes = [len(ws.retrained(f).vocab) for f in ALL_FILTERS]
         assert max(sizes) == len(base.vocab)  # the chat tables support more merges
 
     def test_retrained_models_take_the_base_files_configuration(self, tiny, tmp_path):
@@ -373,7 +374,7 @@ class TestWorkspaceTraining:
         run_experiment2(spec, ws)
         base = load_model(base_path)
         assert ws.base_model() == base
-        for role_filter in spec.role_filters:
+        for role_filter in ALL_FILTERS:
             model = ws.retrained(role_filter)
             assert (model.mode, model.scheme) == (base.mode, base.scheme)
             assert len(model.vocab) <= len(base.vocab)
@@ -755,14 +756,21 @@ class TestSpecValidation:
             SplitSpec(seed=-1)
         paths = dict(conversations_path=tmp_path / "c.jsonl",
                      documents_path=tmp_path / "d.txt", output_dir=tmp_path / "out")
-        repeated = (RoleFilter.USER_ONLY, RoleFilter.BOTH, RoleFilter.USER_ONLY)
-        for bad in ({"role_filters": ()}, {"role_filters": repeated}, {"doc_sample_bytes": 0},
-                    {"doc_sample_bytes": -5}, {"language_threshold": -3}):
+        for bad in ({"doc_sample_bytes": 0}, {"doc_sample_bytes": -5}, {"language_threshold": -3}):
             with pytest.raises(ConfigError):
                 ExperimentSpec(**paths, **bad)
             with pytest.raises(ConfigError):  # _replace checks as the constructor does
                 ExperimentSpec(**paths)._replace(**bad)
         ExperimentSpec(**paths, doc_sample_bytes=1, language_threshold=0)
+
+    @pytest.mark.parametrize("field", ["base_model_path", "conversations_path", "documents_path"])
+    def test_an_input_that_is_not_a_regular_file_is_refused_first(self, field, tiny, tmp_path):
+        # an input is read to hash it and again to parse it: only a regular
+        # file gives both reads the same bytes
+        spec = tiny.spec._replace(output_dir=tmp_path / "out", **{field: tmp_path})
+        with pytest.raises(ConfigError, match="is not a regular file"):
+            Workspace(spec)
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportFiles:
@@ -791,13 +799,6 @@ class TestReportFiles:
                                   provenance=Provenance(**obj["provenance"]))
         assert loaded == tiny.exp2
 
-    def test_a_rewrite_removes_the_metrics_csvs_of_other_filters(self, tiny, tmp_path):
-        write_report(tiny.exp2, tmp_path)
-        both = tiny.exp2._replace(rows=tuple(r for r in tiny.exp2.rows if r.filter == "both"))
-        files = write_report(both, tmp_path)
-        assert "report_both.csv" in {p.name for p in files}
-        assert sorted(tmp_path.iterdir()) == sorted(files)
-
     def test_plot_data_exp1(self, tiny, tmp_path):
         (path,) = emit_plot_data(tiny.exp1, tmp_path)
         with open(path, newline="", encoding="utf-8") as fh:
@@ -809,7 +810,7 @@ class TestReportFiles:
         by_name = {p.name: p for p in paths}
         with open(by_name["plot_reduction.csv"], newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        assert len(rows) == 1 + len(tiny.spec.role_filters)
+        assert len(rows) == 1 + len(ALL_FILTERS)
         with open(by_name["plot_languages.csv"], newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         n_languages = len(language_counts(tiny.ws.conv_test, tiny.spec.language_threshold))
@@ -819,7 +820,7 @@ class TestReportFiles:
         (path,) = emit_plot_data(tiny.exp3, tmp_path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        assert len(rows) == 1 + len(tiny.spec.role_filters)
+        assert len(rows) == 1 + len(ALL_FILTERS)
 
     def test_plot_data_of_an_unknown_experiment_writes_nothing(self, tiny, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment id: 'exp9'"):
