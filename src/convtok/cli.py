@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConvtokError, UsageError, read_utf8, utf8_str, write_atomic
+from .errors import ConvtokError, EmptyCorpus, UsageError, read_utf8, utf8_str, write_atomic
 
 
 def _emit(obj, stream=None) -> None:
@@ -33,17 +33,18 @@ def _emit(obj, stream=None) -> None:
 def _cmd_ingest(args) -> None:
     from .corpus import conversation_line, language_counts, load_conversations, load_documents
 
-    if args.out and not args.conversations:
+    # a path flag given "" is a path, not an absent flag
+    if args.out is not None and args.conversations is None:
         raise UsageError("convtok ingest: --out writes conversations and needs --conversations")
     summary: dict = {}
-    if args.conversations:
+    if args.conversations is not None:
         conversations = load_conversations(args.conversations)
         summary["conversations"] = len(conversations)
         summary["languages"] = dict(language_counts(conversations, 0))
-        if args.out:
+        if args.out is not None:
             lines = "".join(conversation_line(r) + "\n" for r in conversations)
             summary["out"] = str(write_atomic(args.out, lines.encode("utf-8")))
-    if args.documents:
+    if args.documents is not None:
         summary["documents"] = len(load_documents(args.documents))
     if not summary:
         raise ConvtokError("nothing to ingest: pass --conversations and/or --documents")
@@ -64,7 +65,10 @@ def _cmd_train(args) -> None:
     scheme = PretokenScheme(args.scheme)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     texts = load_texts(args.corpus, args.format, RoleFilter(args.role_filter))
-    model = train_bpe(PieceTable.of(texts, scheme), config)
+    table = PieceTable.of(texts, scheme)
+    if not table.pieces:
+        raise EmptyCorpus(f"no text to train on in {args.corpus} (--role-filter {args.role_filter})")
+    model = train_bpe(table, config)
     save_model(model, args.out)
     _emit({"out": args.out, "vocab_size": len(model.vocab), "merges": len(model.merges)})
 
@@ -76,7 +80,7 @@ def _cmd_encode(args) -> None:
     if args.text is not None:
         text = utf8_str(args.text, "--text")
     else:
-        text = read_utf8(args.input or sys.stdin.buffer)
+        text = read_utf8(sys.stdin.buffer if args.input is None else args.input)
     ids = encode(model, text)
     if args.count_only:
         _emit({"n_tokens": len(ids)})
@@ -108,7 +112,7 @@ def _experiment_spec(args):
         documents_path=Path(args.documents),
         output_dir=Path(args.out),
         split=SplitSpec(train_fraction=args.train_fraction, seed=args.seed),
-        base_model_path=Path(args.base_model) if args.base_model else None,
+        base_model_path=None if args.base_model is None else Path(args.base_model),
         vocab_size=args.vocab_size,
         mode=TokenizerMode(args.mode),
         scheme=PretokenScheme(args.scheme),

@@ -142,11 +142,9 @@ def load_texts(path: str | Path, fmt: str, role_filter: RoleFilter) -> list[str]
     ``fmt`` is ``conversations``, ``documents``, or ``auto`` to sniff it
     from the file's lines."""
     lines = _read_lines(path)
-    if fmt == "auto":
-        fmt = _sniff_format(lines)
-    if fmt == "conversations":
+    if fmt == "conversations" or fmt == "auto" and _sniff_format(lines) == "conversations":
         return extract_text(_conversations(lines), role_filter)
-    return list(_documents(lines, path, fmt))
+    return list(_documents(lines, path))
 
 
 def load_conversations(path: str | Path) -> tuple[ConversationRecord, ...]:
@@ -177,11 +175,8 @@ def load_documents(path: str | Path) -> tuple[str, ...]:
     return _documents(_read_lines(path), path)
 
 
-def _documents(lines: list[str], name: str | Path, fmt: str = "documents") -> tuple[str, ...]:
-    # fmt is the sniffed format, or "documents" when the lines are not sniffed yet
-    if fmt == "documents":
-        fmt = _sniff_format(lines)
-    if fmt != "jsonl":
+def _documents(lines: list[str], name: str | Path) -> tuple[str, ...]:
+    if _sniff_format(lines) != "jsonl":
         documents = [line for line in lines if line.strip()]
     else:
         documents = []

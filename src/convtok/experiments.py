@@ -19,12 +19,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
-import threading
-from contextlib import suppress
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import __version__ as _tool_version
 from .config import (
@@ -38,8 +35,6 @@ from .config import (
 )
 from .errors import (
     ConfigError,
-    ConvtokError,
-    EmptyCorpus,
     IntegrityError,
     InvalidEncoding,
     checked,
@@ -50,10 +45,6 @@ from .errors import (
     write_atomic,
 )
 from .metrics import FertilityResult, ReductionResult
-
-if TYPE_CHECKING:  # a warm run parses no corpus, trains nothing and encodes nothing
-    from .corpus import ConversationRecord
-    from .tokenizer import PieceTable, TokenizerModel
 
 ALL_FILTERS = (RoleFilter.USER_ONLY, RoleFilter.ASSISTANT_ONLY, RoleFilter.BOTH)
 DEFAULT_DOC_SAMPLE_BYTES = 8 << 20
@@ -151,36 +142,21 @@ def _counts(entries, least: int = 1) -> dict[str, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Workspace: corpora, splits, and cached models for one spec
+# Workspace: the model cache of one spec
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """Loads corpora, derives splits, pretokenizes each text scope once per
-    workspace, trains the models a spec needs and counts each model's tokens
-    on every test table once per cache. Every model is ``train_bpe`` on a
-    scope's piece table under one ``TrainConfig``; the config and the
-    tables' scheme are taken from the spec or, with ``base_model_path``,
-    from that file. Models, one test-split file and each model's token
-    count of every test table are cached under ``<output_dir>/models``
-    keyed by a config hash, so experiments reuse them; a cache whose
-    manifest records another hash is emptied on construction. A corpus is
-    parsed on first use only: a valid manifest is written only after both
-    corpora loaded and split, and the hash covers their bytes. The
-    test-split file holds the held-out language counts and each test
-    table's word count and piece occurrences; the first test-side request
-    of a workspace without a valid file builds every test table to write
-    it, and every other reads all of it. A model's lengths file holds its
-    token count of each test table that a report row reads; it is read on
-    the model's first use and, when it is not valid, counted again in full
-    and rewritten, whichever experiment ran first, so a warm run builds no
-    piece table. A cached model file is hashed, not parsed: it is parsed
-    only when its lengths file is not valid or to train another model. A
-    lengths file is bound to the digest of the validated model file it was
-    counted with, so a damaged model file finds no counts and is parsed,
-    and fails. A cold exp2 or exp3 trains and counts the retrained models
-    that the cache lacks side by side, each other than the first in a
-    forked child that runs this same cache path; see
-    :meth:`_train_side_by_side`."""
+    """The model cache of one spec under ``<output_dir>/models``, keyed by
+    a config hash over the settled config and the inputs' bytes: the
+    models, one test-split file of the held-out language counts and each
+    test table's word count and piece occurrences, and per model a lengths
+    file of its token count of each test table that a report reads, bound
+    to the model file's digest. A cache of another hash is emptied on
+    construction, after both corpora loaded and split. The config and
+    scheme are the spec's or, with ``base_model_path``, that file's. A warm
+    run reads every count from these files and hashes each model file
+    without parsing it; what misses, the :attr:`builder` parses, trains or
+    counts, and the workspace writes."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -192,28 +168,22 @@ class Workspace:
                 raise ConfigError(f"{path} is not a regular file: an experiment reads each "
                                   "input twice, to hash it and to parse it")
         # a bad flag or base model file fails before any corpus is read
-        base = None
-        if spec.base_model_path:
+        base = self._base = None
+        if spec.base_model_path is not None:
             from .tokenizer import load_model
 
-            base = load_model(spec.base_model_path)
+            base = self._base = load_model(spec.base_model_path)
         self.config = TrainConfig(
             vocab_size=len(base.vocab) if base else spec.vocab_size,
             mode=base.mode if base else spec.mode,
             min_pair_frequency=spec.min_pair_frequency,
         )
         self.scheme = base.scheme if base else spec.scheme
-        self._models: dict[str, TokenizerModel] = {}
         # by model name: the digest of the file the model was loaded from or
         # saved to, and its token count of each report-read test scope
         self._model_sha256: dict[str, str] = {}
         self._tokens: dict[str, dict[str, int]] = {}
-        self._tables: dict[str, PieceTable] = {}
-        self._languages: list[tuple[str, int]] | None = None
-        self._n_words: dict[str, int] = {}
-        self._occurrences: dict[str, int] = {}
         if base is not None:
-            self._models["base"] = base
             self._model_sha256["base"] = sha256_file(spec.base_model_path)
         try:
             corpus_digests = {
@@ -222,7 +192,7 @@ class Workspace:
             }
         except OSError:
             # an unreadable corpus fails with the error parsing gives it
-            self._load_corpora()
+            self.builder.load_corpora()
             raise
         self.provenance = Provenance(
             tool_version=_tool_version,
@@ -231,58 +201,24 @@ class Workspace:
         )
         manifest = self.models_dir / "manifest.json"
         if _read_cache(manifest, config_hash=self.provenance.config_hash) is None:
-            self._load_corpora()
+            self.builder.load_corpora()
             # no model, test split or lengths of another configuration may
             # outlive the manifest update
             for pattern in ("*.json", "lengths/*.json"):
                 for stale in self.models_dir.glob(pattern):
                     stale.unlink()
             write_atomic(manifest, json_bytes({"config_hash": self.provenance.config_hash}))
-        if base is not None and not (self.models_dir / "base.json").exists():
-            from .tokenizer import save_model
-
-            save_model(base, self.models_dir / "base.json")
-
-    def _load_corpora(self) -> None:
-        # every bad input fails with its own error, in this order
-        for name in ("conversations", "documents", "_conv_split", "_docs_split"):
-            getattr(self, name)
+        if base is not None and not self._model_path("base").exists():
+            self.builder.save("base")
 
     @cached_property
-    def conversations(self) -> tuple[ConversationRecord, ...]:
-        from .corpus import load_conversations
+    def builder(self):
+        """The :class:`convtok.build.Builder` that runs this workspace's cache
+        misses, imported on the first, so that a warm run loads neither the
+        corpus parser nor the trainer."""
+        from .build import Builder
 
-        return load_conversations(self.spec.conversations_path)
-
-    @cached_property
-    def documents(self) -> tuple[str, ...]:
-        from .corpus import load_documents
-
-        return load_documents(self.spec.documents_path)
-
-    @cached_property
-    def _conv_split(self) -> tuple[list[ConversationRecord], list[ConversationRecord]]:
-        from .corpus import split
-
-        train, test = split(self.conversations, self.spec.split)
-        if {r.id for r in train} & {r.id for r in test}:
-            raise ConvtokError("train/test split integrity violated")
-        _require_train(train, len(self.conversations), "conversations", self.spec.split)
-        return train, test
-
-    @cached_property
-    def _docs_split(self) -> tuple[list[str], list[str]]:
-        from .corpus import partition
-
-        ids = [str(i) for i in range(len(self.documents))]
-        train, test = partition(self.documents, ids, self.spec.split)
-        _require_train(train, len(ids), "documents", self.spec.split)
-        return train, test
-
-    conv_train = property(lambda self: self._conv_split[0])
-    conv_test = property(lambda self: self._conv_split[1])
-    docs_train = property(lambda self: self._docs_split[0])
-    docs_test = property(lambda self: self._docs_split[1])
+        return Builder(self, self._base)
 
     def _config_hash(self, corpus_digests: dict[str, str]) -> str:
         # the settled values: with a base model file, the spec's unused
@@ -321,84 +257,38 @@ class Workspace:
         if digest is None:
             path = self._model_path(name)
             if not path.exists():
-                from .tokenizer import save_model
-                from .trainer import train_bpe
-
-                config = self.config
-                if name != "base":
-                    # a base that stopped early caps its retrained models at its own size
-                    config = config._replace(vocab_size=len(self._model("base").vocab))
-                model = train_bpe(self.table(_train_scope(name)), config)
-                save_model(model, path)
-                self._models[name] = model
+                self.builder.save(name)
             digest = self._model_sha256[name] = sha256_file(path)
         return digest
 
-    def _model(self, name: str) -> TokenizerModel:
-        """Model ``name``: trained, or parsed and validated from its cache
-        file, on first use."""
-        self._model_digest(name)
-        model = self._models.get(name)
-        if model is None:
-            from .tokenizer import load_model
+    def base_model(self):
+        return self.builder.model("base")
 
-            model = self._models[name] = load_model(self._model_path(name))
-        return model
-
-    def base_model(self) -> TokenizerModel:
-        return self._model("base")
-
-    def retrained(self, role_filter: RoleFilter) -> TokenizerModel:
-        return self._model(f"retrained_{role_filter.value}")
-
-    def table(self, scope: str) -> PieceTable:
-        """Piece table of a scope in the run's scheme, built from the corpora
-        on first use: ``train:documents``, ``train:<role>``, or on the test
-        side ``documents``, ``<role>``, ``all`` (the sum of ``user`` and
-        ``assistant``) and ``language:<tag>`` of each counted language,
-        another tag being a KeyError."""
-        table = self._tables.get(scope)
-        if table is None:
-            table = self._tables[scope] = self._build_table(scope)
-        return table
+    def retrained(self, role_filter: RoleFilter):
+        return self.builder.model(f"retrained_{role_filter.value}")
 
     def languages(self) -> list[tuple[str, int]]:
         """``language_counts`` of the held-out conversations at the spec's
         threshold, taken after the split's integrity check, from the
         test-split file."""
-        self._load_test_split()
-        return self._languages
+        return self._test_counts[0]
 
     def n_words(self, scope: str) -> int:
         """Words of a test scope's table, from the test-split file."""
-        self._load_test_split()
-        return self._n_words[scope]
+        return self._test_counts[1][scope]
 
-    def _load_test_split(self) -> None:
-        """Read the language counts, word counts and piece occurrences from
-        the test-split file on first use; when it holds no valid split,
-        build every test table and write their counts."""
-        if self._languages is not None:
-            return
+    @cached_property
+    def _test_counts(self) -> tuple[list[tuple[str, int]], dict[str, int], dict[str, int]]:
+        """The language counts, word counts and piece occurrences of the
+        test-split file, read on first use; when it holds no valid split,
+        every test table is built and their counts written."""
         path = self.models_dir / "test.json"
         split = _test_split(_read_cache(path, config_hash=self.provenance.config_hash))
         if split is None:
-            from .corpus import language_counts
-
-            # the per-scope table files that this file replaced go with it
-            for stale in self.models_dir.glob("tables/*.json"):
-                stale.unlink()
-            with suppress(OSError):  # no such directory, or one holding other files
-                (self.models_dir / "tables").rmdir()
-            # set first: the language tables are built for these tags
-            languages = self._languages = language_counts(self.conv_test, self.spec.language_threshold)
-            tables = {s: self.table(s) for s in _test_scopes(tag for tag, _ in languages)}
-            obj = {"config_hash": self.provenance.config_hash, "languages": languages,
-                   "n_words": [[s, t.n_words] for s, t in tables.items()],
-                   "occurrences": [[s, sum(t.pieces.values())] for s, t in tables.items()]}
+            obj = {"config_hash": self.provenance.config_hash, **self.builder.test_split()}
             write_atomic(path, json_bytes(obj))
             split = _test_split(obj)
-        self._languages, self._n_words, self._occurrences = split
+        return split
 
     def token_count(self, name: str, scope: str) -> int:
         """Tokens of model ``name`` (``base`` or ``retrained_<role>``) on the
@@ -407,123 +297,30 @@ class Workspace:
         language. On the model's first use the counts of all of them are
         read from its lengths file. A file valid for the model lists exactly
         these scopes, each with an int at least its table's piece
-        occurrences; otherwise the model is parsed, counts every table with
-        ``metrics.token_count`` through one map of piece lengths, and the
+        occurrences; otherwise the builder counts every table again and the
         file is written with the counts in this order."""
         tokens = self._tokens.get(name)
         if tokens is None:
-            self._load_test_split()
-            occurrences = self._occurrences
+            occurrences = self._test_counts[2]
             path = self.models_dir / "lengths" / f"{name}.json"
             cached = _read_cache(path, model_sha256=self._model_digest(name))
             tokens = _counts((cached or {}).get("lengths"), least=0)
             # each piece occurrence is at least one token
             if tokens is None or tokens.keys() != occurrences.keys() or any(
                     tokens[s] < n for s, n in occurrences.items()):
-                from .metrics import token_count
-
-                model, lengths = self._model(name), {}
-                tokens = {s: token_count(model, self.table(s), lengths) for s in occurrences}
+                tokens = self.builder.count(name, occurrences)
                 data = {"model_sha256": self._model_sha256[name], "lengths": list(tokens.items())}
                 write_atomic(path, json_bytes(data))
             self._tokens[name] = tokens
         return tokens[scope]
 
     def _train_side_by_side(self, names: list[str]) -> None:
-        """Train and count at once the models among ``names`` that the cache
-        lacks, when there are two or more and :func:`_may_fork`: this process
-        takes the first, and a forked child runs ``token_count`` for each
-        other, which writes its model and lengths files. Each file is written
-        atomically, so a child that fails leaves none half-written: what it
-        did not write is trained or counted here on the model's first use,
-        and raises what a serial run raises."""
+        """Train and count side by side the models among ``names`` that the
+        cache lacks, when there are two or more."""
         missing = [n for n in names
                    if n not in self._model_sha256 and not self._model_path(n).exists()]
-        if len(missing) < 2 or not _may_fork():
-            return
-        from importlib import import_module
-
-        # what every child reads or runs is loaded once, before the forks, so
-        # no child parses a file or compiles a module of its own
-        import_module(".trainer", __package__)
-        self._load_test_split()
-        for scope in [*self._occurrences, *map(_train_scope, missing)]:
-            self.table(scope)
-        self._model("base")
-        children = []
-        try:
-            for name in missing[1:]:
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        self.token_count(name, "all")
-                        code = 0
-                    finally:
-                        # the child runs none of the parent's exit handlers,
-                        # buffer flushes or error reports
-                        os._exit(code)
-                children.append(pid)
-            self.token_count(missing[0], "all")
-        finally:
-            for pid in children:
-                os.waitpid(pid, 0)
-
-    def _build_table(self, scope: str) -> PieceTable:
-        from .corpus import extract_text
-        from .tokenizer import PieceTable
-
-        if scope in ("all", "train:both"):
-            prefix = scope.removesuffix("all").removesuffix("both")
-            return self.table(f"{prefix}user") + self.table(f"{prefix}assistant")
-        if scope.startswith("language:"):
-            # one pass groups the held-out records by counted language, so the
-            # build is linear in the held-out records whatever the number of tags
-            groups = {f"language:{tag}": [] for tag, _ in self.languages()}
-            for record in self.conv_test:
-                groups.get(f"language:{record.language}", []).append(record)
-            for name, records in groups.items():
-                self._tables[name] = PieceTable.of(extract_text(records, RoleFilter.BOTH), self.scheme)
-            return self._tables[scope]
-        if scope == "documents":
-            texts = self.docs_test
-        elif scope == "train:documents":
-            # the leading train documents up to the byte budget, at least one
-            texts, size = [], 0
-            for doc in self.docs_train:
-                if texts and size >= self.spec.doc_sample_bytes:
-                    break
-                texts.append(doc)
-                size += len(doc.encode("utf-8"))
-        else:
-            records = self.conv_train if scope.startswith("train:") else self.conv_test
-            texts = extract_text(records, RoleFilter(scope.removeprefix("train:")))
-        return PieceTable.of(texts, self.scheme)
-
-
-def _require_train(train: list, total: int, side: str, spec: SplitSpec) -> None:
-    """EmptyCorpus for a split that leaves no train item on one side, whose
-    model would have no merges."""
-    if not train:
-        raise EmptyCorpus(f"no {side} in the train split: train_fraction "
-                          f"{spec.train_fraction} of {total} {side} rounds to 0")
-
-
-def _train_scope(name: str) -> str:
-    """The table that model ``name`` (``base`` or ``retrained_<role>``) is
-    trained on."""
-    return "train:documents" if name == "base" else f"train:{name.removeprefix('retrained_')}"
-
-
-def _may_fork() -> bool:
-    """Whether models may be trained in forked children: this process can
-    fork, runs no other thread, whose locks a child would inherit held, and
-    may run on at least two CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return hasattr(os, "fork") and threading.active_count() == 1 and cpus >= 2
+        if len(missing) >= 2:
+            self.builder.train_side_by_side(missing)
 
 
 def _test_scopes(tags) -> list[str]:

@@ -628,7 +628,7 @@ def test_exp2_with_empty_held_out_split_fails_cleanly(data, tmp_path, capsys):
     assert one_json_error(err)["error"] == "EmptyText"
 
 
-def _bad_invocation(case, data, tmp):
+def _bad_invocation(case, data, tmp, model):
     """argv for one failing run, named by its subcommand or by the subcommand
     and what is wrong, and the error it must name."""
     latin1 = tmp / "latin1.jsonl"
@@ -642,6 +642,13 @@ def _bad_invocation(case, data, tmp):
     one_doc = tmp / "one_doc.txt"
     with open(data["docs"], encoding="utf-8") as f:
         one_doc.write_text(f.readline(), encoding="utf-8")
+    assistant_only = tmp / "assistant_only.jsonl"
+    assistant_only.write_text(json.dumps({"id": "a", "model": "m", "language": "en", "turns": [
+        {"role": "assistant", "content": "hello there"}]}) + "\n", encoding="utf-8")
+
+    def train(corpus, *extra):
+        return ["train", "--corpus", corpus, "--vocab-size", "300", "--out", str(tmp / "m.json"),
+                *extra]
 
     def experiment(command, documents=str(blank), *extra):
         return [command, "--conversations", data["convs"], "--documents", documents,
@@ -653,6 +660,9 @@ def _bad_invocation(case, data, tmp):
         "ingest-out-without-conversations": (
             ["ingest", "--documents", data["docs"], "--out", str(tmp / "runs" / "c.jsonl")],
             "UsageError"),
+        # a path flag given "" names the current directory, not an absent flag
+        "ingest-empty-conversations-path": (["ingest", "--conversations", ""],
+                                            "IsADirectoryError"),
         "train": (["train", "--corpus", data["docs"], "--vocab-size", "100",
                    "--out", str(tmp / "m.json")], "ConfigError"),
         "train-min-pair-frequency-0": (["train", "--corpus", data["docs"], "--vocab-size", "300",
@@ -660,8 +670,15 @@ def _bad_invocation(case, data, tmp):
                                         "--out", str(tmp / "m.json")], "ConfigError"),
         "train-abbreviated-flag": (["train", "--corpus", data["docs"], "--vocab", "300",
                                     "--out", str(tmp / "runs" / "m.json")], "UsageError"),
+        # texts with no piece would train a model with no merges
+        "train-empty-conversations": (train(str(a_file), "--format", "conversations"),
+                                      "EmptyCorpus"),
+        "train-role-filter-selects-nothing": (train(str(assistant_only), "--role-filter", "user"),
+                                              "EmptyCorpus"),
         "encode": (["encode", "--model", str(tmp / "missing.json"), "--text", "x"],
                    "FileNotFoundError"),
+        "encode-empty-input-path": (["encode", "--model", model, "--input", "", "--count-only"],
+                                    "IsADirectoryError"),
         "fertility": (["fertility", "--model", str(not_json), "--input", data["docs"]],
                       "IntegrityError"),
         "exp1": (experiment("exp1"), "EmptyCorpus"),
@@ -671,6 +688,8 @@ def _bad_invocation(case, data, tmp):
                                   "UsageError"),
         "exp1-negative-doc-sample-bytes": (
             experiment("exp1", data["docs"], "--doc-sample-bytes", "-5"), "ConfigError"),
+        "exp1-empty-base-model-path": (experiment("exp1", data["docs"], "--base-model", ""),
+                                       "ConfigError"),
         # every experiment compares all three role filters; train and
         # fertility keep the flag, which picks their texts
         "exp1-role-filter": (experiment("exp1", data["docs"], "--role-filter", "both"),
@@ -696,22 +715,27 @@ def _bad_invocation(case, data, tmp):
 
 
 @pytest.mark.parametrize("case", [
-    "ingest", "ingest-nothing", "ingest-out-without-conversations", "train",
-    "train-min-pair-frequency-0", "train-abbreviated-flag", "encode", "fertility",
-    "exp1", "exp1-abbreviated-flag", "exp1-negative-doc-sample-bytes", "exp1-role-filter",
+    "ingest", "ingest-nothing", "ingest-out-without-conversations",
+    "ingest-empty-conversations-path", "train", "train-min-pair-frequency-0",
+    "train-abbreviated-flag", "train-empty-conversations", "train-role-filter-selects-nothing",
+    "encode", "encode-empty-input-path", "fertility",
+    "exp1", "exp1-abbreviated-flag", "exp1-negative-doc-sample-bytes",
+    "exp1-empty-base-model-path", "exp1-role-filter",
     "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp2-role-filter",
     "exp2-empty-train-split",
     "exp3", "exp3-empty-documents-train-split", "report", "samples",
 ])
-def test_every_subcommand_fails_with_one_json_line(case, data, tmp_path, capsys):
-    argv, error = _bad_invocation(case, data, tmp_path)
+def test_every_subcommand_fails_with_one_json_line(case, data, small_model, tmp_path, capsys):
+    argv, error = _bad_invocation(case, data, tmp_path, small_model)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     payload = one_json_error(err)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == error
-    assert not (tmp_path / "runs").exists()  # a command that fails writes no --out
+    # a command that fails writes no --out
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1066,7 +1090,8 @@ _COMMAND_MODULES = {
     "encode": {"errors", "config", "tokenizer"},
     "fertility": {"errors", "config", "tokenizer", "corpus", "metrics"},
     "samples": {"errors", "config", "corpus", "samples"},
-    "exp1": {"errors", "config", "corpus", "tokenizer", "trainer", "metrics", "experiments"},
+    "exp1": {"errors", "config", "corpus", "tokenizer", "trainer", "metrics", "experiments",
+             "build"},
 }
 
 

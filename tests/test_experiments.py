@@ -82,7 +82,7 @@ class TestExperiment1:
 
     def test_rows_reproducible_from_metrics(self, tiny):
         base = tiny.ws.base_model()
-        recomputed = fertility(base, tiny.ws.docs_test)
+        recomputed = fertility(base, tiny.ws.builder.docs_test)
         row = tiny.exp1.rows[0]
         assert row.tokens_base == recomputed.n_tokens
         assert row.n_words == recomputed.n_words
@@ -95,13 +95,13 @@ class TestExperiment2:
         assert [r.filter for r in all_rows] == ["user", "assistant", "both"]
 
     def test_split_is_disjoint(self, tiny):
-        train_ids = {r.id for r in tiny.ws.conv_train}
-        test_ids = {r.id for r in tiny.ws.conv_test}
+        train_ids = {r.id for r in tiny.ws.builder.conv_train}
+        test_ids = {r.id for r in tiny.ws.builder.conv_test}
         assert not train_ids & test_ids
-        assert len(train_ids) + len(test_ids) == len(tiny.ws.conversations)
+        assert len(train_ids) + len(test_ids) == len(tiny.ws.builder.conversations)
 
     def test_language_rows_only_over_threshold(self, tiny):
-        groups = dict(language_counts(tiny.ws.conv_test, tiny.spec.language_threshold))
+        groups = dict(language_counts(tiny.ws.builder.conv_test, tiny.spec.language_threshold))
         language_rows = [r for r in tiny.exp2.rows if r.scope.startswith("language:")]
         assert language_rows
         for row in language_rows:
@@ -112,7 +112,7 @@ class TestExperiment2:
     def test_rows_reproducible_from_metrics(self, tiny):
         base = tiny.ws.base_model()
         opt = tiny.ws.retrained(RoleFilter.BOTH)
-        texts = extract_text(tiny.ws.conv_test, RoleFilter.BOTH)
+        texts = extract_text(tiny.ws.builder.conv_test, RoleFilter.BOTH)
         recomputed = reduction(base, opt, texts)
         row = next(r for r in tiny.exp2.rows if r.scope == "all" and r.filter == "both")
         assert row.tokens_base == recomputed.tokens_base
@@ -121,14 +121,14 @@ class TestExperiment2:
 
     def test_language_rows_are_reductions_over_language_groups(self, tiny):
         base = tiny.ws.base_model()
-        groups = language_counts(tiny.ws.conv_test, tiny.spec.language_threshold)
+        groups = language_counts(tiny.ws.builder.conv_test, tiny.spec.language_threshold)
         for role_filter in ALL_FILTERS:
             opt = tiny.ws.retrained(role_filter)
             rows = [r for r in tiny.exp2.rows
                     if r.filter == role_filter.value and r.scope.startswith("language:")]
             assert [r.scope for r in rows] == [f"language:{tag}" for tag, _ in groups]
             for row, (tag, n) in zip(rows, groups):
-                subset = [r for r in tiny.ws.conv_test if r.language == tag]
+                subset = [r for r in tiny.ws.builder.conv_test if r.language == tag]
                 recomputed = reduction(base, opt, extract_text(subset, RoleFilter.BOTH))
                 assert row.conversation_count == n == len(subset)
                 assert row.tokens_base == recomputed.tokens_base
@@ -159,7 +159,7 @@ class TestExperiment3:
 
     def test_base_against_itself_is_zero(self, tiny):
         base = tiny.ws.base_model()
-        assert reduction(base, base, tiny.ws.docs_test).reduction_pct == 0.0
+        assert reduction(base, base, tiny.ws.builder.docs_test).reduction_pct == 0.0
 
 
 class TestDeterminism:
@@ -340,7 +340,7 @@ class TestWorkspaceTraining:
     def test_base_is_trained_on_the_sampled_documents(self, tiny):
         config = TrainConfig(vocab_size=tiny.spec.vocab_size, mode=tiny.spec.mode,
                              min_pair_frequency=tiny.spec.min_pair_frequency)
-        assert tiny.ws.base_model() == train_bpe(tiny.ws.table("train:documents"), config)
+        assert tiny.ws.base_model() == train_bpe(tiny.ws.builder.table("train:documents"), config)
 
     def test_each_role_filter_trains_its_own_model(self, tiny):
         merges = {f: tiny.ws.retrained(f).merges for f in ALL_FILTERS}
@@ -364,7 +364,7 @@ class TestWorkspaceTraining:
         base_path = tmp_path / "base.json"
         table = Workspace(tiny.spec._replace(output_dir=tmp_path / "whitespace",
                                              scheme=PretokenScheme.WHITESPACE_SPLIT)
-                          ).table("train:documents")
+                          ).builder.table("train:documents")
         config = TrainConfig(vocab_size=1500, mode=TokenizerMode.CHAR_LEVEL_FALLBACK)
         save_model(train_bpe(table, config), base_path)
         # the spec's own mode, scheme and vocab_size are the defaults, and unused
@@ -410,7 +410,7 @@ class TestModelCache:
         # with a base model file its vocab size, mode and scheme govern the
         # run, so the spec's own values move neither the hash nor the models
         base_path = tmp_path / "base.json"
-        table = tiny.ws.table("train:documents")
+        table = tiny.ws.builder.table("train:documents")
         save_model(train_bpe(table, TrainConfig(vocab_size=300)), base_path)
         spec = tiny.spec._replace(output_dir=tmp_path / "out", base_model_path=base_path)
         first = run_experiment2(spec._replace(vocab_size=8192))
@@ -500,7 +500,7 @@ class TestModelCache:
         shutil.copytree(chain, models)
         pieces: dict[str, int] = {}
         for scope in ("documents", "user", "assistant"):
-            token_count(tiny.ws.base_model(), tiny.ws.table(scope), pieces)
+            token_count(tiny.ws.base_model(), tiny.ws.builder.table(scope), pieces)
         path = models / "lengths" / "base.json"
         digest = hashlib.sha256((models / "base.json").read_bytes()).hexdigest()
         path.write_bytes(json.dumps({"model_sha256": digest, "lengths": sorted(pieces.items())},
@@ -627,7 +627,7 @@ class TestSideBySideTraining:
             return self._files(run, spec)
 
         # this process trains the base and the first retrained model, no more
-        first = [tiny.ws.table("train:documents"), tiny.ws.table("train:user")]
+        first = [tiny.ws.builder.table("train:documents"), tiny.ws.builder.table("train:user")]
         forked = files("forked", after_exp1=False)
         self._assert_no_child_left()
         assert (len(forks), trained) == (2, first)
@@ -730,12 +730,12 @@ class TestTestSplit:
                     visits[record.id] += 1
                     yield record
 
-        train, test = ws._conv_split
-        ws._conv_split = (train, Counting(test))
+        train, test = ws.builder._conv_split
+        ws.builder._conv_split = (train, Counting(test))
         languages = ws.languages()
         assert len(languages) == len(test) > 20
         for tag, _ in languages:
-            assert ws.table(f"language:{tag}").n_words > 0
+            assert ws.builder.table(f"language:{tag}").n_words > 0
         assert visits.keys() == {r.id for r in test}
         assert max(visits.values()) <= 5
 
@@ -813,7 +813,7 @@ class TestReportFiles:
         assert len(rows) == 1 + len(ALL_FILTERS)
         with open(by_name["plot_languages.csv"], newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        n_languages = len(language_counts(tiny.ws.conv_test, tiny.spec.language_threshold))
+        n_languages = len(language_counts(tiny.ws.builder.conv_test, tiny.spec.language_threshold))
         assert len(rows) == 1 + n_languages
 
     def test_plot_data_exp3(self, tiny, tmp_path):
@@ -886,16 +886,16 @@ class TestSampleDocuments:
     def test_respects_budget(self, tiny, tmp_path):
         docs = [f"doc {i} " + "x" * 50 for i in range(100)]
         ws = self._workspace(tiny, tmp_path, docs, 500)
-        train = ws.docs_train
+        train = ws.builder.docs_train
         n = next(n for n in range(1, len(train)) if sum(len(d.encode()) for d in train[:n]) >= 500)
         assert sum(len(d.encode()) for d in train[: n - 1]) < 500
-        assert ws.table("train:documents") == PieceTable.of(train[:n], tiny.spec.scheme)
+        assert ws.builder.table("train:documents") == PieceTable.of(train[:n], tiny.spec.scheme)
 
     def test_at_least_one_document(self, tiny, tmp_path):
         docs = ["a single long document " * 100]
         ws = self._workspace(tiny, tmp_path, docs, 10)
-        assert ws.docs_train == docs
-        assert ws.table("train:documents") == PieceTable.of(docs, tiny.spec.scheme)
+        assert ws.builder.docs_train == docs
+        assert ws.builder.table("train:documents") == PieceTable.of(docs, tiny.spec.scheme)
 
 
 class TestCharFallbackPipeline:
@@ -918,7 +918,7 @@ class TestCharFallbackPipeline:
         # conversation text contains characters outside the document-trained
         # base alphabet; encoding still roundtrips via byte fallback
         base = ws.base_model()
-        sample = extract_text(ws.conv_test, RoleFilter.BOTH)[0]
+        sample = extract_text(ws.builder.conv_test, RoleFilter.BOTH)[0]
         assert decode(base, encode(base, sample)) == sample
 
 

@@ -93,15 +93,26 @@ def _package_imports(path, top_level_only):
 
 def test_run_settings_sit_below_the_machinery():
     # config.py holds the run settings and imports no package module but
-    # errors. experiments.py imports the corpus parser, the tokenizer and the
-    # trainer only inside the functions that run on a cache miss (or for type
-    # checkers alone), so a warm experiment loads none of them; test_cli pins
-    # the modules that a warm run imports.
+    # errors. experiments.py reads the model cache, and build.py runs every
+    # cache miss: experiments.py imports the corpus parser and the trainer at
+    # no level, the tokenizer once and inside a function (to parse a
+    # --base-model file), metrics at module level only, and build.py only
+    # inside a function, so a warm experiment loads none of them; test_cli
+    # pins the modules that a warm run imports.
     package = ROOT / "src" / "convtok"
     bad = [f"src/convtok/config.py:{line}: imports {name}"
            for line, name in _package_imports(package / "config.py", False)
            if name != ".errors"]
+    anywhere = _package_imports(package / "experiments.py", False)
+    top = _package_imports(package / "experiments.py", True)
+    local = [found for found in anywhere if found not in top]
+    bad += [f"src/convtok/experiments.py:{line}: imports {name}" for line, name in anywhere
+            if name in (".corpus", ".trainer")]
     bad += [f"src/convtok/experiments.py:{line}: imports {name} at module level"
-            for line, name in _package_imports(package / "experiments.py", True)
-            if name in (".corpus", ".tokenizer", ".trainer")]
+            for line, name in top if name in (".tokenizer", ".build")]
+    bad += [f"src/convtok/experiments.py:{line}: imports {name} inside a function"
+            for line, name in local if name == ".metrics"]
+    tokenizer = [line for line, name in anywhere if name == ".tokenizer"]
+    if len(tokenizer) > 1:
+        bad.append(f"src/convtok/experiments.py: imports .tokenizer on lines {tokenizer}")
     assert not bad, "\n".join(bad)
