@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from functools import cached_property
+from contextlib import suppress
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -155,8 +156,8 @@ class Workspace:
     construction, after both corpora loaded and split. The config and
     scheme are the spec's or, with ``base_model_path``, that file's. A warm
     run reads every count from these files and hashes each model file
-    without parsing it; what misses, the :attr:`builder` parses, trains or
-    counts, and the workspace writes."""
+    without parsing it; what misses, the :attr:`builder` builds, trains or
+    counts as the workspace asks, and the workspace writes every file."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -168,23 +169,21 @@ class Workspace:
                 raise ConfigError(f"{path} is not a regular file: an experiment reads each "
                                   "input twice, to hash it and to parse it")
         # a bad flag or base model file fails before any corpus is read
-        base = self._base = None
+        base = None
         if spec.base_model_path is not None:
-            from .tokenizer import load_model
-
-            base = self._base = load_model(spec.base_model_path)
+            base = _tokenizer().load_model(spec.base_model_path)
         self.config = TrainConfig(
             vocab_size=len(base.vocab) if base else spec.vocab_size,
             mode=base.mode if base else spec.mode,
             min_pair_frequency=spec.min_pair_frequency,
         )
         self.scheme = base.scheme if base else spec.scheme
-        # by model name: the digest of the file the model was loaded from or
+        # by model name: the model (trained, or parsed from its cache file or
+        # the --base-model file), the digest of the file it was loaded from or
         # saved to, and its token count of each report-read test scope
-        self._model_sha256: dict[str, str] = {}
+        self._models = {} if base is None else {"base": base}
+        self._model_sha256 = {} if base is None else {"base": sha256_file(spec.base_model_path)}
         self._tokens: dict[str, dict[str, int]] = {}
-        if base is not None:
-            self._model_sha256["base"] = sha256_file(spec.base_model_path)
         try:
             corpus_digests = {
                 "conversations_sha256": sha256_file(spec.conversations_path),
@@ -209,16 +208,15 @@ class Workspace:
                     stale.unlink()
             write_atomic(manifest, json_bytes({"config_hash": self.provenance.config_hash}))
         if base is not None and not self._model_path("base").exists():
-            self.builder.save("base")
+            _tokenizer().save_model(base, self._model_path("base"))
 
     @cached_property
     def builder(self):
-        """The :class:`convtok.build.Builder` that runs this workspace's cache
-        misses, imported on the first, so that a warm run loads neither the
-        corpus parser nor the trainer."""
+        """The :class:`convtok.build.Builder` of this spec and scheme, imported
+        on the first miss, so a warm run loads neither corpus parser nor trainer."""
         from .build import Builder
 
-        return Builder(self, self._base)
+        return Builder(self.spec, self.scheme)
 
     def _config_hash(self, corpus_digests: dict[str, str]) -> str:
         # the settled values: with a base model file, the spec's unused
@@ -257,15 +255,28 @@ class Workspace:
         if digest is None:
             path = self._model_path(name)
             if not path.exists():
-                self.builder.save(name)
+                config = self.config
+                if name != "base":
+                    # a base that stopped early caps its retrained models at its own size
+                    config = config._replace(vocab_size=len(self._model("base").vocab))
+                model = self._models[name] = self.builder.train(_train_scope(name), config)
+                _tokenizer().save_model(model, path)
             digest = self._model_sha256[name] = sha256_file(path)
         return digest
 
+    def _model(self, name: str):
+        """Model ``name``: trained, or parsed from its cache file, on first use."""
+        self._model_digest(name)
+        model = self._models.get(name)
+        if model is None:
+            model = self._models[name] = _tokenizer().load_model(self._model_path(name))
+        return model
+
     def base_model(self):
-        return self.builder.model("base")
+        return self._model("base")
 
     def retrained(self, role_filter: RoleFilter):
-        return self.builder.model(f"retrained_{role_filter.value}")
+        return self._model(f"retrained_{role_filter.value}")
 
     def languages(self) -> list[tuple[str, int]]:
         """``language_counts`` of the held-out conversations at the spec's
@@ -280,12 +291,18 @@ class Workspace:
     @cached_property
     def _test_counts(self) -> tuple[list[tuple[str, int]], dict[str, int], dict[str, int]]:
         """The language counts, word counts and piece occurrences of the
-        test-split file, read on first use; when it holds no valid split,
-        every test table is built and their counts written."""
+        test-split file, read on first use; when it holds no valid split, the
+        table files it replaced are removed and every test table's counts written."""
         path = self.models_dir / "test.json"
         split = _test_split(_read_cache(path, config_hash=self.provenance.config_hash))
         if split is None:
-            obj = {"config_hash": self.provenance.config_hash, **self.builder.test_split()}
+            for stale in self.models_dir.glob("tables/*.json"):
+                stale.unlink()
+            with suppress(OSError):  # no such directory, or one holding other files
+                (self.models_dir / "tables").rmdir()
+            languages = self.builder.languages
+            obj = {"config_hash": self.provenance.config_hash, "languages": languages,
+                   **self.builder.test_counts(_test_scopes(tag for tag, _ in languages))}
             write_atomic(path, json_bytes(obj))
             split = _test_split(obj)
         return split
@@ -308,7 +325,7 @@ class Workspace:
             # each piece occurrence is at least one token
             if tokens is None or tokens.keys() != occurrences.keys() or any(
                     tokens[s] < n for s, n in occurrences.items()):
-                tokens = self.builder.count(name, occurrences)
+                tokens = self.builder.count(self._model(name), occurrences)
                 data = {"model_sha256": self._model_sha256[name], "lengths": list(tokens.items())}
                 write_atomic(path, json_bytes(data))
             self._tokens[name] = tokens
@@ -316,11 +333,33 @@ class Workspace:
 
     def _train_side_by_side(self, names: list[str]) -> None:
         """Train and count side by side the models among ``names`` that the
-        cache lacks, when there are two or more."""
+        cache lacks, when two or more do and the process may fork: a child
+        runs :meth:`token_count` for each but the first, which this process
+        runs; what a failed child did not write is made here, as when serial."""
         missing = [n for n in names
                    if n not in self._model_sha256 and not self._model_path(n).exists()]
-        if len(missing) >= 2:
-            self.builder.train_side_by_side(missing)
+        if len(missing) < 2:
+            return
+        from .build import may_fork, side_by_side
+
+        if may_fork():
+            # what every child reads or runs is loaded once, before the forks,
+            # so no child parses a file or builds a table of its own
+            self.builder.tables([*self._test_counts[2], *map(_train_scope, missing)])
+            self._model("base")
+            side_by_side([partial(self.token_count, name, "all") for name in missing])
+
+
+def _tokenizer():
+    """The tokenizer, imported when a model file is read or written."""
+    from . import tokenizer
+
+    return tokenizer
+
+
+def _train_scope(name: str) -> str:
+    """The table that model ``name`` (``base`` or ``retrained_<role>``) trains on."""
+    return "train:documents" if name == "base" else f"train:{name.removeprefix('retrained_')}"
 
 
 def _test_scopes(tags) -> list[str]:

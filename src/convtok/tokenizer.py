@@ -362,6 +362,12 @@ def load_model(path: str | Path) -> TokenizerModel:
     merges = obj.get("merges")
     if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
         raise IntegrityError("vocab must be a list of strings")
+    try:
+        "".join(vocab).encode("utf-8")
+    except UnicodeEncodeError:
+        # JSON can escape a lone surrogate, which no UTF-8 text holds
+        bad = next(t for t in vocab if any("\ud800" <= c <= "\udfff" for c in t))
+        raise IntegrityError(f"vocab token is not UTF-8 text: {bad!r}") from None
     if not isinstance(merges, list):
         raise IntegrityError("merges must be a list")
     merge_pairs: list[tuple[str, str]] = []

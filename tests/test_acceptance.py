@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +192,29 @@ def test_experiment3_magnitude(record_criterion, exp_runs):
         abs(doc_change) < conv_reduction,
         f"|{doc_change:.2f}%| < {conv_reduction:.2f}%",
     )
+
+
+def test_readme_results_are_the_quick_starts(record_criterion, exp_runs):
+    # exp_runs runs the quick start's settings, so README's Results tables
+    # are rebuilt from it at no extra run cost
+    def row(*cells):
+        return "| " + " | ".join(cells) + " |"
+
+    exp1 = exp_runs.exp1.rows
+    reductions = [
+        (label, [r for r in report.rows if r.scope == scope])
+        for label, report, scope in [("exp2: held-out chat, all turns", exp_runs.exp2, "all"),
+                                     ("exp3: held-out documents", exp_runs.exp3, "documents")]]
+    tables = [
+        row("exp1: base-model fertility on", *(r.scope for r in exp1)),
+        row("tokens per word", *(f"{r.fertility_base:.3f}" for r in exp1)),
+        row("reduction, %", *(r.filter for r in reductions[0][1])),
+        *(row(label, *(f"{r.reduction_pct:.1f}" for r in rows)) for label, rows in reductions),
+    ]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [line for line in tables if line not in readme.split("\n")]
+    record_criterion("README results: the quick start's exp1-exp3 numbers", not missing,
+                     "rows missing from README: " + ("; ".join(missing) or "none"))
 
 
 def _thousand_records():

@@ -645,6 +645,12 @@ def _bad_invocation(case, data, tmp, model):
     assistant_only = tmp / "assistant_only.jsonl"
     assistant_only.write_text(json.dumps({"id": "a", "model": "m", "language": "en", "turns": [
         {"role": "assistant", "content": "hello there"}]}) + "\n", encoding="utf-8")
+    # a lone surrogate is valid JSON, but no UTF-8 text holds it
+    surrogate = tmp / "surrogate.json"
+    surrogate.write_text(json.dumps({
+        "version": 1, "mode": "char_level_fallback", "scheme": "category_split",
+        "vocab": [f"<0x{b:02X}>" for b in range(256)] + ["\ud800"], "merges": []}),
+        encoding="ascii")
 
     def train(corpus, *extra):
         return ["train", "--corpus", corpus, "--vocab-size", "300", "--out", str(tmp / "m.json"),
@@ -690,6 +696,8 @@ def _bad_invocation(case, data, tmp, model):
             experiment("exp1", data["docs"], "--doc-sample-bytes", "-5"), "ConfigError"),
         "exp1-empty-base-model-path": (experiment("exp1", data["docs"], "--base-model", ""),
                                        "ConfigError"),
+        "exp1-surrogate-base-model": (
+            experiment("exp1", data["docs"], "--base-model", str(surrogate)), "IntegrityError"),
         # every experiment compares all three role filters; train and
         # fertility keep the flag, which picks their texts
         "exp1-role-filter": (experiment("exp1", data["docs"], "--role-filter", "both"),
@@ -720,7 +728,7 @@ def _bad_invocation(case, data, tmp, model):
     "train-abbreviated-flag", "train-empty-conversations", "train-role-filter-selects-nothing",
     "encode", "encode-empty-input-path", "fertility",
     "exp1", "exp1-abbreviated-flag", "exp1-negative-doc-sample-bytes",
-    "exp1-empty-base-model-path", "exp1-role-filter",
+    "exp1-empty-base-model-path", "exp1-surrogate-base-model", "exp1-role-filter",
     "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp2-role-filter",
     "exp2-empty-train-split",
     "exp3", "exp3-empty-documents-train-split", "report", "samples",
@@ -901,6 +909,32 @@ def test_damaged_table_file_is_a_cache_miss(damage, data, tmp_path, capsys):
 @pytest.mark.parametrize("damage", list(_LANGUAGES_DAMAGE))
 def test_damaged_language_counts_are_a_cache_miss(damage, data, tmp_path, capsys):
     _assert_test_split_damage_is_a_miss(_LANGUAGES_DAMAGE[damage], data, tmp_path, capsys)
+
+
+def test_a_test_split_naming_a_language_with_no_conversation_fails_cleanly(data, tmp_path,
+                                                                          capsys):
+    # a valid test-split file whose first language tag is edited to one that
+    # no held-out conversation has: that language's table is empty, so its
+    # rows have no tokens to reduce
+    argv = ["exp2", "--conversations", data["convs"], "--documents", data["docs"],
+            "--vocab-size", "300", "--threshold", "0", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+    def rename_first_language(obj):
+        scope = f"language:{obj['languages'][0][0]}"
+        obj["languages"][0][0] = "no-such-language"
+        for key in ("n_words", "occurrences"):
+            obj[key] = [["language:no-such-language" if s == scope else s, n]
+                        for s, n in obj[key]]
+
+    split = tmp_path / "models" / "test.json"
+    split.write_bytes(_edit_json(split.read_bytes(), rename_first_language))
+    for lengths in (tmp_path / "models" / "lengths").iterdir():
+        lengths.unlink()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert one_json_error(err)["error"] == "EmptyText"
 
 
 # by experiment: a cached model file it reads, and another model of its cache

@@ -93,12 +93,12 @@ def _package_imports(path, top_level_only):
 
 def test_run_settings_sit_below_the_machinery():
     # config.py holds the run settings and imports no package module but
-    # errors. experiments.py reads the model cache, and build.py runs every
-    # cache miss: experiments.py imports the corpus parser and the trainer at
-    # no level, the tokenizer once and inside a function (to parse a
-    # --base-model file), metrics at module level only, and build.py only
-    # inside a function, so a warm experiment loads none of them; test_cli
-    # pins the modules that a warm run imports.
+    # errors. experiments.py reads and writes the model cache, and build.py
+    # builds what a cache miss needs: experiments.py imports the corpus
+    # parser and the trainer at no level, the tokenizer once and inside a
+    # function (to read and write model files), metrics at module level
+    # only, and build.py only inside a function, so a warm experiment loads
+    # none of them; test_cli pins the modules that a warm run imports.
     package = ROOT / "src" / "convtok"
     bad = [f"src/convtok/config.py:{line}: imports {name}"
            for line, name in _package_imports(package / "config.py", False)
@@ -116,3 +116,19 @@ def test_run_settings_sit_below_the_machinery():
     if len(tokenizer) > 1:
         bad.append(f"src/convtok/experiments.py: imports .tokenizer on lines {tokenizer}")
     assert not bad, "\n".join(bad)
+
+
+def test_the_package_import_graph_is_acyclic():
+    # every import of a package module, at module level or inside a
+    # function, is an edge; a module may read __version__ from the package
+    graph = {path.stem: {name[1:] for _, name in _package_imports(path, False)} - {"__version__"}
+             for path in PACKAGE}
+    while True:
+        leaves = [module for module, imports in graph.items() if not imports & graph.keys()]
+        if not leaves:
+            break
+        for module in leaves:
+            del graph[module]
+    assert not graph, "modules in or above an import cycle\n" + "\n".join(
+        f"src/convtok/{module}.py imports {sorted(imports & graph.keys())}"
+        for module, imports in graph.items())

@@ -583,3 +583,13 @@ class TestModel:
         path.write_text("not a model", encoding="utf-8")
         with pytest.raises(IntegrityError):
             load_model(path)
+
+    def test_lone_surrogate_token_is_integrity_error(self, tmp_path):
+        # "\ud800" is valid JSON, but no UTF-8 text holds the code point, so
+        # such a model could neither be saved again nor decode its token
+        obj = json.loads(model_to_bytes(toy_char_model()))
+        obj["vocab"].append("x\ud800")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj), encoding="ascii")
+        with pytest.raises(IntegrityError, match=r"'x\\ud800'"):
+            load_model(path)
