@@ -13,6 +13,7 @@ imports no module it does not need.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -292,5 +293,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def script() -> int:
+    """The ``convtok`` command: run ``main`` and return its exit code, after
+    moving every object to the collector's permanent generation, so that the
+    collections during interpreter shutdown do not walk every module's
+    objects. Tests call ``main`` in their own process; only a process that
+    is about to exit may freeze."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

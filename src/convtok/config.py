@@ -27,6 +27,13 @@ class PretokenScheme(str, Enum):
 DEFAULT_SCHEME = PretokenScheme.CATEGORY_SPLIT
 
 
+def check_seed(seed: int) -> None:
+    """A seed outside [0, 2**64) raises ConfigError: ``random.Random`` seeds
+    an int by its absolute value, so -5 would draw what 5 draws."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must fit in 64 unsigned bits")
+
+
 class RoleFilter(str, Enum):
     USER_ONLY = "user"
     ASSISTANT_ONLY = "assistant"
@@ -44,8 +51,7 @@ class SplitSpec(NamedTuple):
     def _check(self) -> SplitSpec:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
         return self
 
 

@@ -4,8 +4,10 @@ Synthesizes a web-style document corpus and a multilingual chat corpus with
 the distribution contrasts the experiments probe: chat text carries slang,
 typos, code snippets and a larger non-English share, while both domains share
 an English core (function words, a common lexicon, pasted web prose and
-URLs). Everything derives from one seeded PRNG, so the same seed always
-produces byte-identical files.
+URLs). Everything derives from one seeded ``random.Random`` through two of
+its methods alone: ``random()``, whose sequence for a seed Python promises
+to keep, and ``getrandbits``, the generator's raw output. So the same seed
+writes byte-identical files, on Python 3.10-3.13 alike.
 
 The corpora are synthetic stand-ins for real chat/web datasets, sized so the
 full experiment pipeline runs in minutes on a laptop.
@@ -17,6 +19,7 @@ import math
 import random
 from pathlib import Path
 
+from .config import check_seed
 from .corpus import ConversationRecord, conversation_line
 from .errors import ConfigError, write_atomic
 
@@ -110,11 +113,62 @@ LANGUAGE_WEIGHTS = [
 ]
 
 
-def _zipf_idx(rng: random.Random, n: int) -> int:
-    # mostly a steep power law, with a log-uniform component for tail breadth
-    if rng.random() < 0.85:
-        return min(n - 1, int((1.0 - rng.random()) ** -2.5) - 1)
-    return min(n - 1, int(math.exp(rng.random() * math.log(n))) - 1)
+class _Draws:
+    """Every draw of one generation run, from one ``random.Random(seed)``
+    through its ``random()`` and ``getrandbits`` alone: Python's
+    reproducibility note promises ``random()``'s sequence, not how
+    ``choice`` and its kin turn it into an index.
+
+    ``pick(seq)`` draws as ``choice(seq)`` does on CPython 3.10-3.13: with
+    ``n = len(seq)`` and ``k = n.bit_length()``, it redraws
+    ``getrandbits(k)`` until the value is below ``n``, and returns that
+    item. So ``pick(range(a, b + 1))`` is ``randint(a, b)`` and
+    ``pick(range(n))`` is ``randrange(n)``, each in one Python call where
+    the generator's own methods take two or three. ``zipf(seq)`` is the
+    lexicons' word law.
+    """
+
+    __slots__ = ("random", "getrandbits", "pick", "zipf")
+
+    def __init__(self, seed: int):
+        rng = random.Random(seed)
+        rand = self.random = rng.random
+        getrandbits = self.getrandbits = rng.getrandbits
+        exp, log = math.exp, math.log
+
+        def pick(seq):
+            n = len(seq)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                if not n:  # getrandbits(0) is 0, forever
+                    raise IndexError("cannot pick from an empty sequence")
+                r = getrandbits(k)
+            return seq[r]
+
+        def zipf(seq):
+            # mostly a steep power law, with a log-uniform component for tail breadth
+            n = len(seq)
+            if rand() < 0.85:
+                i = int((1.0 - rand()) ** -2.5) - 1
+            else:
+                i = int(exp(rand() * log(n))) - 1
+            return seq[i if i < n else n - 1]
+
+        self.pick = pick
+        self.zipf = zipf
+
+    def picks(self, population, k: int) -> list:
+        """``sample(population, k)`` for ``k <= 5`` of at most 21 items,
+        where CPython swaps each pick out of a copied pool."""
+        pool = list(population)
+        n = len(pool)
+        result = []
+        for i in range(k):
+            j = self.pick(range(n - i))
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
 
 
 def _distinct(n: int, draw) -> list[str]:
@@ -126,17 +180,17 @@ def _distinct(n: int, draw) -> list[str]:
 
 
 def _make_lexicon(rng, n_words, onsets, vowels, codas, suffixes) -> list[str]:
-    return _distinct(n_words, lambda: "".join(
-        rng.choice(onsets) + rng.choice(vowels)
-        + (rng.choice(codas) if rng.random() < 0.6 else "")
-        for _ in range(rng.randint(1, 3))
-    ) + rng.choice(suffixes))
+    pick, rand = rng.pick, rng.random
+    return _distinct(n_words, lambda: "".join([
+        pick(onsets) + pick(vowels) + (pick(codas) if rand() < 0.6 else "")
+        for _ in range(pick(range(1, 4)))
+    ]) + pick(suffixes))
 
 
 def _make_cjk_lexicon(rng, n_words, pool_size=350) -> list[str]:
-    pool = [chr(0x4E00 + rng.randrange(0x2000)) for _ in range(pool_size)]
+    pool = [chr(0x4E00 + rng.pick(range(0x2000))) for _ in range(pool_size)]
     return _distinct(n_words, lambda: "".join(
-        rng.choice(pool) for _ in range(rng.choice([1, 2, 2, 2, 3]))
+        rng.pick(pool) for _ in range(rng.pick([1, 2, 2, 2, 3]))
     ))
 
 
@@ -148,17 +202,17 @@ class _Lang:
         self.spaceless = spaceless
         self.hot: list[str] = []  # conversation-favored topical words
 
-    def word(self, rng: random.Random, function_p: float = 0.45) -> str:
+    def word(self, rng: _Draws, function_p: float = 0.45) -> str:
         # function_p is 0.45 in chat and 0.50 in web documents; spaceless text has none
         if not self.spaceless and rng.random() < function_p:
-            return rng.choice(self.function)
-        return self.lexicon[_zipf_idx(rng, len(self.lexicon))]
+            return rng.pick(self.function)
+        return rng.zipf(self.lexicon)
 
 
 class _World:
     """All language state for one generation run."""
 
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: _Draws):
         en = _Lang("english", EN_FUNCTION, _make_lexicon(rng, 2200, EN_ONSETS, EN_VOWELS, EN_CODAS, EN_SUFFIXES))
         es = _Lang("spanish", ES_FUNCTION, _make_lexicon(rng, 1300, ES_ONSETS, ES_VOWELS, ES_CODAS, ES_SUFFIXES))
         fr = _Lang("french", FR_FUNCTION, _make_lexicon(rng, 900, ES_ONSETS, FR_VOWELS, ES_CODAS, FR_SUFFIXES))
@@ -168,7 +222,7 @@ class _World:
         zh = _Lang("chinese", [], _make_cjk_lexicon(rng, 800), spaceless=True)
         self.langs = {lang.tag: lang for lang in (en, es, fr, de, pt, ru, zh)}
         self.en = en
-        en.hot = [en.lexicon[rng.randrange(100, 1500)] for _ in range(250)]
+        en.hot = [en.lexicon[rng.pick(range(100, 1500))] for _ in range(250)]
         # foreign material that web documents quote: heads of each lexicon
         sprinkle: list[str] = []
         for lang, k in ((es, 60), (fr, 35), (de, 35), (pt, 25), (ru, 25)):
@@ -176,7 +230,7 @@ class _World:
         sprinkle += zh.lexicon[:12]
         self.sprinkle = sprinkle
 
-    def pick_lang(self, rng: random.Random) -> _Lang:
+    def pick_lang(self, rng: _Draws) -> _Lang:
         r = rng.random()
         acc = 0.0
         for tag, weight in LANGUAGE_WEIGHTS:
@@ -192,27 +246,24 @@ class _World:
 
 def _url(rng, en: _Lang) -> str:
     return (
-        f"https://www.{rng.choice(en.lexicon[:300])}"
-        f"{rng.choice(['news', 'info', 'hub', 'site'])}.com/{rng.choice(en.lexicon[:300])}"
+        f"https://www.{rng.pick(en.lexicon[:300])}"
+        f"{rng.pick(['news', 'info', 'hub', 'site'])}.com/{rng.pick(en.lexicon[:300])}"
     )
 
 
 def _web_sentence(rng, world: _World) -> str:
-    en = world.en
-    n = rng.randint(7, 22)
-    words = [
-        rng.choice(world.sprinkle) if rng.random() < 0.04 else en.word(rng, 0.50)
-        for _ in range(n)
-    ]
+    en, pick, rand = world.en, rng.pick, rng.random
+    n = pick(range(7, 23))
+    words = [pick(world.sprinkle) if rand() < 0.04 else en.word(rng, 0.50) for _ in range(n)]
     if rng.random() < 0.15:
-        words.insert(rng.randrange(len(words)),
-                     str(rng.choice([rng.randint(1900, 2026), rng.randint(2, 999)])))
+        words.insert(rng.pick(range(len(words))),
+                     str(rng.pick([rng.pick(range(1900, 2027)), rng.pick(range(2, 1000))])))
     s = " ".join(words)
-    return s[0].upper() + s[1:] + rng.choice([".", ".", ".", ".", "?", "!"])
+    return s[0].upper() + s[1:] + rng.pick([".", ".", ".", ".", "?", "!"])
 
 
 def _web_document(rng, world: _World) -> str:
-    parts = [_web_sentence(rng, world) for _ in range(rng.randint(3, 9))]
+    parts = [_web_sentence(rng, world) for _ in range(rng.pick(range(3, 10)))]
     if rng.random() < 0.12:
         parts.append(f"Read more at {_url(rng, world.en)}.")
     if rng.random() < 0.08:
@@ -229,7 +280,7 @@ def _web_document(rng, world: _World) -> str:
 def _typo(rng, word: str) -> str:
     if len(word) < 4:
         return word
-    i = rng.randrange(len(word) - 1)
+    i = rng.pick(range(len(word) - 1))
     r = rng.random()
     if r < 0.4:
         return word[:i] + word[i + 1] + word[i] + word[i + 2:]
@@ -240,41 +291,41 @@ def _typo(rng, word: str) -> str:
 
 def _chat_word(rng, lang: _Lang) -> str:
     if lang.hot and rng.random() < 0.06:
-        return lang.hot[_zipf_idx(rng, len(lang.hot))]
+        return rng.zipf(lang.hot)
     return lang.word(rng)
 
 
 def _user_turn(rng, world: _World, lang: _Lang) -> str:
     if lang.spaceless:
-        body = "".join(lang.word(rng) for _ in range(rng.randint(2, 9)))
-        return body + rng.choice(["？", "。", "", ""])
-    words = [_chat_word(rng, lang) for _ in range(rng.randint(4, 16))]
+        body = "".join(lang.word(rng) for _ in range(rng.pick(range(2, 10))))
+        return body + rng.pick(["？", "。", "", ""])
+    words = [_chat_word(rng, lang) for _ in range(rng.pick(range(4, 17)))]
     if lang.tag == "english":
         for i in range(len(words)):
             r = rng.random()
             if r < 0.09:
-                words[i] = rng.choice(CHAT_SLANG)
+                words[i] = rng.pick(CHAT_SLANG)
             elif r < 0.18:
                 words[i] = _typo(rng, words[i])
-        s = (rng.choice(USER_LEADS) + " " + " ".join(words)).strip()
+        s = (rng.pick(USER_LEADS) + " " + " ".join(words)).strip()
         r = rng.random()
         if r < 0.07:
-            s += rng.choice([" summarize this: ", " what does this mean: ", " fix this text: "])
+            s += rng.pick([" summarize this: ", " what does this mean: ", " fix this text: "])
             s += _web_sentence(rng, world)
         elif r < 0.12:
-            s += " " + rng.choice(["check this link", "i found", "source:"]) + " " + _url(rng, world.en)
+            s += " " + rng.pick(["check this link", "i found", "source:"]) + " " + _url(rng, world.en)
     else:
         s = " ".join(words)
-    return s + rng.choice(["?", "?", "", ".", "??"])
+    return s + rng.pick(["?", "?", "", ".", "??"])
 
 
 def _assistant_turn(rng, world: _World, lang: _Lang) -> str:
     if lang.spaceless:
-        return "".join(lang.word(rng) for _ in range(rng.randint(8, 26))) + "。"
-    n = rng.randint(10, 30)
+        return "".join(lang.word(rng) for _ in range(rng.pick(range(8, 27)))) + "。"
+    n = rng.pick(range(10, 31))
     if lang.tag == "english":
         words = [
-            rng.choice(lang.function) if rng.random() < 0.25 else _chat_word(rng, lang)
+            rng.pick(lang.function) if rng.random() < 0.25 else _chat_word(rng, lang)
             for _ in range(n)
         ]
     else:
@@ -282,20 +333,20 @@ def _assistant_turn(rng, world: _World, lang: _Lang) -> str:
     s = " ".join(words)
     s = s[0].upper() + s[1:] + "."
     if lang.tag == "english":
-        s = rng.choice(ASSISTANT_INTROS) + s
+        s = rng.pick(ASSISTANT_INTROS) + s
         r = rng.random()
         if r < 0.18:  # encyclopedic register shared with web prose
-            s += " " + " ".join(_web_sentence(rng, world) for _ in range(rng.randint(1, 3)))
+            s += " " + " ".join(_web_sentence(rng, world) for _ in range(rng.pick(range(1, 4))))
         elif r < 0.24:
-            f = rng.choice(world.en.lexicon)
-            a = rng.choice(["x", "value", "items", "count"])
-            nn = rng.randint(0, 99)
-            lines = [line.format(f=f, a=a, n=nn) for line in rng.sample(CODE_LINES, rng.randint(2, 3))]
+            f = rng.pick(world.en.lexicon)
+            a = rng.pick(["x", "value", "items", "count"])
+            nn = rng.pick(range(100))
+            lines = [line.format(f=f, a=a, n=nn) for line in rng.picks(CODE_LINES, rng.pick(range(2, 4)))]
             s += "\n```\n" + "\n".join(lines) + "\n```"
         elif r < 0.34:
             s += "\n" + "\n".join(
-                f"{i + 1}. " + " ".join(_chat_word(rng, lang) for _ in range(rng.randint(3, 8)))
-                for i in range(rng.randint(2, 3))
+                f"{i + 1}. " + " ".join(_chat_word(rng, lang) for _ in range(rng.pick(range(3, 9))))
+                for i in range(rng.pick(range(2, 4)))
             )
     return s
 
@@ -303,14 +354,14 @@ def _assistant_turn(rng, world: _World, lang: _Lang) -> str:
 def _conversation(rng, world: _World, index: int) -> ConversationRecord:
     lang = world.pick_lang(rng)
     turns = []
-    for _ in range(rng.choice([1, 1, 1, 2])):
+    for _ in range(rng.pick([1, 1, 1, 2])):
         turns.append(("user", _user_turn(rng, world, lang)))
         turns.append(("assistant", _assistant_turn(rng, world, lang)))
     # the draw order fixes the sample bytes: the turns, the id's bits, then
     # the model (keyword arguments are evaluated in order)
     return ConversationRecord(
         id=f"conv-{index:05d}-{rng.getrandbits(32):08x}",
-        model_name=rng.choice(MODEL_NAMES),
+        model_name=rng.pick(MODEL_NAMES),
         turns=tuple(turns),
         language=lang.tag,
     )
@@ -320,7 +371,8 @@ def _conversation(rng, world: _World, index: int) -> ConversationRecord:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _check_sizes(doc_bytes: int, conv_bytes: int) -> None:
+def _check_args(seed: int, doc_bytes: int, conv_bytes: int) -> None:
+    check_seed(seed)
     if min(doc_bytes, conv_bytes) < 1:
         raise ConfigError(
             f"doc_bytes and conv_bytes must be at least 1, got {doc_bytes} and {conv_bytes}")
@@ -332,9 +384,10 @@ def generate_corpora(
     conv_bytes: int = DEFAULT_CONV_BYTES,
 ) -> tuple[list[str], list[str]]:
     """Return (documents, conversation JSONL lines), each roughly the
-    requested byte size. A size below 1 raises ConfigError."""
-    _check_sizes(doc_bytes, conv_bytes)
-    rng = random.Random(seed)
+    requested byte size. A seed outside [0, 2**64) or a size below 1 raises
+    ConfigError."""
+    _check_args(seed, doc_bytes, conv_bytes)
+    rng = _Draws(seed)
     world = _World(rng)
     documents: list[str] = []
     total = 0
@@ -359,10 +412,10 @@ def write_sample_corpora(
     doc_bytes: int = DEFAULT_DOC_BYTES,
     conv_bytes: int = DEFAULT_CONV_BYTES,
 ) -> tuple[Path, Path]:
-    """Check the sizes and make ``out_dir`` before generating anything, then
+    """Check the seed and sizes and make ``out_dir`` before generating anything, then
     write documents.txt and conversations.jsonl in it and return their paths;
     the same arguments give byte-identical files."""
-    _check_sizes(doc_bytes, conv_bytes)
+    _check_args(seed, doc_bytes, conv_bytes)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     documents, lines = generate_corpora(seed=seed, doc_bytes=doc_bytes, conv_bytes=conv_bytes)

@@ -17,7 +17,7 @@ identical merge lists on any table:
 Selection depends only on (frequency, pair), so the result is independent of
 iteration order and identical across runs and platforms.
 
-The trainer keeps live pair counts, a grow-only set of owner pieces per
+The trainer keeps live pair counts, a grow-only list of owner pieces per
 pair and a lazy max-heap of (count, pair) entries. A merge of (L, R) into P
 rewrites only the owners of (L, R), each in one left-to-right scan, and
 changes counts only beside each match: the old pairs that touch the matched
@@ -92,12 +92,15 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
     ``P`` while every added pair does: the two sets never overlap, and only
     pairs with the product rise. Such a pair is created by this merge: it
     gains the piece as an owner and joins ``created``. Its holders only
-    shrink after that; at count zero it is dropped with its owner set.
+    shrink after that; at count zero it is dropped with its owner list.
 
-    ``where`` invariant: ``where[p]`` is a superset of the pieces that hold a
-    live pair ``p``. A piece joins it when ``p`` is created there and never
-    leaves it. An owner whose scan finds no match no longer holds the merged
-    pair, and is skipped as it is.
+    ``where`` invariant: ``where[p]`` lists every piece that holds a live
+    pair ``p``, each once, and may list pieces that no longer hold it. A
+    pair gains owners in one pass only, one owner at a time: the initial
+    count, or the merge that makes its newest symbol, since every pair that
+    a merge adds holds the product. So a piece is appended unless it is
+    already the list's last entry, and never leaves it. An owner whose scan
+    finds no match no longer holds the merged pair, and is skipped as it is.
 
     Heap invariant: every live pair has at least one entry whose recorded
     count is at or above its live count. The initial heap and one push per
@@ -114,12 +117,15 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
     merges: list[Pair] = []
 
     pair_counts: dict[Pair, int] = {}
-    where: dict[Pair, set[int]] = {}
+    where: dict[Pair, list[int]] = {}
     for idx, (seq, mult) in enumerate(sequences):
-        for a, b in zip(seq, seq[1:]):
-            pair = (a, b)
+        for pair in zip(seq, seq[1:]):
             pair_counts[pair] = pair_counts.get(pair, 0) + mult
-            where.setdefault(pair, set()).add(idx)
+            owners = where.get(pair)
+            if owners is None:
+                where[pair] = [idx]
+            elif owners[-1] != idx:
+                owners.append(idx)
 
     heap: list[tuple[int, Pair]] = [(-freq, pair) for pair, freq in pair_counts.items()]
     heapq.heapify(heap)
@@ -172,7 +178,11 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
             sequences[idx] = (out, mult)
             for p in born:
                 pair_counts[p] = pair_counts.get(p, 0) + mult
-                where.setdefault(p, set()).add(idx)
+                owners = where.get(p)
+                if owners is None:
+                    where[p] = [idx]
+                elif owners[-1] != idx:
+                    owners.append(idx)
                 created.add(p)
             for p in gone:
                 if remaining := pair_counts[p] - mult:

@@ -425,6 +425,23 @@ def test_output_lines_are_ascii_json(tmp_path):
     assert json.loads(runs[1].stderr)["message"] == "line 2: duplicate record id 'ñ'"
 
 
+@pytest.mark.parametrize("entry", [
+    ["-m", "convtok.cli"],
+    ["-c", "import sys; from convtok.cli import script; sys.exit(script())"],
+], ids=["module", "console-script"])
+def test_a_command_exits_cleanly_with_the_collector_frozen(entry, data, small_model, capsys):
+    # both entry points freeze the collector after main returns, so that
+    # interpreter shutdown need not walk every module's objects; the exit
+    # still warns of nothing, and stdout is what main prints
+    argv = ["encode", "--model", small_model, "--input", data["docs"], "--count-only"]
+    env = {**os.environ, "PYTHONPATH": str(Path(convtok.cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", *entry, *argv],
+                            capture_output=True, text=True, env=env)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", out)
+
+
 def test_malformed_corpus_fails_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a", "model": "m", "language": "en", "turns": []}\n',
@@ -719,6 +736,9 @@ def _bad_invocation(case, data, tmp, model):
         "report": (["report", "--report", str(not_json), "--out", str(tmp / "o")],
                    "UsageError"),
         "samples": (["samples", "--out", str(a_file / "sub")], "NotADirectoryError"),
+        # random.Random seeds an int by its absolute value: -5 would write seed 5's files
+        "samples-negative-seed": (["samples", "--out", str(tmp / "runs"), "--seed", "-5"],
+                                  "ConfigError"),
     }[case]
 
 
@@ -731,7 +751,7 @@ def _bad_invocation(case, data, tmp, model):
     "exp1-empty-base-model-path", "exp1-surrogate-base-model", "exp1-role-filter",
     "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp2-role-filter",
     "exp2-empty-train-split",
-    "exp3", "exp3-empty-documents-train-split", "report", "samples",
+    "exp3", "exp3-empty-documents-train-split", "report", "samples", "samples-negative-seed",
 ])
 def test_every_subcommand_fails_with_one_json_line(case, data, small_model, tmp_path, capsys):
     argv, error = _bad_invocation(case, data, tmp_path, small_model)

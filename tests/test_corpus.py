@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import convtok.samples
 from convtok.cli import main
 from convtok.corpus import (
     ConversationRecord,
@@ -18,8 +19,8 @@ from convtok.corpus import (
     partition,
     split,
 )
-from convtok.errors import EmptyCorpus, InvalidEncoding, MalformedRecord
-from convtok.samples import generate_corpora
+from convtok.errors import ConfigError, EmptyCorpus, InvalidEncoding, MalformedRecord
+from convtok.samples import _Draws, _World, generate_corpora, write_sample_corpora
 
 # valid JSON nested deeper than the decoder's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -238,6 +239,71 @@ class TestSampleCorpora:
             "conversations.jsonl":
                 "7af925d319a4a043ec6ac1811c9abbd8aca272591c243d3230c5db6c9b85e94b",
         }
+
+    def test_benchmark_pool_is_pinned(self, tmp_path):
+        # the default seed at 200 KB + 200 KB: the pool that the benchmark's
+        # pipeline-cold workload writes as its set-up
+        paths = write_sample_corpora(tmp_path, doc_bytes=200_000, conv_bytes=200_000)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+        assert digests == {
+            "documents.txt": "b135a8312bafd17e4ba7c352bc43645392f0d328df3528ea8f44f02261c76c81",
+            "conversations.jsonl":
+                "364a9c268ceaa63be3767f88ee4c9e3d216b1756f97af23523c344f5d1c6a73c",
+        }
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64])
+    def test_a_seed_outside_64_unsigned_bits_is_refused(self, seed, tmp_path):
+        # random.Random seeds an int by its absolute value, so -5 would
+        # write seed 5's corpora; the refusal comes before any directory
+        with pytest.raises(ConfigError, match="^seed must fit in 64 unsigned bits$"):
+            generate_corpora(seed=seed, doc_bytes=1, conv_bytes=1)
+        with pytest.raises(ConfigError, match="^seed must fit in 64 unsigned bits$"):
+            write_sample_corpora(tmp_path / "out", seed=seed)
+        assert not list(tmp_path.iterdir())
+
+
+def _draw_lengths():
+    """Bounds up to 32 and around powers of two, the widths of the
+    generator's number ranges, and the length of every word list and lexicon
+    that it picks from."""
+    world = _World(_Draws(0))
+    lists = [value for value in vars(convtok.samples).values()
+             if isinstance(value, list) and value and isinstance(value[0], str)]
+    lists += [world.sprinkle, world.en.hot, world.en.lexicon[:300]]
+    for lang in world.langs.values():
+        lists += [lang.function, lang.lexicon]
+    bounds = {*range(1, 33), 100, 127, 255, 256, 257, 998, 1400, 0x2000}
+    return sorted(bounds | {len(x) for x in lists if x})
+
+
+class TestDraws:
+    """``_Draws`` draws what ``random.Random``'s own methods draw, and leaves
+    the generator's stream where they leave it."""
+
+    @pytest.mark.parametrize("n", _draw_lengths())
+    def test_pick_is_choice_randint_and_randrange(self, n):
+        seq = [f"w{i}" for i in range(n)]
+        for seed in range(25):
+            draws, rng = _Draws(seed), random.Random(seed)
+            for _ in range(20):
+                assert draws.pick(seq) == rng.choice(seq)
+                assert draws.pick(range(3, n + 3)) == rng.randint(3, n + 2)
+                assert draws.pick(range(n)) == rng.randrange(n)
+                assert draws.pick(range(-2, n - 2)) == rng.randrange(-2, n - 2)
+            assert draws.random() == rng.random()
+
+    def test_pick_from_nothing_fails(self):
+        with pytest.raises(IndexError):
+            _Draws(0).pick([])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 21])
+    def test_picks_is_sample(self, n):
+        population = [f"line {i}" for i in range(n)]
+        for seed in range(25):
+            draws, rng = _Draws(seed), random.Random(seed)
+            for k in range(min(n, 5) + 1):
+                assert draws.picks(population, k) == rng.sample(population, k)
+            assert draws.random() == rng.random()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ own, because it needs an interpreter started with ``python -S``.
 """
 
 import ast
+import random
 import re
 from pathlib import Path
 
@@ -132,3 +133,23 @@ def test_the_package_import_graph_is_acyclic():
     assert not graph, "modules in or above an import cycle\n" + "\n".join(
         f"src/convtok/{module}.py imports {sorted(imports & graph.keys())}"
         for module, imports in graph.items())
+
+
+def test_samples_draw_only_through_random_and_getrandbits():
+    # Python promises to keep random()'s sequence for a seed, and
+    # getrandbits is the generator's raw output, but not how choice,
+    # randint, randrange or sample turn them into draws; so the sample
+    # corpora's bytes rest on those two alone: samples.py picks through its
+    # own _Draws helper and names no other random.Random method
+    path = ROOT / "src" / "convtok" / "samples.py"
+    methods = {name for name in dir(random.Random)
+               if not name.startswith("_") and callable(getattr(random.Random, name))}
+    allowed = {"random", "getrandbits"}
+    tree = _tree(path)
+    found = [f"src/convtok/samples.py:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in methods - allowed]
+    found += [f"src/convtok/samples.py:{node.lineno}: from random import {alias.name}"
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module == "random" for alias in node.names if alias.name != "Random"]
+    assert not found, ("draw with random() and getrandbits only, through _Draws\n"
+                       + "\n".join(found))
