@@ -67,51 +67,39 @@ class Builder:
         """``train_bpe`` on the table of ``scope`` under ``config``."""
         return trainer.train_bpe(self.table(scope), config)
 
-    def count(self, model: tokenizer.TokenizerModel, scopes) -> dict[str, int]:
-        """Tokens of ``model`` on the table of each of ``scopes``, in order,
-        counted through one map of piece lengths."""
+    def count(self, model: tokenizer.TokenizerModel, tables) -> list[int]:
+        """Tokens of ``model`` on each of ``tables``, in order, counted
+        through one map of piece lengths."""
         lengths: dict[str, int] = {}
-        return {s: metrics.token_count(model, t, lengths) for s, t in self.tables(scopes).items()}
+        return [metrics.token_count(model, table, lengths) for table in tables]
 
-    def test_counts(self, scopes) -> dict[str, list]:
-        """The test-split file's word counts and piece occurrences of the
-        table of each of ``scopes``, as ``[scope, count]`` lists in order."""
-        tables = self.tables(scopes)
-        return {"n_words": [[s, t.n_words] for s, t in tables.items()],
-                "occurrences": [[s, sum(t.pieces.values())] for s, t in tables.items()]}
+    @cached_property
+    def test_cells(self) -> list[tuple[str, str, tokenizer.PieceTable]]:
+        """The held-out split as disjoint ``(role, tag, table)`` cells, each
+        text pretokenized once: ``("documents", "")``, then per role one per
+        counted language in :attr:`languages` order and ``(role, "")`` for the rest."""
+        tags = dict.fromkeys(tag for tag, _ in self.languages)  # ordered, and a set
+        texts = {(role, tag): [] for role in ("user", "assistant") for tag in [*tags, ""]}
+        for record in self.conv_test:
+            tag = record.language if record.language in tags else ""
+            for role, content in record.turns:
+                texts[role, tag].append(content)
+        cells = {("documents", ""): self.docs_test, **texts}
+        return [(role, tag, tokenizer.PieceTable.of(group, self.scheme))
+                for (role, tag), group in cells.items()]
 
     def table(self, scope: str) -> tokenizer.PieceTable:
-        """Piece table of a scope in the run's scheme, built from the corpora
-        on first use: ``train:documents``, ``train:<role>``, or on the test
-        side ``documents``, ``<role>``, ``all`` (the sum of ``user`` and
-        ``assistant``) and ``language:<tag>``, the held-out conversations
-        of that language, empty for a tag that no held-out record has."""
-        return self.tables([scope])[scope]
-
-    def tables(self, scopes) -> dict[str, tokenizer.PieceTable]:
-        """The table of each of ``scopes`` (a list, or a dict of them) by
-        scope. The held-out records are grouped by the language tags among
-        them in one pass, linear whatever the number of tags."""
-        groups = {s.removeprefix("language:"): [] for s in scopes
-                  if s.startswith("language:") and s not in self._tables}
-        if groups:
-            for record in self.conv_test:
-                groups.get(record.language, []).append(record)
-        for tag, records in groups.items():
-            texts = corpus.extract_text(records, RoleFilter.BOTH)
-            self._tables[f"language:{tag}"] = tokenizer.PieceTable.of(texts, self.scheme)
-        for scope in scopes:
-            if scope not in self._tables:
-                self._tables[scope] = self._build_table(scope)
-        return {s: self._tables[s] for s in scopes}
+        """Piece table of a train scope in the run's scheme, built from the
+        corpora on first use: ``train:documents``, or ``train:<role>``, with
+        ``train:both`` the sum of ``train:user`` and ``train:assistant``."""
+        if scope not in self._tables:
+            self._tables[scope] = self._build_table(scope)
+        return self._tables[scope]
 
     def _build_table(self, scope: str) -> tokenizer.PieceTable:
-        if scope in ("all", "train:both"):
-            prefix = scope.removesuffix("all").removesuffix("both")
-            return self.table(f"{prefix}user") + self.table(f"{prefix}assistant")
-        if scope == "documents":
-            texts = self.docs_test
-        elif scope == "train:documents":
+        if scope == "train:both":
+            return self.table("train:user") + self.table("train:assistant")
+        if scope == "train:documents":
             # the leading train documents up to the byte budget, at least one
             texts, size = [], 0
             for doc in self.docs_train:
@@ -120,8 +108,7 @@ class Builder:
                 texts.append(doc)
                 size += len(doc.encode("utf-8"))
         else:
-            records = self.conv_train if scope.startswith("train:") else self.conv_test
-            texts = corpus.extract_text(records, RoleFilter(scope.removeprefix("train:")))
+            texts = corpus.extract_text(self.conv_train, RoleFilter(scope.removeprefix("train:")))
         return tokenizer.PieceTable.of(texts, self.scheme)
 
 

@@ -170,13 +170,14 @@ def _conversations(lines: list[str]) -> tuple[ConversationRecord, ...]:
 
 
 def load_documents(path: str | Path) -> tuple[str, ...]:
-    """Load a document corpus, skipping blank lines: JSONL objects with a
-    ``text`` field if the file sniffs as ``jsonl``, else one document per line."""
+    """Load a document corpus, skipping blank lines: one document per line if
+    the file sniffs as ``text``, else JSONL objects with a ``text`` field, so
+    a conversation file is MalformedRecord naming its first record's line."""
     return _documents(_read_lines(path), path)
 
 
 def _documents(lines: list[str], name: str | Path) -> tuple[str, ...]:
-    if _sniff_format(lines) != "jsonl":
+    if _sniff_format(lines) == "text":
         documents = [line for line in lines if line.strip()]
     else:
         documents = []

@@ -64,9 +64,11 @@ def write_atomic(path: str | Path, data: bytes) -> Path:
     over ``path``: an interrupted write leaves the old file or none, never a
     truncated one. Each call creates its own temp file, so writers of one
     path, in this process or another, never write to or rename each
-    other's.
+    other's. A path with no name, such as ``""`` or ``.``, is IsADirectoryError.
     """
     path = Path(path)
+    if not path.name:
+        raise IsADirectoryError(f"{str(path)!r} names a directory, not a file")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     # O_EXCL: the name is this call's alone, or the call fails

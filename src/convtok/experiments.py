@@ -126,22 +126,6 @@ def _read_cache(path: Path, **header) -> dict | None:
     return None
 
 
-def _counts(entries, least: int = 1) -> dict[str, int] | None:
-    """The map of a list of ``[str, int]`` pairs of distinct strings, each
-    int (not a bool) at least ``least``, in list order; None for a value
-    that is not such a list."""
-    if not isinstance(entries, list):
-        return None
-    try:
-        counts = dict(entries)
-    except (TypeError, ValueError):  # an entry that is not a pair, or a list as a key
-        return None
-    if not (len(counts) == len(entries) and all(type(k) is str for k in counts)
-            and all(type(n) is int and n >= least for n in counts.values())):
-        return None
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Workspace: the model cache of one spec
 # ---------------------------------------------------------------------------
@@ -150,14 +134,14 @@ class Workspace:
     """The model cache of one spec under ``<output_dir>/models``, keyed by
     a config hash over the settled config and the inputs' bytes: the
     models, one test-split file of the held-out language counts and each
-    test table's word count and piece occurrences, and per model a lengths
-    file of its token count of each test table that a report reads, bound
-    to the model file's digest. A cache of another hash is emptied on
-    construction, after both corpora loaded and split. The config and
-    scheme are the spec's or, with ``base_model_path``, that file's. A warm
-    run reads every count from these files and hashes each model file
-    without parsing it; what misses, the :attr:`builder` builds, trains or
-    counts as the workspace asks, and the workspace writes every file."""
+    test cell's word count and piece occurrences, and per model a lengths
+    file of its token count of each test cell, bound to the model file's
+    digest. A cache of another hash is emptied on construction, after both
+    corpora loaded and split. The config and scheme are the spec's or, with
+    ``base_model_path``, that file's. A warm run reads every count from
+    these files and hashes each model file without parsing it; what misses,
+    the :attr:`builder` builds, trains or counts as the workspace asks, and
+    the workspace writes every file."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -180,7 +164,7 @@ class Workspace:
         self.scheme = base.scheme if base else spec.scheme
         # by model name: the model (trained, or parsed from its cache file or
         # the --base-model file), the digest of the file it was loaded from or
-        # saved to, and its token count of each report-read test scope
+        # saved to, and its token count of each test scope
         self._models = {} if base is None else {"base": base}
         self._model_sha256 = {} if base is None else {"base": sha256_file(spec.base_model_path)}
         self._tokens: dict[str, dict[str, int]] = {}
@@ -285,14 +269,15 @@ class Workspace:
         return self._test_counts[0]
 
     def n_words(self, scope: str) -> int:
-        """Words of a test scope's table, from the test-split file."""
-        return self._test_counts[1][scope]
+        """Words of a test scope, summed over the test-split file's cells."""
+        cells = self._test_counts[1]
+        return _scope_sums(cells, [words for _, _, words, _ in cells])[scope]
 
     @cached_property
-    def _test_counts(self) -> tuple[list[tuple[str, int]], dict[str, int], dict[str, int]]:
-        """The language counts, word counts and piece occurrences of the
-        test-split file, read on first use; when it holds no valid split, the
-        table files it replaced are removed and every test table's counts written."""
+    def _test_counts(self) -> tuple[list[tuple[str, int]], list[list]]:
+        """The language counts and test cells of the test-split file, read on
+        first use; when it holds no valid split, the table files it replaced
+        are removed and the builder's cells are written."""
         path = self.models_dir / "test.json"
         split = _test_split(_read_cache(path, config_hash=self.provenance.config_hash))
         if split is None:
@@ -300,36 +285,45 @@ class Workspace:
                 stale.unlink()
             with suppress(OSError):  # no such directory, or one holding other files
                 (self.models_dir / "tables").rmdir()
-            languages = self.builder.languages
-            obj = {"config_hash": self.provenance.config_hash, "languages": languages,
-                   **self.builder.test_counts(_test_scopes(tag for tag, _ in languages))}
+            obj = {"config_hash": self.provenance.config_hash, "languages": self.builder.languages,
+                   "cells": self._built_cells}
             write_atomic(path, json_bytes(obj))
             split = _test_split(obj)
         return split
 
     def token_count(self, name: str, scope: str) -> int:
-        """Tokens of model ``name`` (``base`` or ``retrained_<role>``) on the
-        table of a test scope that a report row reads: ``documents``,
-        ``user``, ``assistant``, ``all`` or ``language:<tag>`` of a counted
-        language. On the model's first use the counts of all of them are
-        read from its lengths file. A file valid for the model lists exactly
-        these scopes, each with an int at least its table's piece
-        occurrences; otherwise the builder counts every table again and the
-        file is written with the counts in this order."""
+        """Tokens of model ``name`` (``base`` or ``retrained_<role>``) on a
+        test scope that a report row reads, summed over its count of each
+        test cell. Those are read from its lengths file on first use, one int
+        per cell and each at least the cell's piece occurrences; else every
+        cell is counted and the file written."""
         tokens = self._tokens.get(name)
         if tokens is None:
-            occurrences = self._test_counts[2]
+            cells = self._test_counts[1]
             path = self.models_dir / "lengths" / f"{name}.json"
             cached = _read_cache(path, model_sha256=self._model_digest(name))
-            tokens = _counts((cached or {}).get("lengths"), least=0)
+            lengths = (cached or {}).get("lengths")
             # each piece occurrence is at least one token
-            if tokens is None or tokens.keys() != occurrences.keys() or any(
-                    tokens[s] < n for s, n in occurrences.items()):
-                tokens = self.builder.count(self._model(name), occurrences)
-                data = {"model_sha256": self._model_sha256[name], "lengths": list(tokens.items())}
-                write_atomic(path, json_bytes(data))
-            self._tokens[name] = tokens
+            if not (isinstance(lengths, list) and len(lengths) == len(cells) and all(
+                    type(n) is int and n >= cell[3] for n, cell in zip(lengths, cells))):
+                lengths = self.builder.count(self._model(name), self._cell_tables())
+                write_atomic(path, json_bytes({"model_sha256": self._model_sha256[name],
+                                               "lengths": lengths}))
+            tokens = self._tokens[name] = _scope_sums(cells, lengths)
         return tokens[scope]
+
+    @cached_property
+    def _built_cells(self) -> list[list]:
+        """``[role, tag, words, piece occurrences]`` of each of the builder's test cells."""
+        return [[role, tag, table.n_words, sum(table.pieces.values())]
+                for role, tag, table in self.builder.test_cells]
+
+    def _cell_tables(self) -> list:
+        """Each test cell's table; IntegrityError unless test.json holds the builder's cells."""
+        if self._built_cells != self._test_counts[1]:
+            raise IntegrityError(f"{self.models_dir / 'test.json'} does not hold the test "
+                                 "split of these corpora: delete it to build it again")
+        return [table for *_, table in self.builder.test_cells]
 
     def _train_side_by_side(self, names: list[str]) -> None:
         """Train and count side by side the models among ``names`` that the
@@ -345,7 +339,9 @@ class Workspace:
         if may_fork():
             # what every child reads or runs is loaded once, before the forks,
             # so no child parses a file or builds a table of its own
-            self.builder.tables([*self._test_counts[2], *map(_train_scope, missing)])
+            self._cell_tables()
+            for scope in map(_train_scope, missing):
+                self.builder.table(scope)
             self._model("base")
             side_by_side([partial(self.token_count, name, "all") for name in missing])
 
@@ -362,25 +358,38 @@ def _train_scope(name: str) -> str:
     return "train:documents" if name == "base" else f"train:{name.removeprefix('retrained_')}"
 
 
-def _test_scopes(tags) -> list[str]:
-    """The test scopes that a lengths file counts, in its order."""
-    return ["documents", "user", "assistant", "all", *(f"language:{tag}" for tag in tags)]
+def _test_split(obj: dict | None) -> tuple[list[tuple[str, int]], list[list]] | None:
+    """The language counts and test cells of a test-split file's object, or
+    None unless they are ``[tag, count]`` pairs (distinct tags, positive
+    counts) and the ``[role, tag, words, piece occurrences]`` (counts at
+    least 0) of the ``Builder.test_cells`` of those tags."""
+    languages, cells = (obj or {}).get("languages"), (obj or {}).get("cells")
+    try:
+        tags = [tag for tag, n in languages
+                if type(tag) is str and tag and type(n) is int and n > 0]
+    except (TypeError, ValueError):  # not a list of pairs
+        return None
+    keys = [["documents", ""], *([role, tag] for role in ("user", "assistant")
+                                 for tag in [*tags, ""])]
+    if not (type(languages) is list and len(set(tags)) == len(tags) == len(languages)
+            and type(cells) is list and len(cells) == len(keys) and all(
+                type(cell) is list and cell[:2] == key and len(cell) == 4
+                and all(type(n) is int and n >= 0 for n in cell[2:])
+                for cell, key in zip(cells, keys))):
+        return None
+    return [(tag, n) for tag, n in languages], cells
 
 
-def _test_split(obj: dict | None
-                ) -> tuple[list[tuple[str, int]], dict[str, int], dict[str, int]] | None:
-    """The language counts, word counts and piece occurrences of a
-    test-split file's object, each a list of ``[str, count]`` pairs, the
-    latter two naming the scopes of :func:`_test_scopes` in order; None
-    when any of them is missing or not valid."""
-    languages = _counts((obj or {}).get("languages"))
-    if languages is None:
-        return None
-    n_words, occurrences = (_counts(obj.get(key), least=0) for key in ("n_words", "occurrences"))
-    scopes = _test_scopes(languages)
-    if any(counts is None or list(counts) != scopes for counts in (n_words, occurrences)):
-        return None
-    return list(languages.items()), n_words, occurrences
+def _scope_sums(cells: list[list], values: list[int]) -> dict[str, int]:
+    """The sum of ``values``, one per test cell, over each test scope: the
+    documents cell counts toward ``documents``, and a turn cell toward its
+    role, ``all`` and, for a counted language's tag, ``language:<tag>``."""
+    sums: dict[str, int] = {}
+    for (role, tag, *_), value in zip(cells, values, strict=True):
+        scopes = [role] if role == "documents" else [role, "all"]
+        for scope in scopes + ([f"language:{tag}"] if tag else []):
+            sums[scope] = sums.get(scope, 0) + value
+    return sums
 
 
 # ---------------------------------------------------------------------------

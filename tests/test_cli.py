@@ -686,6 +686,12 @@ def _bad_invocation(case, data, tmp, model):
         # a path flag given "" names the current directory, not an absent flag
         "ingest-empty-conversations-path": (["ingest", "--conversations", ""],
                                             "IsADirectoryError"),
+        # a conversation file read as documents is JSONL without a text field
+        "ingest-conversations-as-documents": (["ingest", "--documents", data["convs"]],
+                                              "MalformedRecord"),
+        # an output path with no name is the directory it would be written in
+        "ingest-empty-out-path": (["ingest", "--conversations", data["convs"], "--out", ""],
+                                  "IsADirectoryError"),
         "train": (["train", "--corpus", data["docs"], "--vocab-size", "100",
                    "--out", str(tmp / "m.json")], "ConfigError"),
         "train-min-pair-frequency-0": (["train", "--corpus", data["docs"], "--vocab-size", "300",
@@ -693,6 +699,10 @@ def _bad_invocation(case, data, tmp, model):
                                         "--out", str(tmp / "m.json")], "ConfigError"),
         "train-abbreviated-flag": (["train", "--corpus", data["docs"], "--vocab", "300",
                                     "--out", str(tmp / "runs" / "m.json")], "UsageError"),
+        "train-empty-out-path": (["train", "--corpus", data["docs"], "--vocab-size", "300",
+                                  "--out", ""], "IsADirectoryError"),
+        "train-dot-out-path": (["train", "--corpus", data["docs"], "--vocab-size", "300",
+                                "--out", "."], "IsADirectoryError"),
         # texts with no piece would train a model with no merges
         "train-empty-conversations": (train(str(a_file), "--format", "conversations"),
                                       "EmptyCorpus"),
@@ -704,11 +714,17 @@ def _bad_invocation(case, data, tmp, model):
                                     "IsADirectoryError"),
         "fertility": (["fertility", "--model", str(not_json), "--input", data["docs"]],
                       "IntegrityError"),
+        "fertility-conversations-as-documents": (
+            ["fertility", "--model", model, "--input", data["convs"], "--format", "documents"],
+            "MalformedRecord"),
+        "train-conversations-as-documents": (train(data["convs"], "--format", "documents"),
+                                             "MalformedRecord"),
         "exp1": (experiment("exp1"), "EmptyCorpus"),
         # a prefix of a flag is not that flag: each of these runs would succeed
         "exp1-abbreviated-flag": (["exp1", "--conv", data["convs"], "--documents", data["docs"],
                                    "--vocab-size", "300", "--out", str(tmp / "runs")],
                                   "UsageError"),
+        "exp1-conversations-as-documents": (experiment("exp1", data["convs"]), "MalformedRecord"),
         "exp1-negative-doc-sample-bytes": (
             experiment("exp1", data["docs"], "--doc-sample-bytes", "-5"), "ConfigError"),
         "exp1-empty-base-model-path": (experiment("exp1", data["docs"], "--base-model", ""),
@@ -744,17 +760,25 @@ def _bad_invocation(case, data, tmp, model):
 
 @pytest.mark.parametrize("case", [
     "ingest", "ingest-nothing", "ingest-out-without-conversations",
-    "ingest-empty-conversations-path", "train", "train-min-pair-frequency-0",
-    "train-abbreviated-flag", "train-empty-conversations", "train-role-filter-selects-nothing",
-    "encode", "encode-empty-input-path", "fertility",
-    "exp1", "exp1-abbreviated-flag", "exp1-negative-doc-sample-bytes",
+    "ingest-empty-conversations-path", "ingest-conversations-as-documents",
+    "ingest-empty-out-path", "train", "train-min-pair-frequency-0", "train-abbreviated-flag",
+    "train-empty-out-path", "train-dot-out-path", "train-empty-conversations",
+    "train-role-filter-selects-nothing", "train-conversations-as-documents",
+    "encode", "encode-empty-input-path", "fertility", "fertility-conversations-as-documents",
+    "exp1", "exp1-abbreviated-flag", "exp1-conversations-as-documents",
+    "exp1-negative-doc-sample-bytes",
     "exp1-empty-base-model-path", "exp1-surrogate-base-model", "exp1-role-filter",
     "exp2", "exp2-abbreviated-flag", "exp2-negative-threshold", "exp2-role-filter",
     "exp2-empty-train-split",
     "exp3", "exp3-empty-documents-train-split", "report", "samples", "samples-negative-seed",
 ])
-def test_every_subcommand_fails_with_one_json_line(case, data, small_model, tmp_path, capsys):
+def test_every_subcommand_fails_with_one_json_line(case, data, small_model, tmp_path, capsys,
+                                                   monkeypatch):
     argv, error = _bad_invocation(case, data, tmp_path, small_model)
+    # a relative --out, such as "" or ".", lands in the working directory
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -764,6 +788,7 @@ def test_every_subcommand_fails_with_one_json_line(case, data, small_model, tmp_
     # a command that fails writes no --out
     assert not (tmp_path / "runs").exists()
     assert not (tmp_path / "m.json").exists()
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -826,13 +851,18 @@ def _edit_json(clean: bytes, edit) -> bytes:
 
 
 def _edit_list(key, edit):
-    """A damage that replaces the ``[str, count]`` list under ``key``, the
-    language counts, word counts or piece occurrences, with ``edit`` of it."""
+    """A damage that replaces the list under ``key``, the language counts or
+    the cells, with ``edit`` of it."""
     return lambda clean, other: _edit_json(clean, lambda obj: obj.update({key: edit(obj[key])}))
 
 
 def _first_count(value):
     return lambda p: [[p[0][0], value], *p[1:]]
+
+
+def _first_cell(index, value):
+    """An edit of the cells that sets entry ``index`` of the first cell."""
+    return lambda p: [[*p[0][:index], value, *p[0][index + 1:]], *p[1:]]
 
 
 def _duplicate_first(p):
@@ -851,15 +881,21 @@ def _set_languages(value: bytes):
         b'"languages":0', b'"languages":' + value, 1)
 
 
-def _drop_first_language_scope(obj):
-    scope = f"language:{obj['languages'][0][0]}"
-    for key in ("n_words", "occurrences"):
-        obj[key] = [entry for entry in obj[key] if entry[0] != scope]
+def _drop_first_language_cells(obj):
+    tag = obj["languages"][0][0]
+    obj["cells"] = [cell for cell in obj["cells"] if cell[1] != tag]
 
 
-# damage to the test-split file as a whole or to its scope lists: n-words-*
-# damage the word counts and count-* the piece occurrences; each list names
-# the scopes of a lengths file, in its order
+def _scope_lists(obj):
+    # the earlier layout: [scope, count] lists of word counts and piece
+    # occurrences in place of the cells
+    documents = obj.pop("cells")[0]
+    obj.update(n_words=[["documents", documents[2]]], occurrences=[["documents", documents[3]]])
+
+
+# damage to the test-split file as a whole or to its cells, each
+# [role, tag, words, piece occurrences]: n-words-* damage a word count and
+# count-* a piece occurrence count; the cells follow the language counts
 _TABLE_DAMAGE = {
     "not-utf8": lambda clean, other: b"\xff\xfe",
     "truncated": lambda clean, other: clean[: len(clean) // 2],
@@ -867,14 +903,22 @@ _TABLE_DAMAGE = {
     "deeply-nested": lambda clean, other: b"[" * 100_000 + b"]" * 100_000,
     "other-scheme": _other_split("--scheme", "whitespace_split"),
     "other-config": _other_split("--seed", "5"),
-    **{f"{prefix}-{kind}": _edit_list(key, edit)
-       for key, prefix in [("n_words", "n-words"), ("occurrences", "count")]
-       for kind, edit in [("negative", _first_count(-1)), ("bool", _first_count(True)),
-                          ("duplicate-scope", _duplicate_first)]},
-    "other-scope": _edit_list("n_words", lambda p: [["train:documents", p[0][1]], *p[1:]]),
-    "no-documents": _edit_list("occurrences", lambda p: p[1:]),
-    "extra-scope": _edit_list("n_words", lambda p: [*p, ["language:xx", 9]]),
-    "reordered-scope": _edit_list("occurrences", lambda p: [p[1], p[0], *p[2:]]),
+    **{f"{prefix}-{kind}": _edit_list("cells", _first_cell(index, value))
+       for index, prefix in [(2, "n-words"), (3, "count")]
+       for kind, value in [("negative", -1), ("bool", True), ("float", 1.5), ("str", "2")]},
+    "n-words-duplicate-scope": _edit_list("cells", _duplicate_first),
+    "count-duplicate-scope": _edit_list("cells", lambda p: [p[0], p[0], *p[2:]]),
+    "other-scope": _edit_list("cells", _first_cell(0, "train:documents")),
+    "other-tag": _edit_list("cells", _first_cell(1, "xx")),
+    "no-documents": _edit_list("cells", lambda p: p[1:]),
+    "extra-scope": _edit_list("cells", lambda p: [*p, ["user", "xx", 9, 9]]),
+    "reordered-scope": _edit_list("cells", lambda p: [p[1], p[0], *p[2:]]),
+    "cell-short": _edit_list("cells", lambda p: [p[0][:3], *p[1:]]),
+    "cell-long": _edit_list("cells", lambda p: [[*p[0], 0], *p[1:]]),
+    "cell-object": _edit_list("cells", lambda p: [dict(enumerate(p[0])), *p[1:]]),
+    "cells-object": _edit_list("cells", lambda p: dict(enumerate(p))),
+    "no-cells": lambda clean, other: _edit_json(clean, lambda obj: obj.pop("cells")),
+    "scope-lists": lambda clean, other: _edit_json(clean, _scope_lists),
 }
 
 # damage to the test-split file's language counts
@@ -884,13 +928,15 @@ _LANGUAGES_DAMAGE = {
     "list": _set_languages(b"[1]"),
     "deeply-nested": _set_languages(b"[" * 100_000 + b"]" * 100_000),
     "other-scope": lambda clean, other: _edit_json(
-        clean, lambda obj: obj.update(languages=obj["n_words"])),
+        clean, lambda obj: obj.update(languages=obj["cells"])),
     "count-negative": _edit_list("languages", _first_count(-1)),
     "count-zero": _edit_list("languages", _first_count(0)),
     "count-bool": _edit_list("languages", _first_count(True)),
+    "empty-tag": _edit_list("languages", lambda p: [["", p[0][1]], *p[1:]]),
+    "string-entry": _edit_list("languages", lambda p: ["ab", *p[1:]]),
     "duplicate-tag": _edit_list("languages", _duplicate_first),
     "reordered-tags": _edit_list("languages", lambda p: [p[1], p[0], *p[2:]]),
-    "language-without-table": lambda clean, other: _edit_json(clean, _drop_first_language_scope),
+    "language-without-table": lambda clean, other: _edit_json(clean, _drop_first_language_cells),
 }
 
 
@@ -933,28 +979,36 @@ def test_damaged_language_counts_are_a_cache_miss(damage, data, tmp_path, capsys
 
 def test_a_test_split_naming_a_language_with_no_conversation_fails_cleanly(data, tmp_path,
                                                                           capsys):
-    # a valid test-split file whose first language tag is edited to one that
-    # no held-out conversation has: that language's table is empty, so its
-    # rows have no tokens to reduce
+    # a valid test-split file whose first language tag is edited, in the
+    # language counts and in its cells, to one that no held-out conversation
+    # has: the cells that the models are counted on again are not its cells
     argv = ["exp2", "--conversations", data["convs"], "--documents", data["docs"],
             "--vocab-size", "300", "--threshold", "0", "--out", str(tmp_path)]
     code, _, err = run(capsys, *argv)
     assert code == 0, err
+    report = tmp_path / "exp2" / "report.json"
+    report.unlink()
 
     def rename_first_language(obj):
-        scope = f"language:{obj['languages'][0][0]}"
+        tag = obj["languages"][0][0]
         obj["languages"][0][0] = "no-such-language"
-        for key in ("n_words", "occurrences"):
-            obj[key] = [["language:no-such-language" if s == scope else s, n]
-                        for s, n in obj[key]]
+        for cell in obj["cells"]:
+            if cell[1] == tag:
+                cell[1] = "no-such-language"
 
     split = tmp_path / "models" / "test.json"
-    split.write_bytes(_edit_json(split.read_bytes(), rename_first_language))
+    renamed = _edit_json(split.read_bytes(), rename_first_language)
+    split.write_bytes(renamed)
     for lengths in (tmp_path / "models" / "lengths").iterdir():
         lengths.unlink()
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert one_json_error(err)["error"] == "EmptyText"
+    payload = one_json_error(err)
+    assert payload["error"] == "IntegrityError"
+    assert str(split) in payload["message"]
+    assert not report.exists()
+    assert split.read_bytes() == renamed
+    assert list((tmp_path / "models" / "lengths").iterdir()) == []
 
 
 # by experiment: a cached model file it reads, and another model of its cache
@@ -1011,12 +1065,13 @@ def test_damaged_cached_model_fails_or_is_recounted(experiment, data, tmp_path, 
 
 
 def _edit_lengths(lengths: bytes, edit) -> bytes:
-    """A lengths file whose ``[scope, tokens]`` list is ``edit`` of its own."""
+    """A lengths file whose list of token counts, one per test cell, is
+    ``edit`` of its own."""
     return _edit_json(lengths, lambda obj: obj.update(lengths=edit(obj["lengths"])))
 
 
 def _first_length(value):
-    return lambda clean, other: _edit_lengths(clean, lambda p: [[p[0][0], value], *p[1:]])
+    return lambda clean, other: _edit_lengths(clean, lambda p: [value, *p[1:]])
 
 
 _LENGTHS_DAMAGE = {
@@ -1029,10 +1084,15 @@ _LENGTHS_DAMAGE = {
     "length-bool": _first_length(True),
     "length-float": _first_length(1.5),
     "length-str": _first_length("2"),
-    "lengths-dict": lambda clean, other: _edit_lengths(clean, dict),
+    "length-null": _first_length(None),
+    "length-list": lambda clean, other: _edit_lengths(clean, lambda p: [[p[0]], *p[1:]]),
+    "lengths-dict": lambda clean, other: _edit_lengths(clean, lambda p: dict(enumerate(p))),
     "lacks-a-table": lambda clean, other: _edit_lengths(clean, lambda p: p[1:]),
-    "extra-table": lambda clean, other: _edit_lengths(clean, lambda p: [*p, ["language:xx", 9]]),
+    "extra-table": lambda clean, other: _edit_lengths(clean, lambda p: [*p, 9]),
     "below-occurrences": _first_length(1),
+    # the earlier layout: [scope, tokens] pairs
+    "scope-pairs": lambda clean, other: _edit_lengths(
+        clean, lambda p: [[f"scope{i}", n] for i, n in enumerate(p)]),
     "other-model": lambda clean, other: other,
 }
 
@@ -1049,7 +1109,7 @@ def test_damaged_lengths_file_is_a_cache_miss(damage, data, tmp_path, capsys):
     clean = target.read_bytes()
     split = tmp_path / "models" / "test.json"
     clean_split = split.read_bytes()
-    # the user model's file holds the same scopes under another model's digest
+    # the user model's file holds as many counts under another model's digest
     damaged = _LENGTHS_DAMAGE[damage](clean, (lengths / "retrained_user.json").read_bytes())
     assert damaged != clean
     target.write_bytes(damaged)
@@ -1087,11 +1147,11 @@ def test_language_tags_never_name_a_path(data, tmp_path, capsys):
                        for name in ("base", "retrained_user", "retrained_assistant",
                                     "retrained_both"))}
     split = json.loads((out / "models" / "test.json").read_bytes())
-    assert set(split) == {"config_hash", "languages", "n_words", "occurrences"}
+    assert set(split) == {"config_hash", "languages", "cells"}
     assert {tag for tag, _ in split["languages"]} == set(tags)
-    scopes = ["documents", "user", "assistant", "all",
-              *(f"language:{tag}" for tag, _ in split["languages"])]
-    assert [s for s, _ in split["n_words"]] == [s for s, _ in split["occurrences"]] == scopes
+    ordered = [tag for tag, _ in split["languages"]] + [""]
+    assert [cell[:2] for cell in split["cells"]] == [
+        ["documents", ""], *([role, tag] for role in ("user", "assistant") for tag in ordered)]
 
 
 def test_malformed_conversations_fail_before_missing_documents(data, tmp_path, capsys):

@@ -349,6 +349,21 @@ class TestLoadDocuments:
         with pytest.raises(MalformedRecord, match="^line 2: each line must hold a JSON object$"):
             load_documents(path)
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"id": "a", "model": "m", "language": "en", "turns": []}'],
+         "line 1: expected an object with a string 'text' field"),
+        (['{"conversation_id": "a", "conversation": []}'],
+         "line 1: expected an object with a string 'text' field"),
+        (["", "{broken", '{"id": "a", "turns": []}'], "line 2: "),
+    ], ids=["native", "lmsys", "after-damaged-line"])
+    def test_a_conversation_file_is_not_documents(self, lines, message, tmp_path):
+        # a file that does not sniff as plain text is read as JSONL documents
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as err:
+            load_documents(path)
+        assert str(err.value).startswith(message)
+
     def test_non_utf8(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_bytes(b"ok\n\xc3(\n")

@@ -483,9 +483,11 @@ class TestModelCache:
         docs.write_text(first, encoding="utf-8")
         spec = tiny.spec._replace(documents_path=docs, output_dir=tmp_path / "out")
         cold = run_experiment2(spec)
-        lengths = spec.output_dir / "models" / "lengths"
-        for path in lengths.iterdir():
-            assert json.loads(path.read_bytes())["lengths"][0] == ["documents", 0]
+        models = spec.output_dir / "models"
+        cells = json.loads((models / "test.json").read_bytes())["cells"]
+        assert cells[0] == ["documents", "", 0, 0]
+        for path in (models / "lengths").iterdir():
+            assert json.loads(path.read_bytes())["lengths"][0] == 0
         written = []
         real_write_atomic = convtok.experiments.write_atomic
         monkeypatch.setattr(convtok.experiments, "write_atomic",
@@ -499,8 +501,8 @@ class TestModelCache:
         chain, models = (s.output_dir / "models" for s in (tiny.spec, spec))
         shutil.copytree(chain, models)
         pieces: dict[str, int] = {}
-        for scope in ("documents", "user", "assistant"):
-            token_count(tiny.ws.base_model(), tiny.ws.builder.table(scope), pieces)
+        for _, _, table in tiny.ws.builder.test_cells:
+            token_count(tiny.ws.base_model(), table, pieces)
         path = models / "lengths" / "base.json"
         digest = hashlib.sha256((models / "base.json").read_bytes()).hexdigest()
         path.write_bytes(json.dumps({"model_sha256": digest, "lengths": sorted(pieces.items())},
@@ -734,10 +736,62 @@ class TestTestSplit:
         ws.builder._conv_split = (train, Counting(test))
         languages = ws.languages()
         assert len(languages) == len(test) > 20
+        cells = ws.builder.test_cells
         for tag, _ in languages:
-            assert ws.builder.table(f"language:{tag}").n_words > 0
+            assert sum(table.n_words for _, cell_tag, table in cells if cell_tag == tag) > 0
+        assert [tag for _, tag, _ in cells].count("") == 3  # documents, and no other language
         assert visits.keys() == {r.id for r in test}
         assert max(visits.values()) <= 5
+
+    def test_a_cold_exp1_pretokenizes_each_held_out_text_once(self, tiny, tmp_path,
+                                                               monkeypatch):
+        # at threshold 1 three languages are counted and two are not
+        spec = tiny.spec._replace(output_dir=tmp_path / "out", language_threshold=1)
+        calls = Counter()
+        real_pretokenize = convtok.tokenizer.pretokenize
+
+        def counting(text, scheme):
+            calls[text] += 1
+            return real_pretokenize(text, scheme)
+
+        monkeypatch.setattr(convtok.tokenizer, "pretokenize", counting)
+        ws = Workspace(spec)
+        run_experiment1(spec, ws)
+        builder = ws.builder
+        assert len(ws.languages()) >= 2
+        assert {r.language for r in builder.conv_test} > {tag for tag, _ in ws.languages()}
+        # the base model trains on every train document, each pretokenized once too
+        assert sum(len(doc.encode("utf-8")) for doc in builder.docs_train) < spec.doc_sample_bytes
+        turns = [content for record in builder.conv_test for _, content in record.turns]
+        assert calls == Counter(builder.docs_test) + Counter(turns) + Counter(builder.docs_train)
+
+    @pytest.mark.parametrize("threshold", [0, 1])
+    def test_scope_sums_equal_a_direct_recount(self, threshold, tiny, tmp_path):
+        # threshold 0 counts every held-out language; threshold 1 leaves two
+        # of them to the cells of the other languages
+        spec = tiny.spec._replace(output_dir=tmp_path / "out", language_threshold=threshold)
+        cold = Workspace(spec)
+        for run in EXPERIMENTS.values():
+            run(spec, cold)
+        test = cold.builder.conv_test
+        texts = {"documents": cold.builder.docs_test,
+                 **{f.value: extract_text(test, f) for f in ALL_FILTERS}}
+        texts["all"] = texts.pop(RoleFilter.BOTH.value)
+        tags = [tag for tag, _ in cold.languages()]
+        for tag in tags:
+            texts[f"language:{tag}"] = extract_text([r for r in test if r.language == tag],
+                                                    RoleFilter.BOTH)
+        others = {r.language for r in test} - set(tags)
+        assert len(tags) >= 2 and (others == set() if threshold == 0 else len(others) >= 1)
+        rows = {r.scope for report in (run(spec, cold) for run in EXPERIMENTS.values())
+                for r in report.rows}
+        assert rows == set(texts)  # every scope that a report reads
+        warm = Workspace(spec)  # every count from the cache files
+        models = {"base": cold.base_model(), "retrained_both": cold.retrained(RoleFilter.BOTH)}
+        for scope, scope_texts in texts.items():
+            assert warm.n_words(scope) == PieceTable.of(scope_texts, spec.scheme).n_words
+            for name, model in models.items():
+                assert warm.token_count(name, scope) == token_count(model, scope_texts), scope
 
 
 class TestSpecValidation:
