@@ -19,7 +19,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConvtokError, EmptyCorpus, UsageError, read_utf8, utf8_str, write_atomic
+from .errors import (
+    ConvtokError, EmptyCorpus, UsageError, file_path, read_utf8, utf8_str, write_atomic,
+)
 
 
 def _emit(obj, stream=None) -> None:
@@ -64,7 +66,7 @@ def _cmd_train(args) -> None:
         min_pair_frequency=args.min_pair_frequency,
     )
     scheme = PretokenScheme(args.scheme)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    file_path(args.out).parent.mkdir(parents=True, exist_ok=True)
     texts = load_texts(args.corpus, args.format, RoleFilter(args.role_filter))
     table = PieceTable.of(texts, scheme)
     if not table.pieces:

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, the file boundary that
 raises them (the JSON parse and dump, the strict UTF-8 read and check, the
-file digest and the atomic write), and :func:`checked`, which makes a value
-type raise them on construction."""
+file digest, the check that a path names a file, and the atomic write), and
+:func:`checked`, which makes a value type raise them on construction."""
 
 from __future__ import annotations
 
@@ -57,6 +57,16 @@ def utf8_str(value: str, where: str) -> str:
     return value
 
 
+def file_path(path: str | Path) -> Path:
+    """``path`` as a Path if it can name a file to write. A path with no
+    name, such as ``""`` or ``.``, or one that is an existing directory, is
+    IsADirectoryError, so a command can refuse it before doing any work."""
+    path = Path(path)
+    if not path.name or path.is_dir():
+        raise IsADirectoryError(f"{str(path)!r} names a directory, not a file")
+    return path
+
+
 def write_atomic(path: str | Path, data: bytes) -> Path:
     """Write ``data`` to ``path``, creating its directory, and return the path.
 
@@ -64,11 +74,10 @@ def write_atomic(path: str | Path, data: bytes) -> Path:
     over ``path``: an interrupted write leaves the old file or none, never a
     truncated one. Each call creates its own temp file, so writers of one
     path, in this process or another, never write to or rename each
-    other's. A path with no name, such as ``""`` or ``.``, is IsADirectoryError.
+    other's. A path that names no file is IsADirectoryError (see
+    :func:`file_path`).
     """
-    path = Path(path)
-    if not path.name:
-        raise IsADirectoryError(f"{str(path)!r} names a directory, not a file")
+    path = file_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     # O_EXCL: the name is this call's alone, or the call fails

@@ -294,22 +294,26 @@ class Workspace:
     def token_count(self, name: str, scope: str) -> int:
         """Tokens of model ``name`` (``base`` or ``retrained_<role>``) on a
         test scope that a report row reads, summed over its count of each
-        test cell. Those are read from its lengths file on first use, one int
-        per cell and each at least the cell's piece occurrences; else every
-        cell is counted and the file written."""
+        test cell. Those are read from its lengths file on first use, one
+        ``[role, tag, tokens]`` per cell in the cells' order, each count at
+        least the cell's piece occurrences; else every cell is counted and
+        the file written."""
         tokens = self._tokens.get(name)
         if tokens is None:
             cells = self._test_counts[1]
             path = self.models_dir / "lengths" / f"{name}.json"
             cached = _read_cache(path, model_sha256=self._model_digest(name))
             lengths = (cached or {}).get("lengths")
-            # each piece occurrence is at least one token
+            # each count names its cell, and each piece occurrence is at least one token
             if not (isinstance(lengths, list) and len(lengths) == len(cells) and all(
-                    type(n) is int and n >= cell[3] for n, cell in zip(lengths, cells))):
-                lengths = self.builder.count(self._model(name), self._cell_tables())
+                    type(entry) is list and len(entry) == 3 and entry[:2] == cell[:2]
+                    and type(entry[2]) is int and entry[2] >= cell[3]
+                    for entry, cell in zip(lengths, cells))):
+                counts = self.builder.count(self._model(name), self._cell_tables())
+                lengths = [[role, tag, n] for (role, tag, *_), n in zip(cells, counts)]
                 write_atomic(path, json_bytes({"model_sha256": self._model_sha256[name],
                                                "lengths": lengths}))
-            tokens = self._tokens[name] = _scope_sums(cells, lengths)
+            tokens = self._tokens[name] = _scope_sums(cells, [n for *_, n in lengths])
         return tokens[scope]
 
     @cached_property

@@ -17,20 +17,23 @@ identical merge lists on any table:
 Selection depends only on (frequency, pair), so the result is independent of
 iteration order and identical across runs and platforms.
 
-The trainer keeps live pair counts, a grow-only list of owner pieces per
-pair and a lazy max-heap of (count, pair) entries. A merge of (L, R) into P
-rewrites only the owners of (L, R), each in one left-to-right scan, and
-changes counts only beside each match: the old pairs that touch the matched
-symbols go, and the pairs that join P to its new neighbours come. Only those
-pairs, which hold P, can rise, and each is pushed once, after the merge's
-last owner; a popped entry that records more than the live count is
-re-filed at the live count. Since counts only fall between pushes, the
-selection stays exact (see :func:`train_bpe`).
+The trainer keeps every piece's symbols in one linked list, as the encoder
+does, live pair counts, the positions where each pair formed and a lazy
+max-heap of (count, pair) entries. A merge of (L, R) into P visits only the
+positions of (L, R) and changes counts only beside each: the pairs that
+touch the merged symbols fall, and the pairs that join P to its new
+neighbours rise. Only those, which hold P, can rise, and each is pushed
+once, after the merge; a popped entry that records more than the live count
+is re-filed at it. Since counts only fall between pushes, the selection
+stays exact (see :func:`train_bpe`).
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections import defaultdict
+from functools import partial
 
 from .config import TokenizerMode, TrainConfig
 from .errors import ConfigError
@@ -77,55 +80,59 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
     """Train a BPE model of the table's scheme; deterministic in (table, config).
 
     Pair counts are kept incrementally and the best pair sits in a lazy
-    max-heap, so a merge costs in proportion to its owner pieces, not the corpus.
+    max-heap, so a merge costs in proportion to the positions it merges.
 
-    Merge step: each owner ``s`` of the merged pair ``(L, R)`` is scanned
-    once, left to right, building its new symbol list ``out``. At a match at
-    ``i`` the scan subtracts ``(L, R)``; on the left it subtracts
-    ``(s[i-1], L)`` and adds ``(out[-1], P)``; on the right it subtracts
-    ``(R, s[i+2])`` and adds ``(P, s[i+2])``, unless ``s[i+2:i+4]`` is the
-    next match, whose left side then handles that pair. So ``aaaa`` becomes
-    ``(aa)(aa)`` by subtracting ``(a, a)`` three times and adding
-    ``(aa, aa)`` once, and no pair away from a match is touched. Every
-    subtracted pair is a pair of the old list, whose symbols are all in the
-    vocabulary, and the product ``P`` is not, so no subtracted pair holds
-    ``P`` while every added pair does: the two sets never overlap, and only
-    pairs with the product rise. Such a pair is created by this merge: it
-    gains the piece as an owner and joins ``created``. Its holders only
-    shrink after that; at count zero it is dropped with its owner list.
+    Symbols: every piece's base symbols sit in one list ``sym``, each piece
+    followed by ``None``, with ``nxt``/``prv`` links and each position's
+    piece multiplicity in ``mult``, as in the encoder's ``_apply_merges``. A
+    merge renames its left position to ``P`` and kills the right one
+    (``None``), so a position's symbol only grows, and its ``nxt`` link only
+    moves when it does.
 
-    ``where`` invariant: ``where[p]`` lists every piece that holds a live
-    pair ``p``, each once, and may list pieces that no longer hold it. A
-    pair gains owners in one pass only, one owner at a time: the initial
-    count, or the merge that makes its newest symbol, since every pair that
-    a merge adds holds the product. So a piece is appended unless it is
-    already the list's last entry, and never leaves it. An owner whose scan
-    finds no match no longer holds the merged pair, and is skipped as it is.
+    ``where[p]`` holds the position of every live occurrence of pair ``p``,
+    and may hold positions where ``p`` has since broken. A pair is filed
+    where it forms, at the start or beside a merge; by the above it never
+    forms twice at one position, so each position is filed once.
+
+    Merge step: the positions of ``(L, R)`` are merged in ascending order,
+    left to right within a piece, skipping a stale one, which no longer holds
+    ``L`` followed by ``R``. At each merge ``(sym[before], L)`` and ``(R,
+    sym[after])`` fall in ``delta`` and ``(sym[before], P)`` and ``(P,
+    sym[after])`` rise and are filed; no other pair is touched. So ``aaaa``
+    files ``(aa, a)`` at its first merge and breaks it at its second, which
+    files ``(aa, aa)``. A left-to-right merge leaves no ``(L, R)`` behind,
+    so that pair goes. The batch's ``delta`` is then added to the counts,
+    and a pair whose count is zero goes with its positions.
 
     Heap invariant: every live pair has at least one entry whose recorded
     count is at or above its live count. The initial heap and one push per
-    ``created`` pair after the merge's last owner add such entries, counts
-    only fall between pushes, and a popped entry whose recorded count is not
-    the live count is re-filed at the live count. Hence the first popped
-    entry that matches its live count is the true (max frequency, min pair),
-    and the selection equals the full recount's. A popped pair whose product is
-    already in the vocabulary is dropped: the vocabulary only grows, so the
-    pair never becomes eligible again.
+    pair whose count rose in the merge add such entries (each holds ``P``),
+    counts only fall between pushes, and a popped entry whose recorded count
+    is not the live count is re-filed at the live count. Hence the first
+    popped entry that matches its live count is the true (max frequency, min
+    pair), and the selection equals the full recount's. A popped pair whose
+    product is already in the vocabulary is dropped: the vocabulary only
+    grows, so the pair never becomes eligible again.
     """
     vocab, sequences = _initial_state(table, config)
     vocab_set = set(vocab)
     merges: list[Pair] = []
 
+    sym: list[str | None] = []
+    mult = array("q")
     pair_counts: dict[Pair, int] = {}
-    where: dict[Pair, list[int]] = {}
-    for idx, (seq, mult) in enumerate(sequences):
-        for pair in zip(seq, seq[1:]):
-            pair_counts[pair] = pair_counts.get(pair, 0) + mult
-            owners = where.get(pair)
-            if owners is None:
-                where[pair] = [idx]
-            elif owners[-1] != idx:
-                owners.append(idx)
+    where: defaultdict[Pair, array] = defaultdict(partial(array, "q"))
+    for seq, m in sequences:
+        for pos, pair in enumerate(zip(seq, seq[1:]), len(sym)):
+            pair_counts[pair] = pair_counts.get(pair, 0) + m
+            where[pair].append(pos)
+        sym += seq
+        sym.append(None)
+        mult += array("q", (m,)) * (len(seq) + 1)
+    del sequences  # sym holds every symbol now
+    # index -1 reads the last piece's None, so the first piece has no left neighbour
+    nxt = array("q", range(1, len(sym) + 1))
+    prv = array("q", range(-1, len(sym) - 1))
 
     heap: list[tuple[int, Pair]] = [(-freq, pair) for pair, freq in pair_counts.items()]
     heapq.heapify(heap)
@@ -150,48 +157,39 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
         vocab.append(product)
         vocab_set.add(product)
 
-        created: set[Pair] = set()
-        for idx in where[pair]:
-            seq, mult = sequences[idx]
-            n = len(seq)
-            out: list[str] = []
-            gone: list[Pair] = []  # old pairs beside a match; none holds the product
-            born: list[Pair] = []  # new pairs beside a match; each holds the product
-            i = 0
-            while i < n:
-                if seq[i] != left or i + 1 == n or seq[i + 1] != right:
-                    out.append(seq[i])
-                    i += 1
-                    continue
-                gone.append(pair)
-                if i:
-                    gone.append((seq[i - 1], left))
-                    born.append((out[-1], product))
-                out.append(product)
-                i += 2
-                # unless the next match starts here: its left side takes this pair
-                if i < n and (seq[i] != left or i + 1 == n or seq[i + 1] != right):
-                    gone.append((right, seq[i]))
-                    born.append((product, seq[i]))
-            if not gone:
-                continue  # a stale owner: the pair left this piece earlier
-            sequences[idx] = (out, mult)
-            for p in born:
-                pair_counts[p] = pair_counts.get(p, 0) + mult
-                owners = where.get(p)
-                if owners is None:
-                    where[p] = [idx]
-                elif owners[-1] != idx:
-                    owners.append(idx)
-                created.add(p)
-            for p in gone:
-                if remaining := pair_counts[p] - mult:
-                    pair_counts[p] = remaining
-                else:
-                    del pair_counts[p]
-                    del where[p]
-        for p in created:  # entries are fully ordered, so push order is moot
-            heapq.heappush(heap, (-pair_counts[p], p))
+        del pair_counts[pair]  # the merge leaves no (L, R) behind
+        delta: dict[Pair, int] = {}
+        for pos in sorted(where.pop(pair)):
+            gone = nxt[pos]
+            if sym[pos] != left or sym[gone] != right:
+                continue  # a stale position: a merge beside it broke the pair
+            m = mult[pos]
+            sym[pos] = product
+            sym[gone] = None
+            after = nxt[pos] = nxt[gone]
+            prv[after] = pos
+            before = prv[pos]
+            if (neighbour := sym[before]) is not None:
+                p = neighbour, left
+                delta[p] = delta.get(p, 0) - m
+                p = neighbour, product
+                delta[p] = delta.get(p, 0) + m
+                where[p].append(before)
+            if (neighbour := sym[after]) is not None:
+                p = right, neighbour
+                delta[p] = delta.get(p, 0) - m
+                p = product, neighbour
+                delta[p] = delta.get(p, 0) + m
+                where[p].append(pos)
+        delta.pop(pair, None)  # an overlapping (L, R), as in aaa, fell beside a merge
+        for p, change in delta.items():  # entries are fully ordered, so push order is moot
+            if count := pair_counts.get(p, 0) + change:
+                pair_counts[p] = count
+                if change > 0:  # a pair that holds the product
+                    heapq.heappush(heap, (-count, p))
+            else:  # gone, or formed and broken in this merge, as (aa, a) in aaaa
+                pair_counts.pop(p, None)
+                del where[p]
 
     return TokenizerModel(
         mode=config.mode,

@@ -656,6 +656,8 @@ def _bad_invocation(case, data, tmp, model):
     not_json.write_text("{", encoding="utf-8")
     a_file = tmp / "a_file"
     a_file.write_text("", encoding="utf-8")
+    a_dir = tmp / "a_dir"
+    a_dir.mkdir()
     one_doc = tmp / "one_doc.txt"
     with open(data["docs"], encoding="utf-8") as f:
         one_doc.write_text(f.readline(), encoding="utf-8")
@@ -703,6 +705,8 @@ def _bad_invocation(case, data, tmp, model):
                                   "--out", ""], "IsADirectoryError"),
         "train-dot-out-path": (["train", "--corpus", data["docs"], "--vocab-size", "300",
                                 "--out", "."], "IsADirectoryError"),
+        "train-directory-out-path": (["train", "--corpus", data["docs"], "--vocab-size", "300",
+                                      "--out", str(a_dir)], "IsADirectoryError"),
         # texts with no piece would train a model with no merges
         "train-empty-conversations": (train(str(a_file), "--format", "conversations"),
                                       "EmptyCorpus"),
@@ -762,7 +766,8 @@ def _bad_invocation(case, data, tmp, model):
     "ingest", "ingest-nothing", "ingest-out-without-conversations",
     "ingest-empty-conversations-path", "ingest-conversations-as-documents",
     "ingest-empty-out-path", "train", "train-min-pair-frequency-0", "train-abbreviated-flag",
-    "train-empty-out-path", "train-dot-out-path", "train-empty-conversations",
+    "train-empty-out-path", "train-dot-out-path", "train-directory-out-path",
+    "train-empty-conversations",
     "train-role-filter-selects-nothing", "train-conversations-as-documents",
     "encode", "encode-empty-input-path", "fertility", "fertility-conversations-as-documents",
     "exp1", "exp1-abbreviated-flag", "exp1-conversations-as-documents",
@@ -779,7 +784,13 @@ def test_every_subcommand_fails_with_one_json_line(case, data, small_model, tmp_
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
+    trained, train_bpe = [], convtok.trainer.train_bpe
+    monkeypatch.setattr(convtok.trainer, "train_bpe",
+                        lambda *args: trained.append(args) or train_bpe(*args))
     code, out, err = run(capsys, *argv)
+    # an --out that names no file fails before the corpus is read and trained on
+    if case.endswith("-out-path"):
+        assert trained == []
     assert code == 1
     assert out == ""
     payload = one_json_error(err)
@@ -1065,13 +1076,13 @@ def test_damaged_cached_model_fails_or_is_recounted(experiment, data, tmp_path, 
 
 
 def _edit_lengths(lengths: bytes, edit) -> bytes:
-    """A lengths file whose list of token counts, one per test cell, is
-    ``edit`` of its own."""
+    """A lengths file whose list of ``[role, tag, tokens]``, one per test
+    cell, is ``edit`` of its own."""
     return _edit_json(lengths, lambda obj: obj.update(lengths=edit(obj["lengths"])))
 
 
 def _first_length(value):
-    return lambda clean, other: _edit_lengths(clean, lambda p: [value, *p[1:]])
+    return lambda clean, other: _edit_lengths(clean, lambda p: [[*p[0][:2], value], *p[1:]])
 
 
 _LENGTHS_DAMAGE = {
@@ -1085,14 +1096,20 @@ _LENGTHS_DAMAGE = {
     "length-float": _first_length(1.5),
     "length-str": _first_length("2"),
     "length-null": _first_length(None),
-    "length-list": lambda clean, other: _edit_lengths(clean, lambda p: [[p[0]], *p[1:]]),
+    "length-list": _first_length([1_000_000]),
     "lengths-dict": lambda clean, other: _edit_lengths(clean, lambda p: dict(enumerate(p))),
     "lacks-a-table": lambda clean, other: _edit_lengths(clean, lambda p: p[1:]),
-    "extra-table": lambda clean, other: _edit_lengths(clean, lambda p: [*p, 9]),
+    "extra-table": lambda clean, other: _edit_lengths(clean, lambda p: [*p, ["user", "", 9]]),
     "below-occurrences": _first_length(1),
-    # the earlier layout: [scope, tokens] pairs
+    # each count keeps its cell's name, in the other cell's place
+    "swapped-cells": lambda clean, other: _edit_lengths(clean, lambda p: [p[0], p[2], p[1], *p[3:]]),
+    "unnamed-cell": lambda clean, other: _edit_lengths(clean, lambda p: [p[0][2:], *p[1:]]),
+    "renamed-cell": lambda clean, other: _edit_lengths(
+        clean, lambda p: [["documents", "en", p[0][2]], *p[1:]]),
+    # the earlier layouts: [scope, tokens] pairs, and one bare int per cell
     "scope-pairs": lambda clean, other: _edit_lengths(
-        clean, lambda p: [[f"scope{i}", n] for i, n in enumerate(p)]),
+        clean, lambda p: [[f"scope{i}", n] for i, (*_, n) in enumerate(p)]),
+    "int-per-cell": lambda clean, other: _edit_lengths(clean, lambda p: [n for *_, n in p]),
     "other-model": lambda clean, other: other,
 }
 
@@ -1120,6 +1137,30 @@ def test_damaged_lengths_file_is_a_cache_miss(damage, data, tmp_path, capsys):
     # the tables it is counted on are built from the corpora, and the
     # test-split file stays as it was
     assert split.read_bytes() == clean_split
+
+
+def test_lengths_swapped_between_two_cells_are_a_miss(data, tmp_path, capsys):
+    # the entries of a language cell and of another cell, swapped: each count
+    # stays at or above the other cell's piece occurrences, so only the names
+    # tell the swapped file from a true one
+    argv = ["exp2", "--conversations", data["convs"], "--documents", data["docs"],
+            "--vocab-size", "300", "--threshold", "1", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    report = (tmp_path / "exp2" / "report.json").read_bytes()
+    target = tmp_path / "models" / "lengths" / "retrained_both.json"
+    clean = target.read_bytes()
+    cells = json.loads((tmp_path / "models" / "test.json").read_bytes())["cells"]
+    lengths = json.loads(clean)["lengths"]
+    i, j = next((i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))
+                if cells[i][1] and lengths[i][2] != lengths[j][2]
+                and lengths[i][2] >= cells[j][3] and lengths[j][2] >= cells[i][3])
+    lengths[i], lengths[j] = lengths[j], lengths[i]
+    target.write_bytes(_edit_json(clean, lambda obj: obj.update(lengths=lengths)))
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (tmp_path / "exp2" / "report.json").read_bytes() == report
+    assert target.read_bytes() == clean  # counted again and rewritten
 
 
 def test_language_tags_never_name_a_path(data, tmp_path, capsys):

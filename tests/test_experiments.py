@@ -487,7 +487,7 @@ class TestModelCache:
         cells = json.loads((models / "test.json").read_bytes())["cells"]
         assert cells[0] == ["documents", "", 0, 0]
         for path in (models / "lengths").iterdir():
-            assert json.loads(path.read_bytes())["lengths"][0] == 0
+            assert json.loads(path.read_bytes())["lengths"][0] == ["documents", "", 0]
         written = []
         real_write_atomic = convtok.experiments.write_atomic
         monkeypatch.setattr(convtok.experiments, "write_atomic",

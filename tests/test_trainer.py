@@ -110,8 +110,8 @@ class TestTrainBpe:
         assert model_to_bytes(train_bpe(corpus, config)) == model_to_bytes(train_bpe(corpus, config))
 
     def test_training_is_independent_of_the_hash_seed(self):
-        # the per-merge set of created pairs is iterated in string-hash order;
-        # heap entries are fully ordered, so the order of their pushes is moot
+        # pair counts and positions live in dicts keyed by strings; heap
+        # entries are fully ordered, so the order of their pushes is moot
         corpus = random_corpus(random.Random(77), n_texts=8, n_words=120)
         script = (
             "import hashlib, json, sys\n"
@@ -317,3 +317,69 @@ class TestOracleStress:
             slow = train_bpe_oracle(corpus, config)
             assert model_to_bytes(fast) == model_to_bytes(slow), (case, corpus, config)
 
+
+class TestLongPieces:
+    """Pieces of hundreds to thousands of symbols over two or three letters,
+    where runs such as ``aaaa`` and ``abab`` pair a product with itself,
+    ``(X, X)``, whose occurrences overlap, and leave stale positions behind."""
+
+    @pytest.mark.parametrize("mode", [BYTE, CHAR])
+    def test_long_pieces_and_self_pairs_match_oracle(self, mode):
+        rng = random.Random(20250603 + (mode is CHAR))
+        for case in range(30):
+            letters = rng.choice(["ab", "abc", "ba"])
+            pieces = []
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(200, 2001)
+                pieces.append(rng.choice([
+                    "".join(rng.choices(letters, k=k)), letters[0] * k, (letters * k)[:k],
+                ]))
+            corpus = table_of([" ".join(pieces)] * rng.randint(1, 2))
+            config = TrainConfig(vocab_size=rng.randint(290, 330), mode=mode,
+                                 min_pair_frequency=rng.randint(1, 2))
+            fast = train_bpe(corpus, config)
+            slow = train_bpe_oracle(corpus, config)
+            assert model_to_bytes(fast) == model_to_bytes(slow), (case, config)
+
+
+class _TooManyLines(Exception):
+    pass
+
+
+class TestLongWordCost:
+    def test_lines_linear_in_symbols_plus_merges(self):
+        # one long word is one piece. Scanning the whole piece at each merge
+        # costs its length times the merges; merging only the merged pair's
+        # positions costs a bounded number of lines per symbol and per merge.
+        # The lines that trainer.py executes count the work, as the rank
+        # lookups do for encode.
+        word = "".join(random.Random(38).choices("abc", k=6000))
+        table = table_of([word])
+        assert list(table.pieces) == [word]
+        config = TrainConfig(vocab_size=2256, min_pair_frequency=1)
+        per_unit = 50
+        cap = per_unit * (len(word) + config.vocab_size - 256)
+        lines = 0
+
+        def count_line(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+                if lines > cap:  # stop a superlinear trainer early
+                    raise _TooManyLines
+            return count_line
+
+        def trace(frame, event, arg):
+            return count_line if frame.f_code.co_filename == convtok.trainer.__file__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            model = train_bpe(table, config)
+        except _TooManyLines:
+            model = None
+        finally:
+            sys.settrace(previous)
+        assert model is not None, f"over {cap} lines"
+        assert len(model.merges) > 1000  # most of the budget is spent
+        assert lines <= per_unit * (len(word) + len(model.merges))
