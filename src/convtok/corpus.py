@@ -202,7 +202,6 @@ def partition(items, ids: list[str], spec: SplitSpec) -> tuple[list, list]:
     smallest keyed hashes. Both sides keep input order. Exact sizes,
     platform-independent, stable under re-ordering. A repeated id is a
     ValueError, raised before any item is assigned."""
-    from fractions import Fraction
     from hashlib import blake2b
 
     if len(set(ids)) != len(ids):
@@ -213,7 +212,11 @@ def partition(items, ids: list[str], spec: SplitSpec) -> tuple[list, list]:
         digest = blake2b(item_id.encode("utf-8"), key=seed_key, digest_size=8).digest()
         return int.from_bytes(digest, "big"), item_id
 
-    n_train = int(round(Fraction(spec.train_fraction) * len(ids)))
+    # round(fraction * N) exactly, ties to even, on the fraction's integer ratio
+    num, den = spec.train_fraction.as_integer_ratio()
+    n_train, rest = divmod(num * len(ids), den)
+    if 2 * rest > den or 2 * rest == den and n_train % 2:
+        n_train += 1
     train_ids = set(sorted(ids, key=keyed_hash)[:n_train])
     train, test = [], []
     for item, item_id in zip(items, ids, strict=True):

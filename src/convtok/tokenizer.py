@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from heapq import heapify, heappop, heappush
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from .config import N_BYTE_SYMBOLS, PretokenScheme, TokenizerMode
 from .errors import (
@@ -195,14 +195,16 @@ class TokenizerModel(_ModelFields):
         return self
 
 
-def _base_symbols(model: TokenizerModel, piece: str) -> list[str]:
-    if model.mode is TokenizerMode.BYTE_LEVEL:
+def _base_symbols(mode: TokenizerMode, known: Container[str], piece: str) -> list[str]:
+    """A piece's symbols before any merge: its UTF-8 bytes in ``byte_level``
+    mode; in ``char_level_fallback`` mode its characters, each one not in
+    ``known`` spelt as its bytes' fallback tokens."""
+    if mode is TokenizerMode.BYTE_LEVEL:
         b2c = _BYTE_TO_CHAR
         return [b2c[b] for b in piece.encode("utf-8")]
-    token_ids = model._token_ids
     symbols: list[str] = []
     for ch in piece:
-        if ch in token_ids:
+        if ch in known:
             symbols.append(ch)
         else:
             symbols.extend(FALLBACK_TOKENS[b] for b in ch.encode("utf-8"))
@@ -273,7 +275,7 @@ def _apply_merges(model: TokenizerModel, symbols: list[str]) -> list[str]:
 
 def encode_piece(model: TokenizerModel, piece: str) -> tuple[int, ...]:
     """Token ids for one pretokenized piece."""
-    symbols = _apply_merges(model, _base_symbols(model, piece))
+    symbols = _apply_merges(model, _base_symbols(model.mode, model._token_ids, piece))
     return tuple(map(model._token_ids.__getitem__, symbols))
 
 

@@ -34,6 +34,7 @@ import heapq
 from array import array
 from collections import defaultdict
 from functools import partial
+from typing import Iterator
 
 from .config import TokenizerMode, TrainConfig
 from .errors import ConfigError
@@ -47,29 +48,23 @@ Pair = tuple[str, str]
 
 def _initial_state(
     table: PieceTable, config: TrainConfig
-) -> tuple[list[str], list[tuple[list[str], int]]]:
-    """Base vocabulary plus (symbols, multiplicity) work list for training."""
+) -> tuple[list[str], Iterator[tuple[list[str], int]]]:
+    """Base vocabulary plus a lazy walk of (symbols, multiplicity) over the
+    table's pieces of two or more symbols."""
     if not isinstance(table, PieceTable):
         raise TypeError(f"training takes a PieceTable, not {type(table).__name__}")
     pieces = table.pieces
-    vocab = list(base_alphabet(config.mode))
-    if config.mode is TokenizerMode.CHAR_LEVEL_FALLBACK:
-        chars: set[str] = set()
-        for piece in pieces:
-            chars.update(piece)
-        vocab.extend(sorted(chars))
-        if len(vocab) > config.vocab_size:
-            raise ConfigError(
-                f"vocab_size {config.vocab_size} is below the base alphabet size "
-                f"{len(vocab)} (256 fallback tokens + {len(chars)} corpus characters)"
-            )
-    probe = TokenizerModel(mode=config.mode, scheme=table.scheme, vocab=tuple(vocab), merges=())
-    sequences = [
-        (symbols, mult)
-        for piece, mult in pieces.items()
-        if len(symbols := _base_symbols(probe, piece)) > 1
-    ]
-    return vocab, sequences
+    chars = set().union(*pieces) if config.mode is TokenizerMode.CHAR_LEVEL_FALLBACK else set()
+    vocab = [*base_alphabet(config.mode), *sorted(chars)]
+    if len(vocab) > config.vocab_size:  # only with corpus characters: vocab_size >= 256
+        raise ConfigError(
+            f"vocab_size {config.vocab_size} is below the base alphabet size "
+            f"{len(vocab)} (256 fallback tokens + {len(chars)} corpus characters)"
+        )
+    # every character of the table is in the vocabulary, so none falls back
+    walk = ((symbols, mult) for piece, mult in pieces.items()
+            if len(symbols := _base_symbols(config.mode, chars, piece)) > 1)
+    return vocab, walk
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +109,30 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
     product is already in the vocabulary is dropped: the vocabulary only
     grows, so the pair never becomes eligible again.
     """
-    vocab, sequences = _initial_state(table, config)
+    vocab, walk = _initial_state(table, config)
     vocab_set = set(vocab)
     merges: list[Pair] = []
 
+    # positions and multiplicities take 4 bytes when the table bounds them
+    # below 2**31: a piece has at most 4 symbols per character, and a None after it
+    pieces = table.pieces
+    bound = max(4 * sum(map(len, pieces)) + len(pieces), max(pieces.values(), default=0))
+    width = "i" if bound < 2**31 else "q"
     sym: list[str | None] = []
-    mult = array("q")
+    mult = array(width)
     pair_counts: dict[Pair, int] = {}
-    where: defaultdict[Pair, array] = defaultdict(partial(array, "q"))
-    for seq, m in sequences:
+    where: defaultdict[Pair, array] = defaultdict(partial(array, width))
+    for seq, m in walk:
         for pos, pair in enumerate(zip(seq, seq[1:]), len(sym)):
             pair_counts[pair] = pair_counts.get(pair, 0) + m
             where[pair].append(pos)
         sym += seq
         sym.append(None)
-        mult += array("q", (m,)) * (len(seq) + 1)
-    del sequences  # sym holds every symbol now
+        mult += array(width, (m,)) * (len(seq) + 1)
+    seq = None  # sym holds the last piece's symbols too
     # index -1 reads the last piece's None, so the first piece has no left neighbour
-    nxt = array("q", range(1, len(sym) + 1))
-    prv = array("q", range(-1, len(sym) - 1))
+    nxt = array(width, range(1, len(sym) + 1))
+    prv = array(width, range(-1, len(sym) - 1))
 
     heap: list[tuple[int, Pair]] = [(-freq, pair) for pair, freq in pair_counts.items()]
     heapq.heapify(heap)
@@ -191,6 +191,7 @@ def train_bpe(table: PieceTable, config: TrainConfig) -> TokenizerModel:
                 pair_counts.pop(p, None)
                 del where[p]
 
+    del sym, nxt, prv, mult, where, pair_counts, heap  # before the model's lookup tables
     return TokenizerModel(
         mode=config.mode,
         scheme=table.scheme,

@@ -32,7 +32,8 @@ def merge_adjacent(symbols: list[str], left: str, right: str, joined: str) -> li
 def train_bpe_oracle(table: PieceTable, config: TrainConfig) -> TokenizerModel:
     """Same contract as :func:`convtok.trainer.train_bpe`, computed by full
     recount after every merge. Quadratic; keep its inputs small."""
-    vocab, sequences = _initial_state(table, config)
+    vocab, walk = _initial_state(table, config)
+    sequences = list(walk)
     vocab_set = set(vocab)
     merges: list[Pair] = []
 

@@ -1265,14 +1265,16 @@ def test_each_command_imports_only_its_modules(command, data, small_model, tmp_p
         "from convtok.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('convtok')),\n"
-        "                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))\n",
+        "                  [m for m in ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "                   if m in sys.modules]]))\n",
         *argv)
     code, modules, slow_imports = json.loads(out.splitlines()[-1])
     assert code == 0
     assert modules == sorted({"convtok", "convtok.cli"}
                              | {f"convtok.{m}" for m in _COMMAND_MODULES[command]})
     # the value types are named tuples: no command pays for dataclasses and
-    # the inspect module it imports
+    # the inspect module it imports, and the split rounds on integers, not
+    # through fractions and the decimal module it imports
     assert slow_imports == []
 
 

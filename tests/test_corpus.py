@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -477,6 +478,20 @@ class TestSplit:
         for side in (train, test):
             indices = [items.index(item) for item in side]
             assert indices == sorted(indices)
+
+    def test_train_size_is_the_fraction_of_n_rounded_exactly(self):
+        # round(fraction * N) on the float's exact value, ties to even: 0.5 of
+        # 5 is 2 and 0.5 of 7 is 4, while 0.1 of 5 lies a hair above 0.5 and
+        # is 1, and 0.3 of 5 a hair below 1.5 and is 1, where float products
+        # read 0.5 and 1.5
+        fractions = (0.1, 0.125, 0.25, 0.3, 0.375, 0.5, 0.625, 0.7, 0.75, 0.8, 0.875, 0.9,
+                     1 / 3, 2 / 3)
+        for n in range(41):
+            ids = [str(i) for i in range(n)]
+            for fraction in fractions:
+                train, test = partition(ids, ids, SplitSpec(train_fraction=fraction, seed=n))
+                assert len(train) == round(Fraction(fraction) * n), (fraction, n)
+                assert len(train) + len(test) == n
 
     def test_partition_rejects_duplicate_ids(self):
         items = ["a", "b", "c"]

@@ -304,8 +304,12 @@ def random_merge_model(rng, mode, letters, extra_symbols=(), self_pairs=False):
     return TokenizerModel(mode=mode, scheme=CAT, vocab=tuple(vocab), merges=tuple(merges))
 
 
+def base_symbols(model, piece):
+    return _base_symbols(model.mode, model._token_ids, piece)
+
+
 def assert_matches_reference(model, piece):
-    base = _base_symbols(model, piece)
+    base = base_symbols(model, piece)
     assert _apply_merges(model, list(base)) == reference_apply_merges(model, base), (
         piece, model.merges)
 
@@ -369,7 +373,7 @@ class TestApplyMergesMatchesReference:
         y = FALLBACK_TOKENS[ord("Q")]
         model = toy_char_model(extra_vocab=("0", "x", "5", "1", ">", *spelt, y + y),
                                merges=(*zip(spelt, "0x51>"), (y, y)))
-        assert _apply_merges(model, _base_symbols(model, "<0x51>QQ")) == [y + y, y]
+        assert _apply_merges(model, base_symbols(model, "<0x51>QQ")) == [y + y, y]
         assert_matches_reference(model, "<0x51>QQ")
 
     def test_fallback_symbols(self):
@@ -416,19 +420,19 @@ class TestEncodeCost:
     def test_rank_lookups_linear_in_piece_length(self, sample_model, long_piece):
         # the rescan loop needs one pass per merge applied
         piece = long_piece
-        n = len(_base_symbols(sample_model, piece))
+        n = len(base_symbols(sample_model, piece))
         assert n > 3000 and pretokenize(piece, CAT) == [piece]
         bound = 3 * n
 
         model = fresh_copy(sample_model)
         ranks = CountingRanks(model._merge_ranks)
         object.__setattr__(model, "_merge_ranks", ranks)
-        expected = reference_apply_merges(sample_model, _base_symbols(sample_model, piece))
-        assert _apply_merges(model, _base_symbols(model, piece)) == expected
+        expected = reference_apply_merges(sample_model, base_symbols(sample_model, piece))
+        assert _apply_merges(model, base_symbols(model, piece)) == expected
         assert ranks.lookups <= bound
 
         ranks.lookups = 0
-        reference_apply_merges(model, _base_symbols(model, piece))
+        reference_apply_merges(model, base_symbols(model, piece))
         assert ranks.lookups > bound  # the bound tells the two apart
 
     def test_heap_holds_ranks_not_positions(self, sample_model, long_piece, monkeypatch):
@@ -449,7 +453,7 @@ class TestEncodeCost:
 
         monkeypatch.setattr(tokenizer, "heapify", spy_heapify)
         monkeypatch.setattr(tokenizer, "heappush", spy_heappush)
-        symbols = _base_symbols(sample_model, long_piece)
+        symbols = base_symbols(sample_model, long_piece)
         assert len(symbols) > 3000
         expected = reference_apply_merges(sample_model, symbols)
         assert _apply_merges(sample_model, symbols) == expected

@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import random
+import string
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -189,7 +191,8 @@ class TestTrainBpe:
         for text in corpus:
             pieces.update(pretokenize(text, CAT))
         from convtok.tokenizer import _base_symbols  # replay needs base symbols
-        sequences = {tuple(_base_symbols(model, p)): m for p, m in pieces.items()}
+        sequences = {tuple(_base_symbols(model.mode, model._token_ids, p)): m
+                     for p, m in pieces.items()}
         for left, right in model.merges:
             assert pair_counts(sequences)[(left, right)] >= config.min_pair_frequency
             sequences = Counter(
@@ -342,6 +345,29 @@ class TestLongPieces:
             assert model_to_bytes(fast) == model_to_bytes(slow), (case, config)
 
 
+class TestWideCounts:
+    """Positions and multiplicities are 4-byte ``array('i')`` entries while
+    the table bounds them below 2**31, and 8-byte ``array('q')`` ones past it."""
+
+    @pytest.mark.parametrize("mode", [BYTE, CHAR])
+    @pytest.mark.parametrize("count, width", [(2**31 - 1, "i"), (2**31, "q"), (5**20, "q")])
+    def test_a_huge_multiplicity_matches_oracle(self, mode, count, width, monkeypatch):
+        pieces = Counter({" abc": count, "abcab": 3, "bca": count // 7, "aaaa": 2})
+        table = PieceTable(pieces, n_words=sum(pieces.values()), scheme=CAT)
+        widths = set()
+        real_array = convtok.trainer.array
+
+        def spy(typecode, *args):
+            widths.add(typecode)
+            return real_array(typecode, *args)
+
+        monkeypatch.setattr(convtok.trainer, "array", spy)
+        config = TrainConfig(vocab_size=280, mode=mode, min_pair_frequency=1)
+        fast = train_bpe(table, config)
+        assert widths == {width}
+        assert model_to_bytes(fast) == model_to_bytes(train_bpe_oracle(table, config))
+
+
 class _TooManyLines(Exception):
     pass
 
@@ -383,3 +409,23 @@ class TestLongWordCost:
         assert model is not None, f"over {cap} lines"
         assert len(model.merges) > 1000  # most of the budget is spent
         assert lines <= per_unit * (len(word) + len(model.merges))
+
+    def test_peak_memory_per_symbol(self):
+        # with few merges, the trainer's own allocations on one long word peak
+        # while the piece is read, at about 37 bytes per base symbol on Python
+        # 3.10-3.13: a list slot, 4-byte multiplicities and filed positions,
+        # and the walk's symbol list and its shifted copy. 8-byte arrays and a
+        # list of every piece's symbol lists held at once peaked at 62.
+        word = "".join(random.Random(39).choices(string.ascii_lowercase, k=100_000))
+        table = table_of([word])
+        config = TrainConfig(vocab_size=300, min_pair_frequency=1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            model = train_bpe(table, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(model.merges) == 44
+        assert peak / len(word) < 48
